@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qufem_core::{
-    benchgen, build_group_matrices, engine, EngineStats, GroupMatrix, InteractionTable,
+    benchgen, build_group_matrices, engine, EngineStats, ExecArena, GroupMatrix, InteractionTable,
     IterationPlan, QuFemConfig,
 };
 use qufem_device::presets;
@@ -10,6 +10,7 @@ use qufem_linalg::{Lu, Matrix};
 use qufem_types::{ProbDist, QubitSet, SupportIndex};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 fn bench_lu(c: &mut Criterion) {
     let mut group = c.benchmark_group("lu_inverse");
@@ -107,7 +108,8 @@ fn bench_plan_execute(c: &mut Criterion) {
     const BETA: f64 = 1e-3;
     for &n in &[36usize, 136] {
         let w = engine_workload(n, 200);
-        let plan = IterationPlan::build(&w.positions, &w.groups, BETA);
+        let chain = [Arc::new(IterationPlan::build(&w.positions, &w.groups, BETA))];
+        let plan = &chain[0];
         let input = SupportIndex::from_dist(&w.dist);
 
         let name = format!("engine_{n}q");
@@ -119,14 +121,17 @@ fn bench_plan_execute(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter("execute-sequential"), |b| {
             b.iter(|| {
                 let mut stats = EngineStats::default();
-                engine::execute(&plan, &input, &mut stats)
+                engine::execute(plan, &input, &mut stats)
             });
         });
+        // A fresh arena per call, so this row pays the same per-call buffer
+        // setup as `execute-sequential`.
         group.bench_function(BenchmarkId::from_parameter("execute-sharded"), |b| {
             let threads = engine::configured_threads().max(4);
             b.iter(|| {
-                let mut stats = EngineStats::default();
-                engine::execute_sharded(&plan, &input, threads, &mut stats)
+                let mut arena = ExecArena::with_shards(threads);
+                arena.run_chain(&chain, &input, threads);
+                arena.out().len()
             });
         });
         group.bench_function(BenchmarkId::from_parameter("reference-apply-iteration"), |b| {
@@ -150,8 +155,6 @@ fn bench_plan_execute(c: &mut Criterion) {
 /// over the persistent shard pool (`pooled`). Comparable against the
 /// `engine_136q/execute-*` rows above, which pay per-call buffer setup.
 fn bench_apply_hot_path(c: &mut Criterion) {
-    use qufem_core::ExecArena;
-    use std::sync::Arc;
     const BETA: f64 = 1e-3;
     let w = engine_workload(136, 200);
     let plans = vec![Arc::new(IterationPlan::build(&w.positions, &w.groups, BETA))];

@@ -1,6 +1,7 @@
 //! Extension experiment (beyond the paper): apply-path latency and heap
 //! traffic on the 18-qubit preset, comparing the boxed `ProbDist` entry
-//! point against the arena-backed hot path (sequential and on the
+//! point (pooled arena at the configured thread count, plus the boundary
+//! conversions) against the caller-held arena path (sequential and on the
 //! persistent shard pool).
 //!
 //! Latency is reported as p50/p99 over many repeat calls of the *same*
@@ -75,12 +76,11 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
     let telemetry_was_enabled = qufem_telemetry::enabled();
     qufem_telemetry::disable();
 
-    let mut stats = EngineStats::default();
     let (boxed_secs, boxed_allocs) = measure(rounds, || {
-        stats.reset();
-        let _ = prepared.apply_with_stats(&noisy, &mut stats).expect("apply");
+        let _ = prepared.apply(&noisy).expect("apply");
     });
 
+    let mut stats = EngineStats::default();
     let mut arena = prepared.new_arena();
     let (arena_secs, arena_allocs) = measure(rounds, || {
         stats.reset();
@@ -99,7 +99,7 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
     }
 
     let legs = [
-        ("boxed (apply_with_stats)", &boxed_secs, boxed_allocs, "boxed"),
+        ("boxed (ProbDist apply)", &boxed_secs, boxed_allocs, "boxed"),
         ("arena (apply_arena, 1 thread)", &arena_secs, arena_allocs, "arena"),
         ("pooled (apply_arena, 4 threads)", &pooled_secs, pooled_allocs, "pooled"),
     ];

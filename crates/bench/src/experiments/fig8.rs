@@ -5,7 +5,7 @@ use crate::report::Table;
 use crate::workloads;
 use crate::RunOptions;
 use qufem_circuits::synthetic::Shape;
-use qufem_core::{benchgen, EngineStats, QuFem, QuFemConfig};
+use qufem_core::{benchgen, EngineStats, PreparedMitigator, QuFem, QuFemConfig};
 use qufem_telemetry::Snapshot;
 use qufem_types::QubitSet;
 use rand::SeedableRng;
@@ -57,7 +57,8 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
         let mut stats = EngineStats::default();
         let before = qufem_telemetry::snapshot();
         let _ = qufem
-            .calibrate_with_stats(&w.noisy, &QubitSet::full(n), &mut stats)
+            .prepared(&QubitSet::full(n))
+            .and_then(|prepared| prepared.apply_with_stats(&w.noisy, &mut stats))
             .expect("calibration succeeds");
         let after = qufem_telemetry::snapshot();
         let kept = kept_level_diff(&before, &after);

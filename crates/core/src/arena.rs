@@ -6,10 +6,9 @@
 //! without touching the heap (`crates/core/tests/apply_zero_alloc.rs` pins
 //! this with a counting global allocator).
 //!
-//! The module also hosts the **persistent shard pool** that replaces the
-//! old per-call `crossbeam::thread::scope` in
-//! [`crate::engine::execute_sharded`]: `configured_threads()` long-lived
-//! workers drain a process-wide bounded `WorkQueue`. A job carries an
+//! The module also hosts the **persistent shard pool** behind
+//! [`ExecArena::run_chain`]: `configured_threads()` long-lived workers drain
+//! a process-wide bounded `WorkQueue`. A job carries an
 //! `Arc` of the arena's shared state plus the plan, records one contiguous
 //! shard of the staged input into its own slot, and signals a condvar; the
 //! caller then replays the slots **serially in shard order** — the same
@@ -186,11 +185,6 @@ impl ExecArena {
         }
     }
 
-    /// Copies `input` into the staged shared input the pool workers read.
-    pub(crate) fn stage(&mut self, input: &SupportIndex) {
-        self.shared.input.write().unwrap_or_else(PoisonError::into_inner).copy_from(input);
-    }
-
     /// Re-canonicalizes the previous iteration's output into the staged
     /// input (the allocation-free equivalent of `SupportIndex::sort`).
     fn promote(&mut self) {
@@ -201,17 +195,6 @@ impl ExecArena {
     /// The most recent run's output index.
     pub fn out(&self) -> &SupportIndex {
         &self.out
-    }
-
-    /// Support size of the most recent run's output.
-    pub(crate) fn out_len(&self) -> usize {
-        self.out.len()
-    }
-
-    /// Moves the output index out of the arena (the arena's buffer is
-    /// replaced by an empty one — a warm-up cost for the next run).
-    pub(crate) fn take_out(&mut self) -> SupportIndex {
-        std::mem::take(&mut self.out)
     }
 
     /// Engine stats accumulated by the most recent chain run.
@@ -256,7 +239,7 @@ impl ExecArena {
             return;
         }
         self.ensure_shards(threads.max(1));
-        self.stage(input);
+        self.shared.input.write().unwrap_or_else(PoisonError::into_inner).copy_from(input);
         for (i, plan) in plans.iter().enumerate() {
             if i > 0 {
                 self.promote();
@@ -284,7 +267,7 @@ impl ExecArena {
     /// One iteration on the shard pool: submit one job per shard, wait for
     /// all completions (re-raising a worker panic if one occurred), then
     /// replay the recorded emission streams serially in shard order.
-    pub(crate) fn run_pooled(&mut self, plan: &Arc<IterationPlan>, shards: usize) {
+    fn run_pooled(&mut self, plan: &Arc<IterationPlan>, shards: usize) {
         debug_assert!(shards >= 1 && shards <= self.shared.slots.len());
         let queue = pool();
         let n = self.shared.input.read().unwrap_or_else(PoisonError::into_inner).len();

@@ -42,13 +42,13 @@
 //! re-deriving positions per string. The same plan is shared across every
 //! distribution in a batch and every string in a distribution.
 //!
-//! [`execute_sharded`] adds deterministic intra-distribution parallelism:
-//! the sorted input support is cut into contiguous shards, each worker
-//! *records* its (key, value) emission stream instead of accumulating, and
-//! a serial merge replays the streams in shard order. Because shard order
-//! concatenated equals the sequential emission order, every per-key float
-//! fold associates identically — the sharded output is **bit-identical** to
-//! the sequential one for any thread count.
+//! [`crate::ExecArena::run_chain`] adds deterministic intra-distribution
+//! parallelism: the sorted input support is cut into contiguous shards, each
+//! worker *records* its (key, value) emission stream instead of
+//! accumulating, and a serial merge replays the streams in shard order.
+//! Because shard order concatenated equals the sequential emission order,
+//! every per-key float fold associates identically — the sharded output is
+//! **bit-identical** to the sequential one for any thread count.
 
 use crate::noisematrix::GroupMatrix;
 use qufem_types::{ProbDist, SupportIndex};
@@ -235,7 +235,8 @@ impl GroupPlan {
 /// Everything one calibration iteration needs, resolved once: group-local
 /// positions as word/shift pairs, per-outcome scatter masks, the dense
 /// `M⁻¹` columns, and the pruning thresholds. Build with
-/// [`IterationPlan::build`], run with [`execute`] / [`execute_sharded`].
+/// [`IterationPlan::build`], run with [`execute`] or, chained and sharded,
+/// [`crate::ExecArena::run_chain`].
 /// One plan serves every distribution of a batch and every string of a
 /// distribution.
 #[derive(Debug, Clone)]
@@ -289,8 +290,8 @@ impl IterationPlan {
 }
 
 /// Where the chain walk deposits completed products. [`execute`] wires this
-/// to a [`SupportIndex`] directly; [`execute_sharded`] records the emission
-/// stream for an order-preserving replay at merge time.
+/// to a [`SupportIndex`] directly; the arena's shard pool records the
+/// emission stream for an order-preserving replay at merge time.
 pub(crate) trait EmitSink {
     fn emit(&mut self, words: &[u64], value: f64);
 }
@@ -576,7 +577,7 @@ fn run_entries<S: EmitSink>(
 /// The input must be in canonical sorted order ([`SupportIndex::from_dist`]
 /// produces it; call [`SupportIndex::sort`] after a previous `execute`) —
 /// entry order fixes the float accumulation order, and sorted order is the
-/// reproducibility contract shared with [`execute_sharded`].
+/// reproducibility contract shared with [`crate::ExecArena::run_chain`].
 pub fn execute(
     plan: &IterationPlan,
     input: &SupportIndex,
@@ -590,44 +591,6 @@ pub fn execute(
     out
 }
 
-/// [`execute`] with deterministic intra-distribution parallelism.
-///
-/// The input support is cut into `threads.min(n)` contiguous shards and the
-/// shards run on the process-wide persistent worker pool (see
-/// [`crate::arena`]) — no threads are spawned per call. Each worker runs
-/// the same chain walk but *records* its emission stream (shard-local
-/// interned ids + per-emission values) instead of accumulating. The serial
-/// merge then walks the shards in order, translating local ids to global
-/// ones (one hash probe per distinct key) and replaying `values[id] += v`
-/// per emission. Concatenating the shard streams in shard order reproduces
-/// the sequential emission order exactly, so every per-key float fold — and
-/// therefore every output bit and every [`EngineStats`] counter — is
-/// identical to [`execute`] for **any** thread count and **any** pool size.
-///
-/// This entry point stages a fresh arena per call; callers on the hot path
-/// should hold a [`crate::ExecArena`] (see `PreparedCalibration::apply_arena`)
-/// and reuse it, which makes the whole iteration allocation-free in steady
-/// state.
-pub fn execute_sharded(
-    plan: &IterationPlan,
-    input: &SupportIndex,
-    threads: usize,
-    stats: &mut EngineStats,
-) -> SupportIndex {
-    let n = input.len();
-    if threads <= 1 || n < 2 {
-        return execute(plan, input, stats);
-    }
-    let shards = threads.min(n);
-    let mut arena = crate::arena::ExecArena::with_shards(shards);
-    arena.stage(input);
-    let plan = std::sync::Arc::new(plan.clone());
-    arena.run_pooled(&plan, shards);
-    stats.merge(arena.local_stats());
-    stats.peak_output_support = stats.peak_output_support.max(arena.out_len());
-    arena.take_out()
-}
-
 pub use crate::parallel::configured_threads;
 
 /// Applies one calibration iteration (paper Eq. 7) to a distribution.
@@ -635,8 +598,8 @@ pub use crate::parallel::configured_threads;
 /// Convenience wrapper over the plan/execute split: builds an
 /// [`IterationPlan`], indexes the distribution, executes sequentially, and
 /// converts back. Callers applying many distributions or chaining
-/// iterations should build the plan once and call [`execute`] /
-/// [`execute_sharded`] directly (see `PreparedCalibration`).
+/// iterations should build the plan once and call [`execute`] or run the
+/// chain on a [`crate::ExecArena`] (see `PreparedCalibration`).
 ///
 /// * `dist` — the current distribution `P_i`, one bit per measured qubit;
 /// * `measured_positions` — global qubit index of each bit of `dist`
@@ -1124,14 +1087,15 @@ mod tests {
             ],
         )
         .unwrap();
-        let plan = IterationPlan::build(&[0, 1, 2], &gms, 1e-4);
+        let plan = std::sync::Arc::new(IterationPlan::build(&[0, 1, 2], &gms, 1e-4));
         let input = SupportIndex::from_dist(&noisy);
         let mut s_seq = EngineStats::default();
         let seq = execute(&plan, &input, &mut s_seq);
+        let mut arena = crate::ExecArena::with_shards(1);
         for threads in [1, 2, 3, 4, 7, 16] {
-            let mut s_par = EngineStats::default();
-            let par = execute_sharded(&plan, &input, threads, &mut s_par);
-            assert_eq!(s_par, s_seq, "stats diverge at {threads} threads");
+            arena.run_chain(std::slice::from_ref(&plan), &input, threads);
+            let par = arena.out();
+            assert_eq!(arena.local_stats(), &s_seq, "stats diverge at {threads} threads");
             assert_eq!(par.len(), seq.len(), "support diverges at {threads} threads");
             for id in 0..seq.len() as u32 {
                 assert_eq!(par.key_words(id), seq.key_words(id), "key order at {threads} threads");

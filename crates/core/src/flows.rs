@@ -6,6 +6,7 @@ use crate::benchgen::{self, BenchGenReport};
 use crate::config::QuFemConfig;
 use crate::engine::{self, EngineStats, IterationPlan};
 use crate::interaction::InteractionTable;
+use crate::mitigate::PreparedMitigator;
 use crate::noisematrix::{group_noise_matrix_with, GroupMatrix};
 use crate::parallel;
 use crate::partition::{self, grouped_pairs, Grouping};
@@ -456,23 +457,7 @@ impl QuFem {
     ///
     /// Propagates [`QuFem::prepare`] failures and width mismatches.
     pub fn calibrate(&self, dist: &ProbDist, measured: &QubitSet) -> Result<ProbDist> {
-        let mut stats = EngineStats::default();
-        self.calibrate_with_stats(dist, measured, &mut stats)
-    }
-
-    /// [`QuFem::calibrate`] with engine instrumentation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`QuFem::prepare`] failures and width mismatches.
-    pub fn calibrate_with_stats(
-        &self,
-        dist: &ProbDist,
-        measured: &QubitSet,
-        stats: &mut EngineStats,
-    ) -> Result<ProbDist> {
-        let prepared = self.prepared(measured)?;
-        prepared.apply_with_stats(dist, stats)
+        self.prepared(measured)?.apply(dist)
     }
 
     /// The effective full noise matrix `M_eff = M_1 · M_2 · … · M_L` that
@@ -620,11 +605,13 @@ pub fn calibrate_once(device: &Device, config: QuFemConfig, dist: &ProbDist) -> 
 /// pruning thresholds, shared read-only across every distribution
 /// calibrated against them.
 ///
-/// Every apply entry point runs through a pool of warmed [`ExecArena`]s
-/// (shared across clones), so steady-state calibration performs no engine
-/// heap allocations — only the `ProbDist` boundary conversions allocate.
-/// Callers that keep their data indexed can use
-/// [`PreparedCalibration::apply_arena`] and skip those too.
+/// Two apply entry points: the `ProbDist` path
+/// ([`PreparedMitigator::apply_with_stats`] and its `apply` convenience)
+/// runs through a pool of warmed [`ExecArena`]s (shared across clones), so
+/// steady-state calibration performs no engine heap allocations — only the
+/// `ProbDist` boundary conversions allocate. Callers that keep their data
+/// indexed hold their own arena and use
+/// [`PreparedCalibration::apply_arena`], skipping those too.
 #[derive(Debug, Clone)]
 pub struct PreparedCalibration {
     width: usize,
@@ -639,67 +626,16 @@ impl PreparedCalibration {
         self.width
     }
 
-    /// Calibrates one distribution over the prepared measured set.
+    /// Calibrates one distribution over the prepared measured set (the
+    /// [`PreparedMitigator::apply`] convenience, callable without importing
+    /// the trait).
     ///
     /// # Errors
     ///
     /// Returns [`Error::WidthMismatch`] if the distribution width differs
     /// from the measured set size.
     pub fn apply(&self, dist: &ProbDist) -> Result<ProbDist> {
-        let mut stats = EngineStats::default();
-        self.apply_with_stats(dist, &mut stats)
-    }
-
-    /// [`PreparedCalibration::apply`] with engine instrumentation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::WidthMismatch`] if the distribution width differs
-    /// from the measured set size.
-    pub fn apply_with_stats(&self, dist: &ProbDist, stats: &mut EngineStats) -> Result<ProbDist> {
-        self.apply_indexed(dist, 1, stats)
-    }
-
-    /// [`PreparedCalibration::apply_with_stats`] with deterministic
-    /// intra-distribution parallelism: the support of each iteration's
-    /// input is sharded over `threads` scoped workers (see
-    /// [`engine::execute_sharded`]). The output is **bit-identical** to the
-    /// sequential path for any thread count, as are the merged stats.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::WidthMismatch`] if the distribution width differs
-    /// from the measured set size.
-    pub fn apply_sharded(
-        &self,
-        dist: &ProbDist,
-        threads: usize,
-        stats: &mut EngineStats,
-    ) -> Result<ProbDist> {
-        self.apply_indexed(dist, threads, stats)
-    }
-
-    /// Shared implementation: index once, run the plan chain on a pooled
-    /// [`ExecArena`] (re-canonicalizing between iterations so each execute
-    /// consumes sorted input — the float-reproducibility contract), convert
-    /// back once. All engine buffers come from the arena pool, so repeat
-    /// calls allocate only at the `ProbDist` boundary.
-    fn apply_indexed(
-        &self,
-        dist: &ProbDist,
-        threads: usize,
-        stats: &mut EngineStats,
-    ) -> Result<ProbDist> {
-        dist.check_width(self.width)?;
-        let _span = qufem_telemetry::span!("calibrate", "QuFEM");
-        let input = SupportIndex::from_dist(dist);
-        let mut arena = self.arenas.checkout(threads.max(1));
-        arena.run_chain(&self.plans, &input, threads);
-        arena.local_stats().publish_to(&qufem_telemetry::GlobalSink);
-        stats.merge(arena.local_stats());
-        let out = arena.out().to_dist();
-        self.arenas.put_back(arena);
-        Ok(out)
+        PreparedMitigator::apply(self, dist)
     }
 
     /// The fully zero-allocation apply path: calibrates an already-indexed
@@ -709,8 +645,8 @@ impl PreparedCalibration {
     /// with a representative input, repeat calls perform **zero heap
     /// allocations** — `crates/core/tests/apply_zero_alloc.rs` pins this.
     ///
-    /// Bit-identical to [`PreparedCalibration::apply_sharded`] at the same
-    /// `threads` (which is itself bit-identical to the sequential path).
+    /// Output and stats are bit-identical at every `threads`, and to the
+    /// `ProbDist` path ([`PreparedMitigator::apply_with_stats`]).
     ///
     /// # Errors
     ///
@@ -733,58 +669,12 @@ impl PreparedCalibration {
         Ok(arena.out())
     }
 
-    /// Creates an arena sized for this calibration's configured parallelism,
-    /// for use with [`PreparedCalibration::apply_arena`].
+    /// An arena sized for this calibration's configured parallelism, for use
+    /// with [`PreparedCalibration::apply_arena`]. It is taken from the pool
+    /// behind the `ProbDist` path when one sits idle there (already warmed
+    /// by earlier applies, and not duplicated in memory), else created.
     pub fn new_arena(&self) -> ExecArena {
-        ExecArena::with_shards(parallel::configured_threads())
-    }
-
-    /// Calibrates a batch of distributions in parallel with scoped threads.
-    ///
-    /// The prepared matrices are shared read-only across workers; results
-    /// come back in input order. `threads` of 0 or 1 degrades to the
-    /// sequential path. Engine statistics from all workers are merged into
-    /// `stats`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error encountered (width mismatches).
-    pub fn apply_batch(
-        &self,
-        dists: &[ProbDist],
-        threads: usize,
-        stats: &mut EngineStats,
-    ) -> Result<Vec<ProbDist>> {
-        if threads <= 1 || dists.len() <= 1 {
-            return dists.iter().map(|d| self.apply_with_stats(d, stats)).collect();
-        }
-        let chunk_size = dists.len().div_ceil(threads);
-        let chunk_results: Vec<Result<(Vec<ProbDist>, EngineStats)>> =
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = dists
-                    .chunks(chunk_size)
-                    .map(|chunk| {
-                        scope.spawn(move |_| {
-                            let mut local_stats = EngineStats::default();
-                            let outs: Result<Vec<ProbDist>> = chunk
-                                .iter()
-                                .map(|d| self.apply_with_stats(d, &mut local_stats))
-                                .collect();
-                            outs.map(|o| (o, local_stats))
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-            })
-            .expect("calibration workers never panic");
-
-        let mut results = Vec::with_capacity(dists.len());
-        for chunk in chunk_results {
-            let (outs, local_stats) = chunk?;
-            stats.merge(&local_stats);
-            results.extend(outs);
-        }
-        Ok(results)
+        self.arenas.checkout(parallel::configured_threads())
     }
 
     /// Number of calibration iterations.
@@ -800,6 +690,34 @@ impl PreparedCalibration {
     /// Approximate heap usage in bytes (Table 5 memory accounting).
     pub fn heap_bytes(&self) -> usize {
         self.plans.iter().map(|p| p.heap_bytes()).sum()
+    }
+}
+
+impl PreparedMitigator for PreparedCalibration {
+    fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The one `ProbDist` path: index, run the plan chain on a pooled
+    /// [`ExecArena`] at [`parallel::configured_threads`] (output is
+    /// bit-identical at any thread count), convert back. Once the pooled
+    /// arena is warm, only the boundary conversions allocate.
+    fn apply_with_stats(&self, dist: &ProbDist, stats: &mut EngineStats) -> Result<ProbDist> {
+        let threads = parallel::configured_threads();
+        let mut arena = self.arenas.checkout(threads);
+        let out = self
+            .apply_arena(&SupportIndex::from_dist(dist), threads, stats, &mut arena)
+            .map(SupportIndex::to_dist);
+        self.arenas.put_back(arena);
+        out
+    }
+
+    fn reports_engine_stats(&self) -> bool {
+        true
+    }
+
+    fn heap_bytes(&self) -> usize {
+        PreparedCalibration::heap_bytes(self)
     }
 }
 
@@ -857,88 +775,20 @@ mod tests {
     }
 
     #[test]
-    fn batch_calibration_matches_sequential() {
+    fn apply_propagates_width_errors() {
         let device = presets::ibmq_7(1);
         let qufem = QuFem::characterize(&device, fast_config()).unwrap();
-        let measured = QubitSet::full(7);
-        let prepared = qufem.prepare(&measured).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(12);
-        let dists: Vec<ProbDist> = (0..6u64)
-            .map(|seed| {
-                let ideal = qufem_circuits::Algorithm::Qsvm.ideal_distribution(7, seed);
-                device.measure_distribution(&ideal, &measured, 500, &mut rng)
-            })
-            .collect();
-
-        let mut seq_stats = EngineStats::default();
-        let sequential: Vec<ProbDist> =
-            dists.iter().map(|d| prepared.apply_with_stats(d, &mut seq_stats).unwrap()).collect();
-        let mut par_stats = EngineStats::default();
-        let parallel = prepared.apply_batch(&dists, 3, &mut par_stats).unwrap();
-
-        assert_eq!(sequential.len(), parallel.len());
-        for (a, b) in sequential.iter().zip(&parallel) {
-            assert_eq!(a.sorted_pairs(), b.sorted_pairs());
-        }
-        // The crossbeam path merges one EngineStats per worker; every field
-        // (counters, per-level census, peak support) must equal the
-        // sequential accumulation exactly — merge order must not matter.
-        assert_eq!(seq_stats, par_stats);
-    }
-
-    #[test]
-    fn sharded_apply_matches_sequential_bit_for_bit() {
-        let device = presets::ibmq_7(1);
-        let qufem = QuFem::characterize(&device, fast_config()).unwrap();
-        let measured = QubitSet::full(7);
-        let prepared = qufem.prepare(&measured).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(21);
-        let ideal = qufem_circuits::ghz(7);
-        let noisy = device.measure_distribution(&ideal, &measured, 2000, &mut rng);
-
-        let mut seq_stats = EngineStats::default();
-        let sequential = prepared.apply_with_stats(&noisy, &mut seq_stats).unwrap();
-        for threads in [2, 4, engine::configured_threads()] {
-            let mut par_stats = EngineStats::default();
-            let parallel = prepared.apply_sharded(&noisy, threads, &mut par_stats).unwrap();
-            assert_eq!(seq_stats, par_stats, "stats diverge at {threads} threads");
-            let (a, b) = (sequential.sorted_pairs(), parallel.sorted_pairs());
-            assert_eq!(a.len(), b.len(), "support diverges at {threads} threads");
-            for ((ka, va), (kb, vb)) in a.iter().zip(&b) {
-                assert_eq!(ka, kb, "key order diverges at {threads} threads");
-                assert_eq!(
-                    va.to_bits(),
-                    vb.to_bits(),
-                    "value at {ka} diverges at {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_with_single_thread_degrades_gracefully() {
-        let device = presets::ibmq_7(1);
-        let qufem = QuFem::characterize(&device, fast_config()).unwrap();
-        let measured = QubitSet::full(7);
-        let prepared = qufem.prepare(&measured).unwrap();
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let ideal = qufem_circuits::ghz(7);
-        let noisy = device.measure_distribution(&ideal, &measured, 500, &mut rng);
-        let mut stats = EngineStats::default();
-        let out = prepared.apply_batch(std::slice::from_ref(&noisy), 0, &mut stats).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].sorted_pairs(), prepared.apply(&noisy).unwrap().sorted_pairs());
-    }
-
-    #[test]
-    fn batch_propagates_width_errors() {
-        let device = presets::ibmq_7(1);
-        let qufem = QuFem::characterize(&device, fast_config()).unwrap();
-        let measured = QubitSet::full(7);
-        let prepared = qufem.prepare(&measured).unwrap();
+        let prepared = qufem.prepare(&QubitSet::full(7)).unwrap();
         let wrong = ProbDist::point_mass(BitString::zeros(3));
         let mut stats = EngineStats::default();
-        assert!(prepared.apply_batch(&[wrong], 4, &mut stats).is_err());
+        assert!(matches!(
+            prepared.apply_with_stats(&wrong, &mut stats),
+            Err(Error::WidthMismatch { expected: 7, actual: 3 })
+        ));
+        let mut arena = prepared.new_arena();
+        let wrong = SupportIndex::from_dist(&wrong);
+        assert!(prepared.apply_arena(&wrong, 2, &mut stats, &mut arena).is_err());
+        assert_eq!(stats, EngineStats::default());
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //! method behind one interface without depending on `qufem-baselines`.
 //! Implementations for the five baselines are registered from above (see
 //! `qufem_baselines::standard_registry`); this module only ships the QuFEM
-//! implementation itself.
+//! [`Mitigator`] itself (its [`PreparedMitigator`] sits next to
+//! `PreparedCalibration` in `flows.rs`).
 
 use crate::config::QuFemConfig;
 use crate::engine::EngineStats;
-use crate::flows::{PreparedCalibration, QuFem};
+use crate::flows::QuFem;
 use crate::snapshot::BenchmarkSnapshot;
 use crate::version::VersionedSnapshot;
 use qufem_types::{Error, ProbDist, QubitSet, Result};
@@ -25,8 +26,7 @@ use std::sync::{Arc, Mutex};
 ///
 /// Implementations must be deterministic: applying the same prepared object
 /// to the same distribution yields bit-identical output regardless of the
-/// thread count passed to [`PreparedMitigator::apply_sharded`] /
-/// [`PreparedMitigator::apply_batch`].
+/// configured thread count.
 pub trait PreparedMitigator: fmt::Debug + Send + Sync {
     /// Number of measured qubits this preparation covers (the required
     /// input distribution width).
@@ -51,38 +51,6 @@ pub trait PreparedMitigator: fmt::Debug + Send + Sync {
     ///
     /// As for [`PreparedMitigator::apply`].
     fn apply_with_stats(&self, dist: &ProbDist, stats: &mut EngineStats) -> Result<ProbDist>;
-
-    /// [`PreparedMitigator::apply_with_stats`] with intra-distribution
-    /// parallelism where the method supports it. The default ignores
-    /// `threads` — output must be bit-identical at any thread count, so a
-    /// sequential fallback is always correct.
-    ///
-    /// # Errors
-    ///
-    /// As for [`PreparedMitigator::apply`].
-    fn apply_sharded(
-        &self,
-        dist: &ProbDist,
-        _threads: usize,
-        stats: &mut EngineStats,
-    ) -> Result<ProbDist> {
-        self.apply_with_stats(dist, stats)
-    }
-
-    /// Calibrates a batch of distributions; results come back in input
-    /// order. The default is the sequential loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first error encountered.
-    fn apply_batch(
-        &self,
-        dists: &[ProbDist],
-        _threads: usize,
-        stats: &mut EngineStats,
-    ) -> Result<Vec<ProbDist>> {
-        dists.iter().map(|d| self.apply_with_stats(d, stats)).collect()
-    }
 
     /// Whether [`PreparedMitigator::apply_with_stats`] populates the
     /// [`EngineStats`] it is handed (true only for engine-backed methods);
@@ -125,22 +93,7 @@ pub trait Mitigator: fmt::Debug + Send + Sync {
     ///
     /// Propagates [`Mitigator::prepare`] and apply failures.
     fn calibrate(&self, dist: &ProbDist, measured: &QubitSet) -> Result<ProbDist> {
-        let mut stats = EngineStats::default();
-        self.calibrate_with_stats(dist, measured, &mut stats)
-    }
-
-    /// [`Mitigator::calibrate`] with engine instrumentation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`Mitigator::prepare`] and apply failures.
-    fn calibrate_with_stats(
-        &self,
-        dist: &ProbDist,
-        measured: &QubitSet,
-        stats: &mut EngineStats,
-    ) -> Result<ProbDist> {
-        self.prepare(measured)?.apply_with_stats(dist, stats)
+        self.prepare(measured)?.apply(dist)
     }
 
     /// Number of benchmarking circuits the method executed during
@@ -163,65 +116,12 @@ impl Mitigator for QuFem {
         Ok(prepared)
     }
 
-    fn calibrate(&self, dist: &ProbDist, measured: &QubitSet) -> Result<ProbDist> {
-        QuFem::calibrate(self, dist, measured)
-    }
-
-    fn calibrate_with_stats(
-        &self,
-        dist: &ProbDist,
-        measured: &QubitSet,
-        stats: &mut EngineStats,
-    ) -> Result<ProbDist> {
-        QuFem::calibrate_with_stats(self, dist, measured, stats)
-    }
-
     fn n_benchmark_circuits(&self) -> u64 {
         self.benchgen_report().map_or(0, |r| r.total_circuits as u64)
     }
 
     fn heap_bytes(&self) -> usize {
         QuFem::heap_bytes(self)
-    }
-}
-
-impl PreparedMitigator for PreparedCalibration {
-    fn width(&self) -> usize {
-        PreparedCalibration::width(self)
-    }
-
-    fn apply(&self, dist: &ProbDist) -> Result<ProbDist> {
-        PreparedCalibration::apply(self, dist)
-    }
-
-    fn apply_with_stats(&self, dist: &ProbDist, stats: &mut EngineStats) -> Result<ProbDist> {
-        PreparedCalibration::apply_with_stats(self, dist, stats)
-    }
-
-    fn apply_sharded(
-        &self,
-        dist: &ProbDist,
-        threads: usize,
-        stats: &mut EngineStats,
-    ) -> Result<ProbDist> {
-        PreparedCalibration::apply_sharded(self, dist, threads, stats)
-    }
-
-    fn apply_batch(
-        &self,
-        dists: &[ProbDist],
-        threads: usize,
-        stats: &mut EngineStats,
-    ) -> Result<Vec<ProbDist>> {
-        PreparedCalibration::apply_batch(self, dists, threads, stats)
-    }
-
-    fn reports_engine_stats(&self) -> bool {
-        true
-    }
-
-    fn heap_bytes(&self) -> usize {
-        PreparedCalibration::heap_bytes(self)
     }
 }
 

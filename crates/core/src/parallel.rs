@@ -3,7 +3,7 @@
 //!
 //! Every parallel path in this codebase holds the same invariant:
 //! **bit-identical output at any thread count**. The pattern that delivers
-//! it (proven first in [`crate::engine::execute_sharded`]) is
+//! it (also behind the shard pool of [`crate::ExecArena::run_chain`]) is
 //! *record-and-replay*: the work list is cut into contiguous chunks, each
 //! scoped worker computes its chunk's results independently, and a serial
 //! merge consumes them in submission order. As long as each item's result

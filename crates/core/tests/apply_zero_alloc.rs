@@ -2,9 +2,9 @@
 //! arena, the pool workers' scratch, and the persistent shard queue, a
 //! steady-state [`PreparedCalibration::apply_arena`] call performs **zero
 //! heap allocations** — on the calling thread and on every pool worker
-//! (the process-wide counter catches both). The boxed
-//! [`PreparedCalibration::apply`]/[`apply_sharded`] paths are pinned to
-//! allocate only at the `ProbDist` boundary conversions.
+//! (the process-wide counter catches both). The `ProbDist` paths
+//! (`PreparedMitigator::apply_with_stats` and `apply`) are pinned to
+//! allocate only at the boundary conversions.
 //!
 //! The thread count under proof comes from `configured_threads()`, so the
 //! CI allocation legs (`QUFEM_THREADS=1` and `QUFEM_THREADS=4`) exercise
@@ -14,7 +14,7 @@
 //! counter cannot distinguish concurrent test threads, and a single `#[test]`
 //! keeps the measured windows exclusive.
 
-use qufem_core::{configured_threads, EngineStats, QuFem, QuFemConfig};
+use qufem_core::{configured_threads, EngineStats, PreparedMitigator, QuFem, QuFemConfig};
 use qufem_testsupport::{counting_allocator_installed, global_allocations, CountingAlloc};
 use qufem_types::{QubitSet, SupportIndex};
 use rand::SeedableRng;
@@ -80,10 +80,10 @@ fn steady_state_apply_does_not_allocate() {
         assert!(stats.products > 0, "engine counters moved");
     }
 
-    // --- apply / apply_sharded: only the ProbDist boundary allocates -----
-    // Measure the boundary conversions in isolation, then require the boxed
-    // paths cost exactly that — proving the engine work between the
-    // conversions contributes zero.
+    // --- apply_with_stats / apply: only the ProbDist boundary allocates --
+    // Measure the boundary conversions in isolation, then require the
+    // `ProbDist` paths cost exactly that — proving the engine work between
+    // the conversions (pooled arena, configured threads) contributes zero.
     let before = global_allocations();
     let reindexed = SupportIndex::from_dist(&noisy);
     let from_dist_allocs = global_allocations() - before;
@@ -94,26 +94,10 @@ fn steady_state_apply_does_not_allocate() {
     let boundary = from_dist_allocs + to_dist_allocs;
     assert!(boundary > 0, "boundary conversions are the allocation baseline");
 
-    for probe_threads in [1, 4, threads] {
-        for _ in 0..WARMUP_ROUNDS {
-            stats.reset();
-            prepared.apply_sharded(&noisy, probe_threads, &mut stats).unwrap();
-        }
+    for _ in 0..WARMUP_ROUNDS {
         stats.reset();
-        let before = global_allocations();
-        let out = prepared.apply_sharded(&noisy, probe_threads, &mut stats).unwrap();
-        let after = global_allocations();
-        assert_eq!(
-            after - before,
-            boundary,
-            "apply_sharded at {probe_threads} threads must allocate only at the ProbDist boundary"
-        );
-        assert_eq!(out.sorted_pairs(), expected);
+        prepared.apply_with_stats(&noisy, &mut stats).unwrap();
     }
-
-    // `apply` itself constructs a throwaway `EngineStats` whose per-level
-    // census vector grows once — `apply_with_stats` with a caller-held stats
-    // struct is the steady-state entry point, and it is boundary-only.
     stats.reset();
     let before = global_allocations();
     let out = prepared.apply_with_stats(&noisy, &mut stats).unwrap();
@@ -125,4 +109,20 @@ fn steady_state_apply_does_not_allocate() {
     );
     assert_eq!(out.sorted_pairs(), expected);
     assert_eq!(out.sorted_pairs(), out_dist.sorted_pairs());
+
+    // `apply` hands the engine a throwaway `EngineStats`, whose per-level
+    // census vector grows once on merge — measured here in isolation.
+    let before = global_allocations();
+    let mut fresh = EngineStats::default();
+    fresh.merge(&stats);
+    let census_allocs = global_allocations() - before;
+    let before = global_allocations();
+    let out = prepared.apply(&noisy).unwrap();
+    let after = global_allocations();
+    assert_eq!(
+        after - before,
+        boundary + census_allocs,
+        "apply must allocate only at the ProbDist boundary (plus its own stats)"
+    );
+    assert_eq!(out.sorted_pairs(), expected);
 }

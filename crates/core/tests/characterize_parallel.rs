@@ -8,7 +8,7 @@
 //! env-driven wrappers delegate to the same code. CI additionally runs this
 //! suite under `QUFEM_THREADS ∈ {1, 4}` (mirrored in `scripts/check.sh`).
 
-use qufem_core::{benchgen, BenchmarkSnapshot, EngineStats, QuFem, QuFemConfig};
+use qufem_core::{benchgen, BenchmarkSnapshot, EngineStats, PreparedMitigator, QuFem, QuFemConfig};
 use qufem_device::presets;
 use qufem_types::QubitSet;
 use rand::SeedableRng;

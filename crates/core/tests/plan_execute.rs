@@ -1,16 +1,17 @@
 //! Differential tests pinning the plan/execute engine to the pre-refactor
-//! implementation (`engine::reference`) bit-for-bit, and the sharded
-//! executor to the sequential one, across seeded random workloads.
+//! implementation (`engine::reference`) bit-for-bit, and the arena's sharded
+//! chain walk (`ExecArena::run_chain`) to the sequential `execute`, across
+//! seeded random workloads.
 
 use qufem_core::engine::{self, reference, EngineStats};
 use qufem_core::{
-    build_group_matrices, BenchmarkRecord, BenchmarkSnapshot, GroupMatrix, IterationPlan, QuFem,
-    QuFemConfig,
+    build_group_matrices, BenchmarkRecord, BenchmarkSnapshot, ExecArena, GroupMatrix, IterationPlan,
 };
 use qufem_device::BenchmarkCircuit;
 use qufem_types::{BitString, ProbDist, QubitSet, SupportIndex};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 /// Snapshot over all `2^n` preparations with random per-qubit flip rates
 /// plus a random correlated perturbation, so the generated group matrices
@@ -143,52 +144,13 @@ fn execute_matches_reference_on_multiword_keys() {
     assert_dist_bits_equal(&new, &old, "70-qubit identity workload");
 }
 
-/// `apply_batch` distributes whole distributions over scoped workers. Like
-/// the intra-distribution sharding, it must be invisible in the results:
-/// every output distribution *and* the merged `EngineStats` totals must be
-/// bit-identical at any thread count — including counts that do not divide
-/// the batch (7) and counts exceeding the batch size (16). This is the
-/// guarantee that lets a calibration service pick its parallelism freely
-/// without changing any response.
-#[test]
-fn apply_batch_outputs_and_stats_identical_across_thread_counts() {
-    let device = qufem_device::presets::ibmq_7(5);
-    let config =
-        QuFemConfig::builder().characterization_threshold(5e-4).shots(400).seed(5).build().unwrap();
-    let qufem = QuFem::characterize(&device, config).unwrap();
-    let measured = QubitSet::full(7);
-    let prepared = qufem.prepare(&measured).unwrap();
-
-    // A 12-distribution batch of adversarial quasi-inputs (explicit zeros,
-    // sub-β dust, dense bulk), so pruning and passthrough paths all fire.
-    let mut rng = ChaCha8Rng::seed_from_u64(0xBA7C4);
-    let dists: Vec<ProbDist> =
-        (0..12).map(|_| random_dist(7, rng.gen_range(4usize..=40), &mut rng)).collect();
-
-    let mut baseline_stats = EngineStats::default();
-    let baseline = prepared.apply_batch(&dists, 1, &mut baseline_stats).unwrap();
-    assert_eq!(baseline.len(), dists.len());
-
-    for threads in [2usize, 7, 16] {
-        let mut stats = EngineStats::default();
-        let outputs = prepared.apply_batch(&dists, threads, &mut stats).unwrap();
-        assert_eq!(outputs.len(), baseline.len(), "batch size diverges at {threads} threads");
-        for (i, (a, b)) in baseline.iter().zip(&outputs).enumerate() {
-            assert_dist_bits_equal(a, b, &format!("batch item {i}, {threads} threads"));
-        }
-        // Every field — counters, per-level census, peak support — must
-        // match the sequential accumulation exactly, whatever the worker
-        // chunking and merge order.
-        assert_eq!(stats, baseline_stats, "merged stats diverge at {threads} threads");
-    }
-}
-
 #[test]
 fn sharded_matches_sequential_across_random_workloads() {
     // Thread counts cover degenerate (1), small, the QUFEM_THREADS-derived
     // session value (exercised by the CI matrix), and more shards than
     // input strings.
     let thread_counts = [1usize, 2, 4, engine::configured_threads(), 64];
+    let mut arena = ExecArena::with_shards(1);
     for seed in 0..6u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(0xC0FFEE ^ seed);
         let n = rng.gen_range(3usize..=6);
@@ -198,15 +160,15 @@ fn sharded_matches_sequential_across_random_workloads() {
         let positions: Vec<usize> = (0..n).collect();
         let dist = random_dist(n, rng.gen_range(2usize..=24), &mut rng);
         for beta in [0.0, 1e-5, 1e-2] {
-            let plan = IterationPlan::build(&positions, &gms, beta);
+            let chain = [Arc::new(IterationPlan::build(&positions, &gms, beta))];
             let input = SupportIndex::from_dist(&dist);
             let mut s_seq = EngineStats::default();
-            let seq = engine::execute(&plan, &input, &mut s_seq);
+            let seq = engine::execute(&chain[0], &input, &mut s_seq);
             for &threads in &thread_counts {
                 let context = format!("seed {seed}, n {n}, β {beta}, {threads} threads");
-                let mut s_par = EngineStats::default();
-                let par = engine::execute_sharded(&plan, &input, threads, &mut s_par);
-                assert_eq!(s_par, s_seq, "stats diverge: {context}");
+                arena.run_chain(&chain, &input, threads);
+                let par = arena.out();
+                assert_eq!(arena.local_stats(), &s_seq, "stats diverge: {context}");
                 assert_eq!(par.len(), seq.len(), "support diverges: {context}");
                 for id in 0..seq.len() as u32 {
                     assert_eq!(par.key_words(id), seq.key_words(id), "key order: {context}");

@@ -1,22 +1,23 @@
 //! Pins the persistent shard pool's two contracts:
 //!
-//! 1. **Invisibility** — calibrating through the pool (`apply_sharded`,
-//!    `apply_arena`) is bit-identical to the sequential path *and* to the
-//!    pre-refactor `engine::reference` implementation chained over the
-//!    prepared iterations, at thread counts that don't divide the support,
-//!    exceed it, and degenerate to one. Merged `EngineStats` must match
-//!    field-for-field.
+//! 1. **Invisibility** — calibrating through the pool (`apply_arena` at
+//!    any thread count, and the `ProbDist` `apply` at the configured one)
+//!    is bit-identical to the pre-refactor `engine::reference`
+//!    implementation chained over the prepared iterations, at thread
+//!    counts that don't divide the support, exceed it, and degenerate to
+//!    one. Merged `EngineStats` must match field-for-field.
 //! 2. **Survival** — a panic inside a pool worker surfaces to the caller
 //!    exactly like the sequential path's panic would, and the long-lived
 //!    workers keep serving jobs afterwards: the next valid pooled call
 //!    still bit-matches the sequential result.
 
 use qufem_core::engine::{self, reference, EngineStats, IterationPlan};
-use qufem_core::{build_group_matrices_with, QuFem, QuFemConfig};
+use qufem_core::{build_group_matrices_with, ExecArena, PreparedMitigator, QuFem, QuFemConfig};
 use qufem_types::{BitString, ProbDist, QubitSet, SupportIndex};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 fn fast_config() -> QuFemConfig {
     QuFemConfig::builder().characterization_threshold(5e-4).shots(500).seed(9).build().unwrap()
@@ -76,24 +77,20 @@ fn pooled_apply_matches_sequential_and_reference_chain() {
             ref_out = reference::apply_iteration(&ref_out, &positions, &gms, beta, &mut ref_stats);
         }
 
-        let mut seq_stats = EngineStats::default();
-        let sequential = prepared.apply_with_stats(&noisy, &mut seq_stats).unwrap();
-        assert_eq!(seq_stats, ref_stats, "round {round}: stats diverge from reference");
-        assert_dist_bits_equal(&sequential, &ref_out, &format!("round {round}: vs reference"));
+        let mut stats = EngineStats::default();
+        let boxed = prepared.apply_with_stats(&noisy, &mut stats).unwrap();
+        assert_eq!(stats, ref_stats, "round {round}: apply stats diverge from reference");
+        assert_dist_bits_equal(&boxed, &ref_out, &format!("round {round}: apply vs reference"));
+        assert_dist_bits_equal(&prepared.apply(&noisy).unwrap(), &ref_out, "apply");
 
         let input = SupportIndex::from_dist(&noisy);
         let mut arena = prepared.new_arena();
         for threads in [1usize, 2, 7, 16] {
             let context = format!("round {round}, {threads} threads");
             let mut stats = EngineStats::default();
-            let pooled = prepared.apply_sharded(&noisy, threads, &mut stats).unwrap();
-            assert_eq!(stats, seq_stats, "apply_sharded stats diverge: {context}");
-            assert_dist_bits_equal(&pooled, &sequential, &format!("apply_sharded: {context}"));
-
-            let mut stats = EngineStats::default();
             let out = prepared.apply_arena(&input, threads, &mut stats, &mut arena).unwrap();
-            assert_eq!(stats, seq_stats, "apply_arena stats diverge: {context}");
-            assert_dist_bits_equal(&out.to_dist(), &sequential, &format!("apply_arena: {context}"));
+            assert_eq!(stats, ref_stats, "apply_arena stats diverge: {context}");
+            assert_dist_bits_equal(&out.to_dist(), &ref_out, &format!("apply_arena: {context}"));
         }
     }
 }
@@ -112,7 +109,7 @@ fn mismatched_plan() -> IterationPlan {
 
 #[test]
 fn worker_panic_surfaces_and_pool_survives() {
-    let bad_plan = mismatched_plan();
+    let bad_chain = [Arc::new(mismatched_plan())];
     // Width-7 keys: one word per key, while the plan extracts from two.
     let mut rng = ChaCha8Rng::seed_from_u64(77);
     let narrow = random_dist(7, 12, &mut rng);
@@ -121,22 +118,23 @@ fn worker_panic_surfaces_and_pool_survives() {
     // The sequential executor panics on the width mismatch...
     let seq_panic = catch_unwind(AssertUnwindSafe(|| {
         let mut stats = EngineStats::default();
-        engine::execute(&bad_plan, &narrow_index, &mut stats)
+        engine::execute(&bad_chain[0], &narrow_index, &mut stats)
     }));
     assert!(seq_panic.is_err(), "sequential path must reject the width mismatch");
 
     // ...and the pooled executor surfaces the worker's panic the same way
-    // instead of hanging or poisoning the pool.
+    // instead of hanging or poisoning the pool (or the arena).
+    let mut arena = ExecArena::with_shards(4);
     for _ in 0..3 {
         let pooled_panic = catch_unwind(AssertUnwindSafe(|| {
-            let mut stats = EngineStats::default();
-            engine::execute_sharded(&bad_plan, &narrow_index, 4, &mut stats)
+            arena.run_chain(&bad_chain, &narrow_index, 4);
         }));
         assert!(pooled_panic.is_err(), "pooled path must surface the worker panic");
     }
 
     // The persistent workers are still alive: a valid pooled execution on
-    // the same process-wide pool remains bit-identical to sequential.
+    // the same process-wide pool (and the same arena) remains bit-identical
+    // to sequential.
     let n = 6usize;
     let snap = qufem_core::BenchmarkSnapshot::new(n);
     let grouping: Vec<QubitSet> = vec![
@@ -146,16 +144,20 @@ fn worker_panic_surfaces_and_pool_survives() {
     ];
     let gms = build_group_matrices_with(&snap, &grouping, &QubitSet::full(n), false).unwrap();
     let positions: Vec<usize> = (0..n).collect();
-    let good_plan = IterationPlan::build(&positions, &gms, 1e-5);
+    let good_chain = [Arc::new(IterationPlan::build(&positions, &gms, 1e-5))];
     let dist = random_dist(n, 20, &mut rng);
     let input = SupportIndex::from_dist(&dist);
 
     let mut s_seq = EngineStats::default();
-    let seq = engine::execute(&good_plan, &input, &mut s_seq);
+    let seq = engine::execute(&good_chain[0], &input, &mut s_seq);
     for threads in [2usize, 4, 16] {
-        let mut s_par = EngineStats::default();
-        let par = engine::execute_sharded(&good_plan, &input, threads, &mut s_par);
-        assert_eq!(s_par, s_seq, "stats diverge after worker panic at {threads} threads");
+        arena.run_chain(&good_chain, &input, threads);
+        let par = arena.out();
+        assert_eq!(
+            arena.local_stats(),
+            &s_seq,
+            "stats diverge after worker panic at {threads} threads"
+        );
         assert_eq!(par.len(), seq.len(), "support diverges after worker panic");
         for id in 0..seq.len() as u32 {
             assert_eq!(par.key_words(id), seq.key_words(id));

@@ -45,10 +45,10 @@
 //! ## Determinism
 //!
 //! Calibration goes through the exact library path
-//! ([`qufem_core::PreparedMitigator::apply_sharded`]), whose output is
-//! bit-identical to the sequential in-process result at any
-//! `QUFEM_THREADS` setting for every method (the baselines are sequential
-//! by construction), and preparations are cached per `(method, measured
+//! ([`qufem_core::PreparedMitigator::apply_with_stats`]), whose output is
+//! bit-identical to the in-process result at any `QUFEM_THREADS` setting
+//! for every method (the baselines are sequential by construction), and
+//! preparations are cached per `(method, measured
 //! set)` ([`PlanCache`]) — so a response is byte-for-byte reproducible no
 //! matter which worker serves it, which dialect carried it, how many
 //! clients are connected, or whether the preparation was cached.
@@ -60,7 +60,7 @@ use crate::protocol::{
     CMD_ADMIT, CMD_CALIBRATE, CMD_METRICS, CMD_SHUTDOWN, CMD_STATUS, CMD_TRACE,
 };
 use crate::wire;
-use qufem_core::{engine, EngineStats, MethodRegistry, QuFem, DEFAULT_DEVICE_ID};
+use qufem_core::{EngineStats, MethodRegistry, QuFem, DEFAULT_DEVICE_ID};
 use qufem_types::{Error, QubitSet};
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -1177,7 +1177,7 @@ fn calibrate(inner: &Inner, request: Request, rec: &mut RequestRecord) -> Respon
     rec.method = Some(inner.metrics.method_key(method_id));
     let mut stats = EngineStats::default();
     let apply_start = Instant::now();
-    let applied = prepared.apply_sharded(&dist, engine::configured_threads(), &mut stats);
+    let applied = prepared.apply_with_stats(&dist, &mut stats);
     rec.apply_us = apply_start.elapsed().as_micros() as u64;
     match applied {
         Ok(out) => {

@@ -15,6 +15,9 @@ cargo build --release --workspace
 echo "==> cargo bench --no-run --workspace"
 cargo bench --no-run --workspace
 
+echo "==> cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

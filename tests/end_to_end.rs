@@ -127,3 +127,38 @@ fn trait_object_methods_are_interchangeable() {
         assert!(m.heap_bytes() > 0);
     }
 }
+
+/// The two halves of the `PreparedMitigator` apply contract hold for every
+/// registered method: `apply` is exactly `apply_with_stats` with a
+/// throwaway stats struct, and a method that does not report engine stats
+/// leaves the caller's struct untouched.
+#[test]
+fn every_registry_method_honours_the_prepared_apply_contract() {
+    let device = presets::ibmq_7(2);
+    let qufem = QuFem::characterize(&device, fast_config(2)).unwrap();
+    let snapshot = qufem.iterations().first().expect("characterized").snapshot();
+    let registry = qufem::baselines::standard_registry(qufem.config().clone());
+    let mut rng = ChaCha8Rng::seed_from_u64(17);
+    for id in registry.ids() {
+        let method = registry.build(&id, snapshot, &qufem::MethodOptions::new()).unwrap();
+        for measured in [QubitSet::full(7), [0usize, 2, 4].into_iter().collect()] {
+            let ideal = Algorithm::Qsvm.ideal_distribution(measured.len(), 4);
+            let noisy = device.measure_distribution(&ideal, &measured, 1500, &mut rng);
+            let prepared = method.prepare(&measured).unwrap();
+            let context = format!("method {id}, measured {measured:?}");
+
+            let plain = prepared.apply(&noisy).unwrap();
+            let mut stats = qufem::EngineStats::default();
+            let with_stats = prepared.apply_with_stats(&noisy, &mut stats).unwrap();
+            let bits = |d: &qufem::ProbDist| -> Vec<(qufem::BitString, u64)> {
+                d.sorted_pairs().into_iter().map(|(k, v)| (k, v.to_bits())).collect()
+            };
+            assert_eq!(bits(&plain), bits(&with_stats), "apply vs apply_with_stats: {context}");
+            if prepared.reports_engine_stats() {
+                assert!(stats.products > 0, "engine stats must move: {context}");
+            } else {
+                assert_eq!(stats, qufem::EngineStats::default(), "stats touched: {context}");
+            }
+        }
+    }
+}

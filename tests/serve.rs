@@ -5,13 +5,13 @@
 //! accepted request.
 //!
 //! The CI matrix runs this file under `QUFEM_THREADS ∈ {1, 4}`: the server
-//! calibrates through `PreparedCalibration::apply_sharded` at the
+//! calibrates through `PreparedMitigator::apply_with_stats` at the
 //! configured thread count, and every assertion here compares against the
-//! sequential in-process path.
+//! sequential in-process path (`apply_arena` on one thread).
 
 use qufem::device::presets;
 use qufem::serve::{Client, Request, ServeConfig, Server};
-use qufem::{EngineStats, ProbDist, QuFem, QuFemConfig, QubitSet};
+use qufem::{EngineStats, ProbDist, QuFem, QuFemConfig, QubitSet, SupportIndex};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::time::Duration;
@@ -93,7 +93,11 @@ fn concurrent_clients_get_bit_identical_responses() {
             let set: QubitSet = measured.iter().copied().collect();
             let prepared = qufem.prepare(&set).unwrap();
             let mut expected_stats = EngineStats::default();
-            let expected = prepared.apply_with_stats(&dist, &mut expected_stats).unwrap();
+            let input = SupportIndex::from_dist(&dist);
+            let expected = prepared
+                .apply_arena(&input, 1, &mut expected_stats, &mut prepared.new_arena())
+                .unwrap()
+                .to_dist();
             assert_bit_identical(&expected, response.dist.as_ref().unwrap(), &context);
             assert_eq!(
                 response.stats.as_ref().unwrap(),

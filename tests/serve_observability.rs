@@ -368,11 +368,11 @@ fn version_pinned_responses_are_bit_identical_across_hot_swap() {
     let (device, qufem) = characterized();
     let measured_set: QubitSet = [0usize, 1, 2].into_iter().collect();
     let input = noisy_input(&device, &[0, 1, 2], 42);
-    // The in-process ground truth for version 0, through the same sharded
-    // path the server uses.
+    // The in-process ground truth for version 0, through the same path the
+    // server uses.
     let prepared = qufem::Mitigator::prepare(&qufem, &measured_set).unwrap();
     let mut stats = qufem::EngineStats::default();
-    let expected = prepared.apply_sharded(&input, qufem::configured_threads(), &mut stats).unwrap();
+    let expected = prepared.apply_with_stats(&input, &mut stats).unwrap();
     let expected_bits: Vec<(qufem::BitString, u64)> =
         expected.sorted_pairs().into_iter().map(|(bits, p)| (bits, p.to_bits())).collect();
 
