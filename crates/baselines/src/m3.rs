@@ -80,7 +80,7 @@ impl M3 {
     /// The reduced-subspace matrix dimension M3 would use for a
     /// distribution (its memory footprint is the square of this).
     pub fn subspace_dim(dist: &ProbDist) -> usize {
-        dist.iter().filter(|(_, p)| *p > 0.0).count()
+        dist.as_index().values().iter().filter(|&&p| p > 0.0).count()
     }
 
     /// The reduced-subspace GMRES solve itself, for one measured set.
@@ -225,7 +225,7 @@ mod tests {
         let out = m3.calibrate(&noisy, &measured).unwrap();
         for (k, _) in out.iter() {
             assert!(
-                k == &bs("000") || k == &bs("111"),
+                k == bs("000") || k == bs("111"),
                 "M3 output must stay in the observed subspace, got {k}"
             );
         }

@@ -22,7 +22,7 @@ fn m3_observed(n: usize, quick: bool, seed: u64) -> (f64, bool) {
         for w in &ws {
             for (k, p) in w.noisy.iter() {
                 if p > 0.0 {
-                    distinct.insert(k.clone());
+                    distinct.insert(k);
                 }
             }
         }

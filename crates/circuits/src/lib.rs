@@ -374,7 +374,7 @@ mod tests {
         assert!(top > 0.2);
         // Every outcome within Hamming distance 2 of the center.
         for (k, _) in p.iter() {
-            assert!(k.hamming_distance(center).unwrap() <= 2);
+            assert!(k.hamming_distance(&center).unwrap() <= 2);
         }
     }
 }

@@ -217,7 +217,7 @@ mod tests {
             let p = Circuit::ghz(n).simulate().probabilities(1e-12);
             let analytic = crate::ghz(n);
             for (k, v) in analytic.iter() {
-                assert!((p.prob(k) - v).abs() < 1e-9, "GHZ({n}) mismatch at {k}");
+                assert!((p.prob(&k) - v).abs() < 1e-9, "GHZ({n}) mismatch at {k}");
             }
             assert_eq!(p.support_len(), 2);
         }

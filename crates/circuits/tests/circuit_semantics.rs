@@ -62,7 +62,7 @@ fn hamiltonian_simulation_circuit_peaks_near_the_initial_state() {
     let dist = c.simulate().probabilities(1e-9);
     let zero = BitString::zeros(8);
     let (top, _) = dist.argmax().unwrap();
-    assert_eq!(top, &zero, "short-time Trotter evolution peaks at |0…0⟩");
+    assert_eq!(top, zero, "short-time Trotter evolution peaks at |0…0⟩");
 }
 
 #[test]

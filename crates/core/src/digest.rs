@@ -109,12 +109,16 @@ pub fn digest_prob_dist(dist: &ProbDist) -> u64 {
 /// Folds a distribution into an existing digest (for digests spanning many
 /// responses).
 pub fn fold_prob_dist(d: &mut Digest64, dist: &ProbDist) {
-    d.write_u64(dist.width() as u64);
-    for (outcome, p) in dist.sorted_pairs() {
-        for i in 0..outcome.width() {
-            d.write(&[u8::from(outcome.get(i))]);
+    let (index, width) = (dist.as_index(), dist.width());
+    d.write_u64(width as u64);
+    let mut order = Vec::new();
+    index.sorted_ids(&mut order);
+    for id in order {
+        let words = index.key_words(id);
+        for i in 0..width {
+            d.write(&[((words[i / 64] >> (i % 64)) & 1) as u8]);
         }
-        d.write_f64(p);
+        d.write_f64(index.value(id));
     }
 }
 
@@ -165,6 +169,29 @@ mod tests {
         c.set(BitString::zeros(2), 0.25 + 1e-16);
         c.set(BitString::ones(2), 0.75);
         assert_ne!(digest_prob_dist(&a), digest_prob_dist(&c), "ULP changes must be visible");
+    }
+
+    #[test]
+    fn fold_matches_the_per_bit_walk_over_sorted_pairs() {
+        // Multi-word keys inserted out of canonical order: the word-level
+        // fold must hash exactly what a per-bit walk over `sorted_pairs` does.
+        let mut dist = ProbDist::new(67);
+        for (bits, value) in [(&[66usize, 3][..], 0.5), (&[0], 0.25), (&[], -0.125), (&[64], 0.0)] {
+            let mut key = BitString::zeros(67);
+            for &b in bits {
+                key.set(b, true);
+            }
+            dist.set(key, value);
+        }
+        let mut expected = Digest64::new();
+        expected.write_u64(67);
+        for (outcome, p) in dist.sorted_pairs() {
+            for i in 0..outcome.width() {
+                expected.write(&[u8::from(outcome.get(i))]);
+            }
+            expected.write_f64(p);
+        }
+        assert_eq!(digest_prob_dist(&dist), expected.finish());
     }
 
     #[test]

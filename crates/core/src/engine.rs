@@ -630,7 +630,7 @@ pub fn apply_iteration(
     );
     let plan = IterationPlan::build(measured_positions, groups, beta);
     let input = SupportIndex::from_dist(dist);
-    execute(&plan, &input, stats).to_dist()
+    execute(&plan, &input, stats).into_dist()
 }
 
 /// The pre-plan/execute engine, retained verbatim: the differential
@@ -848,7 +848,7 @@ mod tests {
         let a = apply_iteration(&noisy, &[0, 1], &single, 0.0, &mut s1);
         let b = apply_iteration(&noisy, &[0, 1], &joint, 0.0, &mut s2);
         for (k, v) in a.iter() {
-            assert!((v - b.prob(k)).abs() < 1e-9, "mismatch at {k}: {v} vs {}", b.prob(k));
+            assert!((v - b.prob(&k)).abs() < 1e-9, "mismatch at {k}: {v} vs {}", b.prob(&k));
         }
     }
 
@@ -993,7 +993,7 @@ mod tests {
             }
         }
         for (k, v) in noisy.iter() {
-            assert!((forward.prob(k) - v).abs() < 1e-9, "round trip at {k}");
+            assert!((forward.prob(&k) - v).abs() < 1e-9, "round trip at {k}");
         }
     }
 
@@ -1060,10 +1060,10 @@ mod tests {
             assert_eq!(new.support_len(), old.support_len(), "support diverges at β = {beta}");
             for (k, v) in old.iter() {
                 assert_eq!(
-                    new.prob(k).to_bits(),
+                    new.prob(&k).to_bits(),
                     v.to_bits(),
                     "entry {k} diverges at β = {beta}: {} vs {v}",
-                    new.prob(k)
+                    new.prob(&k)
                 );
             }
         }

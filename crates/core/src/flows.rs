@@ -291,7 +291,7 @@ impl QuFem {
                     let mut local = EngineStats::default();
                     let input = SupportIndex::from_dist(record.dist());
                     let updated =
-                        engine::execute(&plans[record_set[ri]], &input, &mut local).to_dist();
+                        engine::execute(&plans[record_set[ri]], &input, &mut local).into_dist();
                     (updated, local, phase_micros(start))
                 });
             qufem_telemetry::counter_add("characterize.records", record_results.len() as u64);

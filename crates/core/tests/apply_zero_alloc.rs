@@ -4,7 +4,8 @@
 //! heap allocations** — on the calling thread and on every pool worker
 //! (the process-wide counter catches both). The `ProbDist` paths
 //! (`PreparedMitigator::apply_with_stats` and `apply`) are pinned to
-//! allocate only at the boundary conversions.
+//! allocate only at the boundary conversions, and those conversions to a
+//! small allocation count that does not grow with the support size.
 //!
 //! The thread count under proof comes from `configured_threads()`, so the
 //! CI allocation legs (`QUFEM_THREADS=1` and `QUFEM_THREADS=4`) exercise
@@ -16,7 +17,7 @@
 
 use qufem_core::{configured_threads, EngineStats, PreparedMitigator, QuFem, QuFemConfig};
 use qufem_testsupport::{counting_allocator_installed, global_allocations, CountingAlloc};
-use qufem_types::{QubitSet, SupportIndex};
+use qufem_types::{BitString, ProbDist, QubitSet, SupportIndex};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -93,6 +94,33 @@ fn steady_state_apply_does_not_allocate() {
     assert_eq!(reindexed.len(), input.len());
     let boundary = from_dist_allocs + to_dist_allocs;
     assert!(boundary > 0, "boundary conversions are the allocation baseline");
+
+    // The boundary itself is a fixed handful of buffers: `from_dist` sorts
+    // into fresh flat storage (id order, keys, values, probe table) and
+    // `to_dist` copies three buffers, whatever the support size. Two
+    // synthetic supports 100x apart, inserted out of key order so
+    // `from_dist` really sorts, must cost the same.
+    let conversion_allocs = |support: usize| {
+        let width = 20;
+        let dist: ProbDist = (0..support)
+            .map(|i| (BitString::from_index(i * 0x9e37 % (1 << width), width).unwrap(), 1.0))
+            .collect();
+        assert_eq!(dist.support_len(), support);
+        let before = global_allocations();
+        let index = SupportIndex::from_dist(&dist);
+        let from = global_allocations() - before;
+        let before = global_allocations();
+        let back = index.to_dist();
+        let to = global_allocations() - before;
+        assert!(back == dist, "the conversions are lossless");
+        (from, to)
+    };
+    let (small, large) = (conversion_allocs(100), conversion_allocs(10_000));
+    assert_eq!(small, large, "conversion allocations must not grow with the support");
+    let (from_max, to_max) = large;
+    assert!(from_max <= 4, "from_dist made {from_max} allocations");
+    assert!(to_max <= 3, "to_dist made {to_max} allocations");
+    assert!(from_dist_allocs <= from_max && to_dist_allocs <= to_max);
 
     for _ in 0..WARMUP_ROUNDS {
         stats.reset();

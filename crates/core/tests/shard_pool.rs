@@ -45,7 +45,7 @@ fn random_dist(n: usize, support: usize, rng: &mut ChaCha8Rng) -> ProbDist {
 fn assert_dist_bits_equal(a: &ProbDist, b: &ProbDist, context: &str) {
     assert_eq!(a.support_len(), b.support_len(), "support diverges: {context}");
     for (k, v) in a.iter() {
-        assert_eq!(b.prob(k).to_bits(), v.to_bits(), "entry {k} diverges: {context}");
+        assert_eq!(b.prob(&k).to_bits(), v.to_bits(), "entry {k} diverges: {context}");
     }
 }
 

@@ -344,7 +344,7 @@ impl Device {
             ideal_full.scatter(&positions, &outcome);
             let noisy = self.sample_readout(&ideal_full, measured, n, rng);
             for (k, v) in noisy.iter() {
-                combined.add(k.clone(), v * (n as f64) / (shots as f64));
+                combined.add(k, v * (n as f64) / (shots as f64));
             }
         }
         combined
@@ -366,10 +366,10 @@ impl Device {
                 continue;
             }
             let mut ideal_full = BitString::zeros(self.n_qubits());
-            ideal_full.scatter(&positions, outcome);
+            ideal_full.scatter(&positions, &outcome);
             let noisy = self.exact_readout(&ideal_full, measured, prune);
             for (k, v) in noisy.iter() {
-                combined.add(k.clone(), v * p);
+                combined.add(k, v * p);
             }
         }
         combined

@@ -26,19 +26,21 @@
 
 use qufem_linalg::Matrix;
 use qufem_types::{BitString, ProbDist, QubitSet};
-use std::collections::HashSet;
 
-/// Union of the supports of two distributions (deterministic order).
-fn joint_support<'a>(p: &'a ProbDist, q: &'a ProbDist) -> Vec<&'a BitString> {
-    let mut seen: HashSet<&BitString> = HashSet::new();
-    let mut keys: Vec<&BitString> = Vec::new();
-    for (k, _) in p.iter().chain(q.iter()) {
-        if seen.insert(k) {
-            keys.push(k);
-        }
-    }
-    keys.sort();
+/// Union of the supports of two distributions as packed key words, in
+/// deterministic ([`BitString`]) order.
+fn joint_support<'a>(p: &'a ProbDist, q: &'a ProbDist) -> Vec<&'a [u64]> {
+    let (pi, qi) = (p.as_index(), q.as_index());
+    let mut keys: Vec<&[u64]> = pi.iter().chain(qi.iter()).map(|(_, words, _)| words).collect();
+    keys.sort_unstable();
+    keys.dedup();
     keys
+}
+
+/// The value `dist` assigns to the outcome packed as `words` (0.0 if absent).
+fn value_at(dist: &ProbDist, words: &[u64]) -> f64 {
+    let index = dist.as_index();
+    index.get(words).map_or(0.0, |id| index.value(id))
 }
 
 /// Hellinger fidelity between two distributions:
@@ -50,8 +52,8 @@ fn joint_support<'a>(p: &'a ProbDist, q: &'a ProbDist) -> Vec<&'a BitString> {
 pub fn hellinger_fidelity(p: &ProbDist, q: &ProbDist) -> f64 {
     let mut bc = 0.0; // Bhattacharyya coefficient
     for key in joint_support(p, q) {
-        let a = p.prob(key).max(0.0);
-        let b = q.prob(key).max(0.0);
+        let a = value_at(p, key).max(0.0);
+        let b = value_at(q, key).max(0.0);
         bc += (a * b).sqrt();
     }
     bc * bc
@@ -66,7 +68,7 @@ pub fn hellinger_distance(p: &ProbDist, q: &ProbDist) -> f64 {
 pub fn total_variation_distance(p: &ProbDist, q: &ProbDist) -> f64 {
     let mut s = 0.0;
     for key in joint_support(p, q) {
-        s += (p.prob(key) - q.prob(key)).abs();
+        s += (value_at(p, key) - value_at(q, key)).abs();
     }
     s / 2.0
 }
@@ -77,11 +79,11 @@ pub fn total_variation_distance(p: &ProbDist, q: &ProbDist) -> f64 {
 /// `q(x) ≤ 0` make the divergence infinite.
 pub fn kl_divergence(p: &ProbDist, q: &ProbDist) -> f64 {
     let mut s = 0.0;
-    for (key, pv) in p.iter() {
+    for (_, key, pv) in p.as_index().iter() {
         if pv <= 0.0 {
             continue;
         }
-        let qv = q.prob(key);
+        let qv = value_at(q, key);
         if qv <= 0.0 {
             return f64::INFINITY;
         }

@@ -39,7 +39,7 @@ use crate::protocol::{
     Request, Response, CMD_ADMIT, CMD_CALIBRATE, CMD_METRICS, CMD_SHUTDOWN, CMD_STATUS, CMD_TRACE,
 };
 use qufem_core::engine::EngineStats;
-use qufem_types::{BitString, ProbDist};
+use qufem_types::{BitString, ProbDist, SupportIndex};
 
 /// Magic tag opening every binary frame: format name `QFB` + version `1`.
 pub const MAGIC: [u8; 4] = *b"QFB1";
@@ -251,25 +251,27 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
 /// then per entry (in [`ProbDist::sorted_pairs`] order) the bit string's
 /// packed words (`words_for_width(width)` × `u64` LE) followed by the
 /// probability's raw `f64` bits (LE). Exact: no decimal text anywhere.
+/// Reads the packed words straight from the flat storage.
 pub fn encode_dist_into(out: &mut Vec<u8>, dist: &ProbDist) {
-    let width = dist.width();
-    let words = BitString::words_for_width(width);
-    let pairs = dist.sorted_pairs();
-    out.reserve(8 + pairs.len() * (words * 8 + 8));
-    out.extend_from_slice(&(width as u32).to_le_bytes());
-    out.extend_from_slice(&(pairs.len() as u32).to_le_bytes());
-    for (bits, value) in &pairs {
-        for word in bits.as_words() {
+    let index = dist.as_index();
+    let mut order = Vec::new();
+    index.sorted_ids(&mut order);
+    out.reserve(8 + order.len() * (index.words_per_key() * 8 + 8));
+    out.extend_from_slice(&(index.width() as u32).to_le_bytes());
+    out.extend_from_slice(&(order.len() as u32).to_le_bytes());
+    for id in order {
+        for word in index.key_words(id) {
             out.extend_from_slice(&word.to_le_bytes());
         }
-        out.extend_from_slice(&value.to_bits().to_le_bytes());
+        out.extend_from_slice(&index.value(id).to_bits().to_le_bytes());
     }
 }
 
 /// Decodes a distribution written by [`encode_dist_into`], advancing the
 /// reader past it. Validates width, word masks (via
-/// [`BitString::from_words`]), finiteness, and that the declared entry
-/// count fits the remaining bytes before allocating.
+/// [`BitString::check_words`]), finiteness, and that the declared entry
+/// count fits the remaining bytes before allocating. Keys are interned as
+/// raw words into the distribution's flat storage; duplicates accumulate.
 fn decode_dist(r: &mut Reader<'_>) -> Result<ProbDist, String> {
     let width = r.u32("distribution width")?;
     if width > MAX_DIST_WIDTH {
@@ -282,20 +284,22 @@ fn decode_dist(r: &mut Reader<'_>) -> Result<ProbDist, String> {
     if n.checked_mul(entry_bytes).is_none_or(|need| need > r.remaining()) {
         return Err(format!("distribution claims {n} entries but the payload is shorter"));
     }
-    let mut dist = ProbDist::new(width);
+    let mut index = SupportIndex::with_capacity(width, n);
+    let mut key = vec![0u64; words];
     for _ in 0..n {
-        let mut ws = Vec::with_capacity(words);
-        for _ in 0..words {
-            ws.push(r.u64("bit-string word")?);
+        for word in &mut key {
+            *word = r.u64("bit-string word")?;
         }
-        let bits = BitString::from_words(width, ws).map_err(|e| format!("bad bit string: {e}"))?;
+        BitString::check_words(width, &key).map_err(|e| format!("bad bit string: {e}"))?;
         let value = r.f64("probability")?;
         if !value.is_finite() {
             return Err("non-finite probability in distribution".to_string());
         }
-        dist.add(bits, value);
+        // `intern` starts a new entry at 0.0, so this is `ProbDist::add`.
+        let id = index.intern(&key);
+        index.accumulate_id(id, value);
     }
-    Ok(dist)
+    Ok(index.into_dist())
 }
 
 // ---------------------------------------------------------------------------
@@ -605,6 +609,51 @@ mod tests {
         for (bits, value) in dist.sorted_pairs() {
             assert_eq!(back.prob(&bits).to_bits(), value.to_bits());
         }
+    }
+
+    #[test]
+    fn dist_encoding_matches_the_sorted_pairs_layout() {
+        // Reference layout built from owned keys in `sorted_pairs` order.
+        let dist = sample_dist();
+        let mut expected = Vec::new();
+        expected.extend_from_slice(&67u32.to_le_bytes());
+        expected.extend_from_slice(&(dist.support_len() as u32).to_le_bytes());
+        for (bits, value) in dist.sorted_pairs() {
+            for word in bits.as_words() {
+                expected.extend_from_slice(&word.to_le_bytes());
+            }
+            expected.extend_from_slice(&value.to_bits().to_le_bytes());
+        }
+        let mut buf = Vec::new();
+        encode_dist_into(&mut buf, &dist);
+        assert_eq!(buf, expected);
+    }
+
+    #[test]
+    fn dist_decoder_accumulates_duplicates_and_checks_word_masks() {
+        let entry = |buf: &mut Vec<u8>, word: u64, value: f64| {
+            buf.extend_from_slice(&word.to_le_bytes());
+            buf.extend_from_slice(&value.to_bits().to_le_bytes());
+        };
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&3u32.to_le_bytes());
+        buf.extend_from_slice(&3u32.to_le_bytes());
+        entry(&mut buf, 0b101, 0.25);
+        entry(&mut buf, 0b001, -0.0);
+        entry(&mut buf, 0b101, 0.5);
+        let back = decode_dist(&mut Reader::new(&buf)).unwrap();
+        assert_eq!(back.support_len(), 2);
+        assert_eq!(back.prob(&BitString::from_index(0b101, 3).unwrap()), 0.75);
+        // A decoded `-0.0` is stored as `0.0 + -0.0`, exactly as `add` does.
+        let zero = back.prob(&BitString::from_index(0b001, 3).unwrap());
+        assert_eq!(zero.to_bits(), 0.0f64.to_bits());
+
+        let mut bad = Vec::new();
+        bad.extend_from_slice(&3u32.to_le_bytes());
+        bad.extend_from_slice(&1u32.to_le_bytes());
+        entry(&mut bad, 0b1000, 1.0);
+        let err = decode_dist(&mut Reader::new(&bad)).unwrap_err();
+        assert!(err.contains("bad bit string"), "{err}");
     }
 
     #[test]

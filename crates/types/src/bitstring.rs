@@ -299,6 +299,20 @@ impl BitString {
     /// [`BitString::words_for_width`]`(width)` and [`Error::QubitOutOfRange`]
     /// if any bit at or above `width` is set.
     pub fn from_words(width: usize, words: Vec<u64>) -> Result<Self> {
+        Self::check_words(width, &words)?;
+        Ok(BitString { width, words })
+    }
+
+    /// Checks that `words` is a valid packing of a `width`-bit string — the
+    /// validation [`BitString::from_words`] applies, for callers that keep
+    /// keys as raw words (the flat distribution layout, the wire decoder).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::WidthMismatch`] if `words.len()` differs from
+    /// [`BitString::words_for_width`]`(width)` and [`Error::QubitOutOfRange`]
+    /// if any bit at or above `width` is set.
+    pub fn check_words(width: usize, words: &[u64]) -> Result<()> {
         let expected = Self::words_for_width(width);
         if words.len() != expected {
             return Err(Error::WidthMismatch { expected, actual: words.len() });
@@ -313,7 +327,7 @@ impl BitString {
                 });
             }
         }
-        Ok(BitString { width, words })
+        Ok(())
     }
 }
 

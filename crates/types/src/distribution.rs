@@ -1,6 +1,6 @@
 //! Sparse (quasi-)probability distributions over bit strings.
 
-use crate::{BitString, Error, QubitSet, Result};
+use crate::{BitString, Error, QubitSet, Result, SupportIndex};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -9,10 +9,17 @@ use std::fmt;
 /// A sparse probability distribution over fixed-width bit strings.
 ///
 /// This is the central value type of readout calibration: device measurement
-/// produces one, and calibration maps one to another. Entries are stored in a
-/// hash map keyed by [`BitString`], so the memory footprint is proportional to
-/// the number of *nonzero* outcomes — essential on devices with hundreds of
-/// qubits where `2^n` dense vectors are unrepresentable.
+/// produces one, and calibration maps one to another. Entries are stored in
+/// the calibration engine's own flat layout, a [`SupportIndex`] (packed key
+/// words, a parallel value array, and an open-addressing probe table), so
+/// the memory footprint is proportional to the number of *stored* outcomes —
+/// essential on devices with hundreds of qubits where `2^n` dense vectors are
+/// unrepresentable — and handing a distribution to the engine or taking one
+/// back is a buffer copy ([`ProbDist::as_index`], [`SupportIndex::to_dist`]).
+///
+/// The API is order-free: equality ignores entry order, and every
+/// order-sensitive output ([`ProbDist::sorted_pairs`], serialization,
+/// sampling) runs in [`BitString`] order.
 ///
 /// Values are allowed to be negative: applying an inverse noise matrix yields
 /// a *quasi*-probability vector in general. Use
@@ -31,24 +38,34 @@ use std::fmt;
 /// let m = p.marginal(&[0].iter().copied().collect());
 /// assert!((m.prob(&BitString::from_binary_str("0").unwrap()) - 0.9).abs() < 1e-12);
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(Clone)]
 pub struct ProbDist {
-    width: usize,
-    entries: HashMap<BitString, f64>,
+    index: SupportIndex,
 }
 
 impl ProbDist {
     /// Creates an empty distribution over `width`-bit strings.
     pub fn new(width: usize) -> Self {
-        ProbDist { width, entries: HashMap::new() }
+        ProbDist { index: SupportIndex::new(width) }
+    }
+
+    /// Wraps an index as a distribution (see [`SupportIndex::into_dist`]).
+    pub(crate) fn from_index(index: SupportIndex) -> Self {
+        ProbDist { index }
+    }
+
+    /// The flat storage, for callers that only read keys as packed words
+    /// (codecs, digests, metrics). Ids run in insertion order; use
+    /// [`SupportIndex::sorted_ids`] for canonical order.
+    pub fn as_index(&self) -> &SupportIndex {
+        &self.index
     }
 
     /// A point mass: probability 1 on `outcome`.
     pub fn point_mass(outcome: BitString) -> Self {
-        let width = outcome.width();
-        let mut entries = HashMap::with_capacity(1);
-        entries.insert(outcome, 1.0);
-        ProbDist { width, entries }
+        let mut dist = Self::new(outcome.width());
+        dist.set(outcome, 1.0);
+        dist
     }
 
     /// Builds a distribution from `(bit string, value)` pairs, accumulating
@@ -129,7 +146,7 @@ impl ProbDist {
 
     /// Bit width of the outcome strings.
     pub fn width(&self) -> usize {
-        self.width
+        self.index.width()
     }
 
     /// Validates that the distribution has the expected width — the common
@@ -139,20 +156,20 @@ impl ProbDist {
     ///
     /// Returns [`Error::WidthMismatch`] if the widths differ.
     pub fn check_width(&self, expected: usize) -> Result<()> {
-        if self.width != expected {
-            return Err(Error::WidthMismatch { expected, actual: self.width });
+        if self.width() != expected {
+            return Err(Error::WidthMismatch { expected, actual: self.width() });
         }
         Ok(())
     }
 
     /// Number of stored (nonzero) outcomes.
     pub fn support_len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Whether the distribution has no stored outcomes.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// The value assigned to `outcome` (0.0 if absent).
@@ -161,8 +178,8 @@ impl ProbDist {
     ///
     /// Panics in debug builds if the width differs.
     pub fn prob(&self, outcome: &BitString) -> f64 {
-        debug_assert_eq!(outcome.width(), self.width);
-        self.entries.get(outcome).copied().unwrap_or(0.0)
+        debug_assert_eq!(outcome.width(), self.width());
+        self.index.get(outcome.as_words()).map_or(0.0, |id| self.index.value(id))
     }
 
     /// Adds `value` to the entry for `outcome`, creating it if needed.
@@ -175,12 +192,12 @@ impl ProbDist {
     pub fn add(&mut self, outcome: BitString, value: f64) {
         assert_eq!(
             outcome.width(),
-            self.width,
+            self.width(),
             "distribution width {} does not match outcome width {}",
-            self.width,
+            self.width(),
             outcome.width()
         );
-        *self.entries.entry(outcome).or_insert(0.0) += value;
+        self.add_words(outcome.as_words(), value);
     }
 
     /// Overwrites the entry for `outcome`.
@@ -189,18 +206,38 @@ impl ProbDist {
     ///
     /// Panics if the width differs.
     pub fn set(&mut self, outcome: BitString, value: f64) {
-        assert_eq!(outcome.width(), self.width);
-        self.entries.insert(outcome, value);
+        assert_eq!(outcome.width(), self.width());
+        self.set_words(outcome.as_words(), value);
+    }
+
+    /// [`ProbDist::add`] on packed words: a new entry starts at `0.0`, so an
+    /// added `-0.0` is stored as `+0.0`, exactly as `0.0 + value` would be.
+    fn add_words(&mut self, words: &[u64], value: f64) {
+        let id = self.index.intern(words);
+        self.index.accumulate_id(id, value);
+    }
+
+    /// [`ProbDist::set`] on packed words.
+    fn set_words(&mut self, words: &[u64], value: f64) {
+        let id = self.index.intern(words);
+        self.index.values_mut()[id as usize] = value;
+    }
+
+    /// Ids in canonical ([`BitString`]) key order.
+    fn sorted_ids(&self) -> Vec<u32> {
+        let mut order = Vec::new();
+        self.index.sorted_ids(&mut order);
+        order
     }
 
     /// Sum of all stored values (1.0 for a normalized distribution).
     pub fn total_mass(&self) -> f64 {
-        self.entries.values().sum()
+        self.index.total_mass()
     }
 
     /// Sum of absolute values (L1 norm of the quasi-probability vector).
     pub fn l1_norm(&self) -> f64 {
-        self.entries.values().map(|v| v.abs()).sum()
+        self.index.values().iter().map(|v| v.abs()).sum()
     }
 
     /// Scales every entry so the total mass becomes 1.
@@ -210,13 +247,13 @@ impl ProbDist {
     /// Returns [`Error::InvalidProbability`] if the current total mass is
     /// zero or non-finite, in which case the distribution is left unchanged.
     pub fn normalize(&mut self) -> Result<()> {
-        // Sum in sorted key order: HashMap iteration order would make the
-        // result nondeterministic at the ULP level, breaking reproducibility.
-        let mass: f64 = self.sorted_pairs().iter().map(|(_, v)| v).sum();
+        // Sum in sorted key order so the result does not depend on the
+        // order entries were inserted in, down to the last ULP.
+        let mass: f64 = self.sorted_ids().into_iter().map(|id| self.index.value(id)).sum();
         if !mass.is_finite() || mass.abs() < f64::MIN_POSITIVE {
             return Err(Error::InvalidProbability(mass));
         }
-        for v in self.entries.values_mut() {
+        for v in self.index.values_mut() {
             *v /= mass;
         }
         Ok(())
@@ -227,16 +264,16 @@ impl ProbDist {
     ///
     /// If every entry is non-positive the result is empty.
     pub fn clip_to_probabilities(&self) -> Self {
-        let mut out = Self::new(self.width);
+        let mut out = Self::new(self.width());
         let mut mass = 0.0;
-        for (k, &v) in &self.entries {
+        for (_, words, v) in self.index.iter() {
             if v > 0.0 {
-                out.entries.insert(k.clone(), v);
+                out.set_words(words, v);
                 mass += v;
             }
         }
         if mass > 0.0 {
-            for v in out.entries.values_mut() {
+            for v in out.index.values_mut() {
                 *v /= mass;
             }
         }
@@ -258,7 +295,7 @@ impl ProbDist {
     /// observed stay at zero); an empty or non-finite input falls back to
     /// clipping and renormalizing.
     pub fn project_to_probabilities(&self) -> Self {
-        let mut values: Vec<f64> = self.entries.values().copied().collect();
+        let mut values = self.index.values().to_vec();
         let total: f64 = values.iter().sum();
         if values.is_empty() || !total.is_finite() {
             return self.clip_to_probabilities();
@@ -276,22 +313,20 @@ impl ProbDist {
                 t = candidate;
             }
         }
-        let mut out = Self::new(self.width);
-        for (key, &v) in &self.entries {
+        let mut out = Self::new(self.width());
+        for (_, words, v) in self.index.iter() {
             let shifted = v - t;
             if shifted > 0.0 {
-                out.entries.insert(key.clone(), shifted);
+                out.set_words(words, shifted);
             }
         }
         out
     }
 
-    /// Removes entries with `|value| < threshold`.
-    /// Returns the number of removed entries.
+    /// Removes entries with `|value| < threshold`, keeping the survivors in
+    /// their current order. Returns the number of removed entries.
     pub fn truncate(&mut self, threshold: f64) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|_, v| v.abs() >= threshold);
-        before - self.entries.len()
+        self.index.retain(|v| v.abs() >= threshold)
     }
 
     /// Marginal distribution over the qubits in `keep` (ascending order of
@@ -302,22 +337,37 @@ impl ProbDist {
     /// Panics if `keep` references a qubit outside the width.
     pub fn marginal(&self, keep: &QubitSet) -> Self {
         let positions: Vec<usize> = keep.iter().collect();
+        if let Some(&q) = positions.iter().max() {
+            assert!(
+                self.is_empty() || q < self.width(),
+                "qubit {q} out of range for width {}",
+                self.width()
+            );
+        }
         let mut out = Self::new(positions.len());
-        for (k, &v) in &self.entries {
-            out.add(k.extract(&positions), v);
+        let mut sub = vec![0u64; BitString::words_for_width(positions.len())];
+        for (_, words, v) in self.index.iter() {
+            sub.fill(0);
+            for (k, &p) in positions.iter().enumerate() {
+                sub[k / 64] |= ((words[p / 64] >> (p % 64)) & 1) << (k % 64);
+            }
+            out.add_words(&sub, v);
         }
         out
     }
 
     /// The most probable outcome, if any (ties broken by bit-string order so
     /// the result is deterministic).
-    pub fn argmax(&self) -> Option<(&BitString, f64)> {
-        self.entries
-            .iter()
-            .max_by(|(ka, va), (kb, vb)| {
-                va.partial_cmp(vb).unwrap_or(std::cmp::Ordering::Equal).then(kb.cmp(ka))
+    pub fn argmax(&self) -> Option<(BitString, f64)> {
+        let ix = &self.index;
+        (0..ix.len() as u32)
+            .max_by(|&a, &b| {
+                ix.value(a)
+                    .partial_cmp(&ix.value(b))
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(ix.key_words(b).cmp(ix.key_words(a)))
             })
-            .map(|(k, &v)| (k, v))
+            .map(|id| (ix.key(id), ix.value(id)))
     }
 
     /// Draws `shots` independent samples, returning a counts map.
@@ -334,71 +384,98 @@ impl ProbDist {
         shots: u64,
     ) -> HashMap<BitString, u64> {
         // Deterministic order for reproducibility under a fixed seed.
-        let mut pairs = self.sorted_pairs();
-        pairs.retain(|(_, v)| *v > 0.0);
-        assert!(!pairs.is_empty(), "cannot sample from a distribution with no positive mass");
-        let total: f64 = pairs.iter().map(|(_, v)| v).sum();
-        let mut counts: HashMap<BitString, u64> = HashMap::new();
+        let ix = &self.index;
+        let mut order = self.sorted_ids();
+        order.retain(|&id| ix.value(id) > 0.0);
+        assert!(!order.is_empty(), "cannot sample from a distribution with no positive mass");
+        let total: f64 = order.iter().map(|&id| ix.value(id)).sum();
+        let mut hits = vec![0u64; order.len()];
         for _ in 0..shots {
             let mut u = rng.gen::<f64>() * total;
-            let mut chosen = &pairs[pairs.len() - 1].0;
-            for (k, v) in &pairs {
-                if u < *v {
-                    chosen = k;
+            let mut chosen = order.len() - 1;
+            for (i, &id) in order.iter().enumerate() {
+                let v = ix.value(id);
+                if u < v {
+                    chosen = i;
                     break;
                 }
-                u -= *v;
+                u -= v;
             }
-            *counts.entry(chosen.clone()).or_insert(0) += 1;
+            hits[chosen] += 1;
         }
-        counts
+        order.iter().zip(hits).filter(|&(_, n)| n > 0).map(|(&id, n)| (ix.key(id), n)).collect()
     }
 
-    /// Iterator over `(outcome, value)` entries in arbitrary order.
-    pub fn iter(&self) -> impl Iterator<Item = (&BitString, f64)> {
-        self.entries.iter().map(|(k, &v)| (k, v))
+    /// Iterator over `(outcome, value)` entries in insertion order. Each
+    /// outcome is materialized as an owned [`BitString`]; read
+    /// [`ProbDist::as_index`] to walk packed words without allocating.
+    pub fn iter(&self) -> impl Iterator<Item = (BitString, f64)> + '_ {
+        self.index.iter().map(|(id, _, v)| (self.index.key(id), v))
     }
 
     /// Entries sorted by bit-string order — use when deterministic iteration
     /// matters (sampling, display, tests).
     pub fn sorted_pairs(&self) -> Vec<(BitString, f64)> {
-        let mut pairs: Vec<(BitString, f64)> =
-            self.entries.iter().map(|(k, &v)| (k.clone(), v)).collect();
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        pairs
+        self.sorted_ids().into_iter().map(|id| (self.index.key(id), self.index.value(id))).collect()
     }
 
-    /// Approximate heap usage in bytes (benchmark memory accounting).
+    /// Approximate heap usage in bytes (benchmark memory accounting): the
+    /// flat key, value, and probe-table buffers.
     pub fn heap_bytes(&self) -> usize {
-        let per_entry = std::mem::size_of::<(BitString, f64)>() + std::mem::size_of::<u64>();
-        self.entries.keys().map(|k| k.heap_bytes() + per_entry).sum::<usize>()
+        self.index.heap_bytes()
+    }
+}
+
+impl PartialEq for ProbDist {
+    /// Order-free: equal width, equal support size, and every entry's value
+    /// `==` the other's value for the same outcome (so `-0.0 == 0.0` and a
+    /// NaN entry never compares equal).
+    fn eq(&self, other: &Self) -> bool {
+        let theirs = &other.index;
+        self.width() == other.width()
+            && self.support_len() == other.support_len()
+            && self
+                .index
+                .iter()
+                .all(|(_, words, v)| theirs.get(words).is_some_and(|id| theirs.value(id) == v))
     }
 }
 
 impl fmt::Debug for ProbDist {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ProbDist(width={}, support={}) {{", self.width, self.entries.len())?;
-        for (i, (k, v)) in self.sorted_pairs().iter().take(8).enumerate() {
+        write!(f, "ProbDist(width={}, support={}) {{", self.width(), self.support_len())?;
+        for (i, id) in self.sorted_ids().into_iter().take(8).enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
-            write!(f, " {k}: {v:.4}")?;
+            write!(f, " {}: {:.4}", self.index.key(id), self.index.value(id))?;
         }
-        if self.entries.len() > 8 {
+        if self.support_len() > 8 {
             write!(f, ", …")?;
         }
         write!(f, " }}")
     }
 }
 
+/// The serialized form of a [`BitString`] (its derived `{width, words}`
+/// map), built from packed words without materializing the string.
+fn bitstring_value(width: usize, words: &[u64]) -> serde::Value {
+    serde::Value::Map(vec![
+        ("width".to_string(), width.to_value()),
+        ("words".to_string(), words.to_value()),
+    ])
+}
+
 impl Serialize for ProbDist {
     /// Serializes as `[width, [bitstring, value], …]` with entries in sorted
     /// order, so the representation is deterministic.
     fn to_value(&self) -> serde::Value {
-        let mut seq = Vec::with_capacity(self.entries.len() + 1);
-        seq.push(self.width.to_value());
-        for pair in self.sorted_pairs() {
-            seq.push(pair.to_value());
+        let order = self.sorted_ids();
+        let mut seq = Vec::with_capacity(order.len() + 1);
+        seq.push(self.width().to_value());
+        for id in order {
+            let key = bitstring_value(self.width(), self.index.key_words(id));
+            seq.push(serde::Value::Seq(vec![key, self.index.value(id).to_value()]));
         }
         serde::Value::Seq(seq)
     }
@@ -421,7 +498,9 @@ impl Deserialize for ProbDist {
             if key.width() != width {
                 return Err(serde::de::Error::custom("bit-string width mismatch"));
             }
-            dist.add(key, value);
+            BitString::check_words(width, key.as_words())
+                .map_err(|e| serde::de::Error::custom(format!("bad bit string: {e}")))?;
+            dist.add_words(key.as_words(), value);
         }
         Ok(dist)
     }
@@ -623,7 +702,7 @@ mod tests {
     fn argmax_is_deterministic() {
         let p = ProbDist::from_pairs(2, [(bs("00"), 0.5), (bs("11"), 0.5)]).unwrap();
         let (k, v) = p.argmax().unwrap();
-        assert_eq!(k, &bs("00"));
+        assert_eq!(k, bs("00"));
         assert_eq!(v, 0.5);
     }
 
@@ -659,6 +738,42 @@ mod tests {
         let p: ProbDist = [(bs("00"), 0.5), (bs("01"), 0.5)].into_iter().collect();
         assert_eq!(p.width(), 2);
         assert_eq!(p.support_len(), 2);
+    }
+
+    #[test]
+    fn deserialize_rejects_malformed_key_words() {
+        // A bit set above the width, and a word count that does not match.
+        for words in [vec![0b1000u64], vec![0, 0]] {
+            let entry = serde::Value::Seq(vec![bitstring_value(3, &words), 0.5f64.to_value()]);
+            let value = serde::Value::Seq(vec![3usize.to_value(), entry]);
+            assert!(ProbDist::from_value(&value).is_err(), "{words:?}");
+        }
+    }
+
+    #[test]
+    fn index_views_share_the_flat_layout() {
+        let mut p = ProbDist::new(2);
+        p.set(bs("11"), 0.75);
+        p.set(bs("00"), 0.25);
+        // Ids follow insertion order until `SupportIndex::from_dist` sorts.
+        assert_eq!(p.as_index().key(0), bs("11"));
+        let owned = p.as_index().clone().into_dist();
+        assert_eq!(owned, p);
+        assert_eq!(p.heap_bytes(), p.as_index().heap_bytes());
+    }
+
+    #[test]
+    fn truncate_keeps_survivor_order() {
+        let mut p = ProbDist::new(2);
+        for (key, value) in [("11", 0.5), ("00", 1e-9), ("10", 0.25), ("01", -1e-9)] {
+            p.set(bs(key), value);
+        }
+        assert_eq!(p.truncate(1e-6), 2);
+        let order: Vec<_> = p.iter().collect();
+        assert_eq!(order, [(bs("11"), 0.5), (bs("10"), 0.25)]);
+        assert_eq!(p.prob(&bs("00")), 0.0);
+        p.add(bs("00"), 0.125);
+        assert_eq!(p.prob(&bs("00")), 0.125);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * [`ProbDist`] — a sparse probability distribution over bit strings,
 //!   the object that readout produces and calibration transforms.
 //! * [`SupportIndex`] — an indexed sparse vector (interned keys + dense
-//!   amplitude array), the calibration engine's working representation.
+//!   amplitude array), the calibration engine's working representation
+//!   and the storage layout behind every [`ProbDist`].
 //! * [`QubitSet`] — an ordered set of qubit indices (measured qubits,
 //!   qubit groups, …).
 //! * [`Error`] — the common error type.

@@ -1,40 +1,56 @@
-//! Indexed sparse vectors over bit strings — the calibration engine's
-//! working representation.
+//! Indexed sparse vectors over bit strings — the one distribution layout.
 //!
-//! [`ProbDist`] is the right *interchange* type for distributions (hash-map
-//! keyed, order-free, serializable), but it is a poor *iteration* type: every
-//! accumulation pays a `BitString` clone and every pass re-sorts the support.
 //! [`SupportIndex`] interns each distinct bit string **once**, assigning it a
 //! dense `u32` id, and keeps the amplitudes in a parallel `Vec<f64>` — so the
 //! engine's inner loop does array arithmetic (`values[id] += v`) instead of
 //! hash-map scatter, and keys are compared/hashed as raw `u64` word slices
 //! without constructing `BitString`s.
 //!
-//! Conversions to and from [`ProbDist`] are lossless: support (including
-//! exact-zero entries), width, and every `f64` bit pattern are preserved.
+//! [`ProbDist`] is a thin wrapper over the same layout that adds the
+//! order-free, serializable interchange API. Converting between the two is a
+//! buffer copy ([`SupportIndex::to_dist`], [`SupportIndex::into_dist`],
+//! [`ProbDist::as_index`]) or one sort into canonical key order
+//! ([`SupportIndex::from_dist`]). Conversions are lossless: support
+//! (including exact-zero entries), width, and every `f64` bit pattern are
+//! preserved.
 
 use crate::{BitString, ProbDist};
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
+use std::sync::OnceLock;
 
 /// Sentinel marking an unoccupied slot of the open-addressing id table.
 /// Ids are capped strictly below it by [`SupportIndex::intern`].
 const EMPTY_SLOT: u32 = u32::MAX;
 
-/// Deterministic 64-bit hash of a packed key (FNV-1a over the words with a
-/// SplitMix64 finisher so the low bits used by the power-of-two table mask
-/// are well mixed). Purely a probe-start function: interning order — and
-/// therefore every assigned id — is independent of it.
+/// The probe-hash key shared by every index in this process: one random
+/// `u64` drawn once from the standard library's randomly keyed hasher.
+/// Keying keeps a client that controls the keys (the wire decoders intern
+/// untrusted bit strings) from precomputing a set that clusters in the
+/// linear-probing table and turns interning quadratic.
+fn process_seed() -> u64 {
+    static SEED: OnceLock<u64> = OnceLock::new();
+    *SEED.get_or_init(|| RandomState::new().hash_one(0x5eed_u64))
+}
+
+/// SplitMix64 finisher: a bijection on `u64` whose output bits each depend
+/// on every input bit.
 #[inline]
-fn hash_words(words: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &w in words {
-        h ^= w;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+fn mix64(mut h: u64) -> u64 {
     h ^= h >> 30;
     h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h ^= h >> 27;
     h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
     h ^ (h >> 31)
+}
+
+/// Keyed 64-bit hash of a packed key: every word is folded in through the
+/// full finisher, so no word-level difference cancels independently of
+/// `seed`. Purely a probe-start function: interning order — and therefore
+/// every assigned id — is independent of it.
+#[inline]
+fn hash_words(seed: u64, words: &[u64]) -> u64 {
+    words.iter().fold(seed, |h, &w| mix64(h ^ w))
 }
 
 /// Table length (a power of two) comfortably holding `entries` ids at a
@@ -70,7 +86,7 @@ fn table_len_for(entries: usize) -> usize {
 /// assert_eq!(idx.len(), 2);
 /// assert_eq!(idx.to_dist(), p);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SupportIndex {
     width: usize,
     words_per_key: usize,
@@ -82,6 +98,16 @@ pub struct SupportIndex {
     /// free slots, linear probing. Probes compare candidate ids' words in
     /// `keys` against the query slice, so lookups allocate nothing.
     table: Vec<u32>,
+    /// [`process_seed`], copied in at construction so probing pays no
+    /// atomic load. Every index in the process holds the same value, so a
+    /// table cloned or copied between indexes stays valid.
+    seed: u64,
+}
+
+impl Default for SupportIndex {
+    fn default() -> Self {
+        Self::new(0)
+    }
 }
 
 impl SupportIndex {
@@ -90,7 +116,8 @@ impl SupportIndex {
         Self::with_capacity(width, 0)
     }
 
-    /// Creates an empty index with room for `capacity` entries.
+    /// Creates an empty index with room for `capacity` entries. A zero
+    /// capacity allocates nothing; the probe table is sized on first intern.
     pub fn with_capacity(width: usize, capacity: usize) -> Self {
         let words_per_key = BitString::words_for_width(width);
         SupportIndex {
@@ -98,19 +125,23 @@ impl SupportIndex {
             words_per_key,
             keys: Vec::with_capacity(capacity * words_per_key),
             values: Vec::with_capacity(capacity),
-            table: vec![EMPTY_SLOT; table_len_for(capacity)],
+            table: if capacity == 0 {
+                Vec::new()
+            } else {
+                vec![EMPTY_SLOT; table_len_for(capacity)]
+            },
+            seed: process_seed(),
         }
     }
 
-    /// Builds an index from a distribution, interning keys in sorted
-    /// ([`BitString`] order) so ids equal sorted ranks. Lossless: every
-    /// stored entry is carried over bit-for-bit, including exact zeros.
+    /// Builds an index from a distribution with keys in sorted
+    /// ([`BitString`]) order so ids equal sorted ranks: one
+    /// [`SupportIndex::sorted_copy_into`] of the distribution's flat
+    /// storage. Lossless: every stored entry is carried over bit-for-bit,
+    /// including exact zeros.
     pub fn from_dist(dist: &ProbDist) -> Self {
-        let mut index = Self::with_capacity(dist.width(), dist.support_len());
-        for (key, value) in dist.sorted_pairs() {
-            let id = index.intern(key.as_words());
-            index.values[id as usize] = value;
-        }
+        let mut index = Self::new(dist.width());
+        dist.as_index().sorted_copy_into(&mut index, &mut Vec::new());
         index
     }
 
@@ -118,25 +149,22 @@ impl SupportIndex {
     /// — the "observed support" extraction shared by the subspace-restricted
     /// calibration methods (M3, IBU, QuFEM's sharded engine input).
     pub fn positive_from_dist(dist: &ProbDist) -> Self {
-        let mut index = Self::with_capacity(dist.width(), dist.support_len());
-        for (key, value) in dist.sorted_pairs() {
-            if value > 0.0 {
-                let id = index.intern(key.as_words());
-                index.values[id as usize] = value;
-            }
-        }
+        let mut index = Self::from_dist(dist);
+        index.retain(|v| v > 0.0);
         index
     }
 
-    /// Converts back to a hash-map distribution. Lossless inverse of
-    /// [`SupportIndex::from_dist`]: the result compares equal to the source
-    /// distribution (same support, same `f64` bits).
+    /// Converts to a distribution by copying the flat buffers. Lossless
+    /// inverse of [`SupportIndex::from_dist`]: the result compares equal to
+    /// the source distribution (same support, same `f64` bits).
     pub fn to_dist(&self) -> ProbDist {
-        let mut out = ProbDist::new(self.width);
-        for id in 0..self.len() {
-            out.set(self.key(id as u32), self.values[id]);
-        }
-        out
+        self.clone().into_dist()
+    }
+
+    /// Converts to a distribution without copying: the index becomes the
+    /// distribution's storage, ids and all.
+    pub fn into_dist(self) -> ProbDist {
+        ProbDist::from_index(self)
     }
 
     /// Bit width of the keys.
@@ -201,7 +229,7 @@ impl SupportIndex {
         if self.table.is_empty() {
             return None;
         }
-        probe(&self.table, &self.keys, self.words_per_key, words).1
+        probe(self.seed, &self.table, &self.keys, self.words_per_key, words).1
     }
 
     /// Interns `words`, returning its id. New entries start at amplitude
@@ -218,7 +246,7 @@ impl SupportIndex {
         if (self.values.len() + 1) * 8 > self.table.len() * 7 {
             self.grow_table();
         }
-        let (slot, found) = probe(&self.table, &self.keys, self.words_per_key, words);
+        let (slot, found) = probe(self.seed, &self.table, &self.keys, self.words_per_key, words);
         if let Some(id) = found {
             return id;
         }
@@ -282,12 +310,7 @@ impl SupportIndex {
     /// the engine's between-iteration re-canonicalization primitive.
     pub fn sorted_copy_into(&self, dest: &mut SupportIndex, order: &mut Vec<u32>) {
         dest.reset(self.width);
-        order.clear();
-        order.extend(0..self.len() as u32);
-        // Interned keys are distinct, so the comparator never returns
-        // `Equal` and the unstable sort yields the same permutation the
-        // stable sort in `sort` would.
-        order.sort_unstable_by(|&a, &b| self.key_words(a).cmp(self.key_words(b)));
+        self.sorted_ids(order);
         dest.keys.reserve(self.keys.len());
         dest.values.reserve(self.values.len());
         for &id in order.iter() {
@@ -295,6 +318,44 @@ impl SupportIndex {
             dest.values.push(self.values[id as usize]);
         }
         dest.rebuild_table();
+    }
+
+    /// Fills `order` with every id in canonical key order ([`BitString`]
+    /// order, compared as word slices), reusing its buffer.
+    pub fn sorted_ids(&self, order: &mut Vec<u32>) {
+        order.clear();
+        order.extend(0..self.len() as u32);
+        // Interned keys are distinct, so the comparator never returns
+        // `Equal` and the unstable sort yields the same permutation the
+        // stable sort in `sort` would.
+        order.sort_unstable_by(|&a, &b| self.key_words(a).cmp(self.key_words(b)));
+    }
+
+    /// Mutable amplitudes, indexed by id.
+    pub(crate) fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.values
+    }
+
+    /// Keeps the entries whose amplitude satisfies `keep`, compacting the
+    /// survivors in id order and rebuilding the probe table. Returns the
+    /// number of removed entries.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(f64) -> bool) -> usize {
+        let (before, wpk) = (self.len(), self.words_per_key);
+        let mut kept = 0;
+        for id in 0..before {
+            let value = self.values[id];
+            if keep(value) {
+                self.keys.copy_within(id * wpk..(id + 1) * wpk, kept * wpk);
+                self.values[kept] = value;
+                kept += 1;
+            }
+        }
+        self.keys.truncate(kept * wpk);
+        self.values.truncate(kept);
+        if kept < before {
+            self.rebuild_table();
+        }
+        before - kept
     }
 
     /// Removes every entry while keeping the key width and all retained
@@ -357,7 +418,7 @@ impl SupportIndex {
         for id in 0..self.values.len() as u32 {
             let start = id as usize * self.words_per_key;
             let words = &keys[start..start + self.words_per_key];
-            let mut slot = (hash_words(words) as usize) & mask;
+            let mut slot = (hash_words(self.seed, words) as usize) & mask;
             while table[slot] != EMPTY_SLOT {
                 slot = (slot + 1) & mask;
             }
@@ -387,10 +448,16 @@ impl SupportIndex {
 /// if the key is present, its id. The table must be non-empty and below full
 /// load (both invariants are maintained by `intern`).
 #[inline]
-fn probe(table: &[u32], keys: &[u64], words_per_key: usize, words: &[u64]) -> (usize, Option<u32>) {
+fn probe(
+    seed: u64,
+    table: &[u32],
+    keys: &[u64],
+    words_per_key: usize,
+    words: &[u64],
+) -> (usize, Option<u32>) {
     debug_assert!(table.len().is_power_of_two());
     let mask = table.len() - 1;
-    let mut slot = (hash_words(words) as usize) & mask;
+    let mut slot = (hash_words(seed, words) as usize) & mask;
     loop {
         let id = table[slot];
         if id == EMPTY_SLOT {
@@ -540,6 +607,85 @@ mod tests {
             assert_eq!(idx.get(key.as_words()), Some(*id));
         }
         assert_eq!(idx.len(), 300);
+    }
+
+    /// The probe hash without a key (FNV-1a over the words, then the
+    /// finisher): what an attacker can precompute collisions against.
+    fn unkeyed_hash(words: &[u64]) -> u64 {
+        let h = words
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, &w| (h ^ w).wrapping_mul(0x0000_0100_0000_01b3));
+        mix64(h)
+    }
+
+    /// Probe distance of every entry from its home slot.
+    fn displacements(idx: &SupportIndex, hash: impl Fn(&[u64]) -> u64) -> Vec<usize> {
+        let mask = idx.table.len() - 1;
+        (0..idx.table.len())
+            .filter(|&slot| idx.table[slot] != EMPTY_SLOT)
+            .map(|slot| slot.wrapping_sub(hash(idx.key_words(idx.table[slot])) as usize) & mask)
+            .collect()
+    }
+
+    #[test]
+    fn keyed_probe_hash_scatters_precomputed_collisions() {
+        // 1000 27-bit keys that all share one home slot of a 2048-slot
+        // table under the unkeyed hash: a single 1000-long probe run.
+        const SLOTS: usize = 2048;
+        let home = |w: u64| unkeyed_hash(&[w]) as usize & (SLOTS - 1);
+        let keys: Vec<u64> = (0..1u64 << 27).filter(|&w| home(w) == home(0)).take(1000).collect();
+        assert_eq!(keys.len(), 1000);
+
+        let mut idx = SupportIndex::with_capacity(27, keys.len());
+        for &w in &keys {
+            idx.intern(&[w]);
+        }
+        assert_eq!(idx.table.len(), SLOTS, "the table never grew");
+        let keyed = displacements(&idx, |words| hash_words(idx.seed, words));
+        let longest = keyed.iter().copied().max().unwrap();
+        let mean = keyed.iter().sum::<usize>() as f64 / keyed.len() as f64;
+        assert!(longest < 128, "longest keyed probe run {longest}");
+        assert!(mean < 4.0, "mean keyed probe distance {mean}");
+        // Ids still follow interning order.
+        for (id, &w) in keys.iter().enumerate() {
+            assert_eq!(idx.get(&[w]), Some(id as u32));
+        }
+
+        // The same keys placed by the unkeyed hash cluster into one run.
+        let mut unkeyed = vec![EMPTY_SLOT; SLOTS];
+        for (id, &w) in keys.iter().enumerate() {
+            let mut slot = home(w);
+            while unkeyed[slot] != EMPTY_SLOT {
+                slot = (slot + 1) & (SLOTS - 1);
+            }
+            unkeyed[slot] = id as u32;
+        }
+        let clustered = SupportIndex { table: unkeyed, ..idx.clone() };
+        let longest_unkeyed = displacements(&clustered, unkeyed_hash).into_iter().max().unwrap();
+        assert_eq!(longest_unkeyed, keys.len() - 1);
+    }
+
+    #[test]
+    fn every_index_shares_the_process_seed() {
+        let a = SupportIndex::new(3);
+        let b = SupportIndex::with_capacity(70, 16);
+        assert_eq!(a.seed, b.seed);
+        assert_eq!(a.seed, SupportIndex::default().seed);
+    }
+
+    #[test]
+    fn retain_compacts_in_order_and_rebuilds_lookup() {
+        let mut idx = SupportIndex::new(3);
+        for (i, key) in ["110", "001", "111", "000", "010"].into_iter().enumerate() {
+            idx.accumulate(bs(key).as_words(), i as f64);
+        }
+        assert_eq!(idx.retain(|v| v != 1.0 && v != 3.0), 2);
+        let kept: Vec<_> = (0..idx.len() as u32).map(|id| (idx.key(id), idx.value(id))).collect();
+        assert_eq!(kept, [(bs("110"), 0.0), (bs("111"), 2.0), (bs("010"), 4.0)]);
+        for id in 0..idx.len() as u32 {
+            assert_eq!(idx.get(idx.key_words(id)), Some(id));
+        }
+        assert_eq!(idx.get(bs("001").as_words()), None);
     }
 
     #[test]

@@ -18,6 +18,15 @@ cargo bench --no-run --workspace
 echo "==> cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml"
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench correctness gates (offline-27q, seed 7, 1 s)"
+perfbench_last="$(cargo run --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
+  --workload offline-27q --seed 7 --seconds 1 --trace 0 | tail -n 1)"
+echo "    $perfbench_last"
+case "$perfbench_last" in
+  *'"correct": true'*) ;;
+  *) echo "perfbench correctness gates failed" >&2; exit 1 ;;
+esac
+
 echo "==> RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

@@ -130,7 +130,7 @@ proptest! {
         prop_assert_eq!(back.width(), p.width());
         prop_assert_eq!(back.support_len(), p.support_len());
         for (k, v) in p.iter() {
-            prop_assert_eq!(back.prob(k).to_bits(), v.to_bits(), "entry {} not bit-preserved", k);
+            prop_assert_eq!(back.prob(&k).to_bits(), v.to_bits(), "entry {} not bit-preserved", k);
         }
     }
 
