@@ -34,7 +34,13 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// One shard's private recording state: the emission stream and local stats
 /// of the half-open input range the shard covers.
+///
+/// Aligned to two cache lines so neighbouring slots never share one: each
+/// worker rewrites its slot's vector lengths and counters per product, and
+/// without the padding whether two workers contend for a line depended on
+/// where the allocator happened to place the slot vector.
 #[derive(Debug)]
+#[repr(align(128))]
 struct ShardSlot {
     sink: RecordSink,
     stats: EngineStats,
@@ -331,10 +337,13 @@ impl ArenaPool {
     }
 
     /// Returns an arena for reuse, publishing its retained footprint as the
-    /// `engine.arena_bytes` gauge. Arenas beyond one per configured thread
-    /// are dropped rather than hoarded.
+    /// `engine.arena_bytes` gauge while the collector is on (measuring it
+    /// takes every slot lock, so the disabled path skips it). Arenas beyond
+    /// one per configured thread are dropped rather than hoarded.
     pub(crate) fn put_back(&self, arena: ExecArena) {
-        qufem_telemetry::gauge_max("engine.arena_bytes", arena.heap_bytes() as f64);
+        if qufem_telemetry::enabled() {
+            qufem_telemetry::gauge_max("engine.arena_bytes", arena.heap_bytes() as f64);
+        }
         let mut arenas = lock(&self.arenas);
         if arenas.len() < configured_threads().max(1) {
             arenas.push(arena);

@@ -118,24 +118,25 @@ impl EngineStats {
         self.peak_output_support = 0;
     }
 
-    /// Publishes these counters into a telemetry sink under the `engine.`
-    /// namespace; per-level survivor counts become `engine.kept_level.NNN`
-    /// counters (zero-padded so prefix queries return them in chain order).
+    /// Publishes these counters into the global telemetry collector under
+    /// the `engine.` namespace; per-level survivor counts become
+    /// `engine.kept_level.NNN` counters (zero-padded so prefix queries
+    /// return them in chain order). A no-op while the collector is off.
     ///
     /// The flows call this with deltas (fresh per-section stats), so the
-    /// sink's counters stay exact sums even across parallel workers.
-    pub fn publish_to(&self, sink: &dyn qufem_telemetry::TelemetrySink) {
-        if !sink.active() {
+    /// collector's counters stay exact sums even across parallel workers.
+    pub fn publish(&self) {
+        if !qufem_telemetry::enabled() {
             return;
         }
-        sink.counter_add("engine.products", self.products);
-        sink.counter_add("engine.pruned", self.pruned);
-        sink.counter_add("engine.accumulated", self.accumulated);
-        sink.counter_add("engine.passthrough", self.passthrough);
+        qufem_telemetry::counter_add("engine.products", self.products);
+        qufem_telemetry::counter_add("engine.pruned", self.pruned);
+        qufem_telemetry::counter_add("engine.accumulated", self.accumulated);
+        qufem_telemetry::counter_add("engine.passthrough", self.passthrough);
         for (level, &kept) in self.kept_per_level.iter().enumerate() {
-            sink.counter_add(&format!("engine.kept_level.{level:03}"), kept);
+            qufem_telemetry::counter_add(&format!("engine.kept_level.{level:03}"), kept);
         }
-        sink.gauge_max("engine.peak_output_support", self.peak_output_support as f64);
+        qufem_telemetry::gauge_max("engine.peak_output_support", self.peak_output_support as f64);
     }
 }
 

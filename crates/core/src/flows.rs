@@ -307,7 +307,7 @@ impl QuFem {
             }
             phases.add_micros("engine", engine_us, next.len() as u64);
 
-            iter_stats.publish_to(&qufem_telemetry::GlobalSink);
+            iter_stats.publish();
             stats.merge(&iter_stats);
             phases.emit();
             iterations.push(params);
@@ -664,7 +664,7 @@ impl PreparedCalibration {
         }
         let _span = qufem_telemetry::span!("calibrate", "QuFEM");
         arena.run_chain(&self.plans, input, threads);
-        arena.local_stats().publish_to(&qufem_telemetry::GlobalSink);
+        arena.local_stats().publish();
         stats.merge(arena.local_stats());
         Ok(arena.out())
     }

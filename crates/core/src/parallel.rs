@@ -54,34 +54,8 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let n = items.len();
-    if threads <= 1 || n < 2 {
-        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
-    }
-    let workers = threads.min(n);
-    let chunk = n.div_ceil(workers);
-    let chunks: Vec<Vec<R>> = crossbeam::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let lo = (w * chunk).min(n);
-                let hi = ((w + 1) * chunk).min(n);
-                scope.spawn(move |_| {
-                    items[lo..hi]
-                        .iter()
-                        .enumerate()
-                        .map(|(k, item)| f(lo + k, item))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("parallel worker panicked")).collect()
-    })
-    .expect("parallel scope never panics");
-    let mut out = Vec::with_capacity(n);
-    for c in chunks {
-        out.extend(c);
-    }
+    let Ok(out) =
+        try_map_in_order(items, threads, |i, item| Ok::<R, std::convert::Infallible>(f(i, item)));
     out
 }
 
@@ -101,7 +75,7 @@ where
 {
     let n = items.len();
     if threads <= 1 || n < 2 {
-        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
+        return map_chunk(items, 0, &f);
     }
     let workers = threads.min(n);
     let chunk = n.div_ceil(workers);
@@ -111,13 +85,7 @@ where
             .map(|w| {
                 let lo = (w * chunk).min(n);
                 let hi = ((w + 1) * chunk).min(n);
-                scope.spawn(move |_| {
-                    items[lo..hi]
-                        .iter()
-                        .enumerate()
-                        .map(|(k, item)| f(lo + k, item))
-                        .collect::<Result<Vec<R>, E>>()
-                })
+                scope.spawn(move |_| map_chunk(&items[lo..hi], lo, f))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("parallel worker panicked")).collect()
@@ -126,6 +94,21 @@ where
     let mut out = Vec::with_capacity(n);
     for c in chunks {
         out.extend(c?);
+    }
+    Ok(out)
+}
+
+/// Maps `f` over one contiguous chunk whose first item has global index
+/// `lo`, stopping at the first error. The result is allocated at its final
+/// size up front (a `Result` collect cannot size it and would regrow it).
+fn map_chunk<T, R, E>(
+    items: &[T],
+    lo: usize,
+    f: &impl Fn(usize, &T) -> Result<R, E>,
+) -> Result<Vec<R>, E> {
+    let mut out = Vec::with_capacity(items.len());
+    for (k, item) in items.iter().enumerate() {
+        out.push(f(lo + k, item)?);
     }
     Ok(out)
 }

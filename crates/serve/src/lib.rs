@@ -40,7 +40,9 @@
 //! quantile histograms served by `metrics` (as JSON or a Prometheus-like
 //! text format), a bounded flight recorder served by `trace`, and
 //! slow-request accounting with an optional stderr access log — at zero
-//! heap allocations per request in steady state.
+//! heap allocations per request in steady state. [`ServeMetrics`] is the
+//! only place the serve layer counts anything; when the collector is
+//! enabled, [`Server::join`] exports the final totals into it once.
 //!
 //! Responses are **bit-identical** to calling the selected method's
 //! [`qufem_core::Mitigator::prepare`] + apply in-process on the same input

@@ -1,14 +1,18 @@
 //! Always-on request observability: per-request records, per-method quantile
 //! histograms, a bounded flight recorder, and the slow-request access log.
 //!
-//! Unlike the opt-in global collector in `qufem-telemetry`, [`ServeMetrics`]
-//! is live for every server so the `metrics` and `trace` wire commands can
-//! answer without restarting the process. The steady-state cost per request
-//! is a handful of atomic operations plus one short mutex-protected fold into
-//! preallocated histograms and ring slots — **no heap allocation** (pinned by
-//! the crate's counting-allocator test). Method names are interned once as
-//! `Arc<str>` inside the per-method table; only resolved method ids are
-//! interned, so garbage ids from untrusted clients cannot grow it.
+//! [`ServeMetrics`] is the serve layer's **only** recorder: every counter,
+//! gauge and histogram a server keeps lives here, is live for every server
+//! (so the `metrics` and `trace` wire commands answer without restarting the
+//! process), and reaches the opt-in global collector in `qufem-telemetry`
+//! exactly once, through [`ServeMetrics::publish`] when the server is
+//! joined. The steady-state cost per request is a handful of atomic
+//! operations plus one short mutex-protected fold into preallocated
+//! histograms and ring slots — **no heap allocation**, collector on or off
+//! (pinned by the crate's counting-allocator test). Method names are
+//! interned once as `Arc<str>` inside the per-method table; only resolved
+//! method ids are interned, so garbage ids from untrusted clients cannot
+//! grow it.
 //!
 //! The slow-request access log (off by default) emits one JSON line per
 //! request over the threshold on stderr, with exactly the same schema as the
@@ -281,12 +285,22 @@ struct MetricsState {
     flight: FlightRecorder,
 }
 
-/// Live, always-on serving metrics: counters, per-method quantile
+/// Live, always-on serving metrics: counters, gauges, per-method quantile
 /// histograms, and the flight recorder. One instance per [`crate::Server`].
 #[derive(Debug)]
 pub struct ServeMetrics {
     started: Instant,
+    /// Next request id; ids start at 1, so `next_id - 1` requests began.
     next_id: AtomicU64,
+    accepted: AtomicU64,
+    rejected: AtomicU64,
+    /// Live connections the acceptor counted at its latest accept, and the
+    /// high-water mark of that value.
+    live_conns: AtomicU64,
+    live_conns_peak: AtomicU64,
+    /// Frames queued or executing across connections, as of the event
+    /// loop's latest sweep.
+    backlog: AtomicU64,
     malformed: AtomicU64,
     oversized: AtomicU64,
     unknown_method: AtomicU64,
@@ -313,6 +327,11 @@ impl ServeMetrics {
         ServeMetrics {
             started: Instant::now(),
             next_id: AtomicU64::new(1),
+            accepted: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            live_conns: AtomicU64::new(0),
+            live_conns_peak: AtomicU64::new(0),
+            backlog: AtomicU64::new(0),
             malformed: AtomicU64::new(0),
             oversized: AtomicU64::new(0),
             unknown_method: AtomicU64::new(0),
@@ -344,9 +363,48 @@ impl ServeMetrics {
         self
     }
 
-    /// Allocates the next monotonic request id.
+    /// Allocates the next monotonic request id. Runs exactly once per
+    /// answered frame, so it doubles as the request counter.
     pub fn begin(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Requests begun so far (any command, including failures).
+    pub fn requests(&self) -> u64 {
+        self.next_id.load(Ordering::Relaxed) - 1
+    }
+
+    /// Counts one accepted connection; `live` is the number of live
+    /// connections including it.
+    pub fn record_accept(&self, live: usize) {
+        self.accepted.fetch_add(1, Ordering::Relaxed);
+        self.live_conns.store(live as u64, Ordering::Relaxed);
+        self.live_conns_peak.fetch_max(live as u64, Ordering::Relaxed);
+    }
+
+    /// Connections accepted so far.
+    pub fn accepted(&self) -> u64 {
+        self.accepted.load(Ordering::Relaxed)
+    }
+
+    /// Counts one connection shed by backpressure.
+    pub fn record_reject(&self) {
+        self.rejected.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Connections rejected by backpressure so far.
+    pub fn rejected(&self) -> u64 {
+        self.rejected.load(Ordering::Relaxed)
+    }
+
+    /// Sets the number of frames queued or executing across connections.
+    pub fn record_backlog(&self, frames: usize) {
+        self.backlog.store(frames as u64, Ordering::Relaxed);
+    }
+
+    /// Frames queued or executing as of the latest event-loop sweep.
+    pub fn backlog(&self) -> u64 {
+        self.backlog.load(Ordering::Relaxed)
     }
 
     /// Microseconds since the server started (0 in deterministic-clock
@@ -464,22 +522,6 @@ impl ServeMetrics {
             }
             state.flight.push(record.clone());
         }
-        // Global (opt-in) telemetry rides along when enabled; the `format!`
-        // below never runs on the disabled path.
-        if qufem_telemetry::enabled() {
-            qufem_telemetry::histogram_record("serve.request_secs", record.total_us as f64 / 1e6);
-            if slow {
-                qufem_telemetry::counter_add("serve.slow_requests", 1);
-            }
-            if record.cmd == RequestCmd::Calibrate {
-                if let Some(method) = &record.method {
-                    qufem_telemetry::histogram_record(
-                        &format!("serve.apply_secs.{method}"),
-                        record.apply_us as f64 / 1e6,
-                    );
-                }
-            }
-        }
         if slow && self.access_log {
             // One line per slow request; schema = `RequestTrace`.
             if let Ok(line) = serde_json::to_string(&record.to_trace()) {
@@ -532,6 +574,43 @@ impl ServeMetrics {
     pub fn flight_stats(&self) -> (usize, usize) {
         let state = self.state.lock().expect("serve metrics lock");
         (state.flight.len(), state.flight.capacity())
+    }
+
+    /// Publishes the totals into the global telemetry collector (a no-op
+    /// while it is off): the `serve.*` counters, the acceptor's
+    /// `serve.queue_depth` gauge and its `.peak`, and the
+    /// `serve.request_secs` / `serve.apply_secs.<method>` histograms. Call
+    /// it once, when serving is over — [`crate::Server::join`] does.
+    pub fn publish(&self) {
+        if !qufem_telemetry::enabled() {
+            return;
+        }
+        let (malformed, oversized, unknown_method, slow) = self.counters();
+        for (name, value) in [
+            ("serve.requests", self.requests()),
+            ("serve.rejected", self.rejected()),
+            ("serve.malformed", malformed),
+            ("serve.oversized", oversized),
+            ("serve.unknown_method", unknown_method),
+            ("serve.unknown_device", self.unknown_device_count()),
+            ("serve.swaps", self.swaps()),
+            ("serve.slow_requests", slow),
+        ] {
+            qufem_telemetry::counter_add(name, value);
+        }
+        qufem_telemetry::gauge_set(
+            "serve.queue_depth",
+            self.live_conns.load(Ordering::Relaxed) as f64,
+        );
+        qufem_telemetry::gauge_max(
+            "serve.queue_depth.peak",
+            self.live_conns_peak.load(Ordering::Relaxed) as f64,
+        );
+        let state = self.state.lock().expect("serve metrics lock");
+        qufem_telemetry::histogram_merge("serve.request_secs", &state.request);
+        for (method, stats) in &state.per_method {
+            qufem_telemetry::histogram_merge(&format!("serve.apply_secs.{method}"), &stats.apply);
+        }
     }
 }
 
@@ -661,6 +740,23 @@ mod tests {
         assert_eq!(dump[0].apply_us, 0);
         assert_eq!(dump[0].serialize_us, 0);
         assert_eq!(dump[0].ts_us, id, "timestamp is the request id");
+    }
+
+    #[test]
+    fn requests_count_begun_ids_and_connections_track_their_peak() {
+        let metrics = ServeMetrics::new(1, None, false);
+        assert_eq!(metrics.requests(), 0);
+        for _ in 0..3 {
+            metrics.begin();
+        }
+        assert_eq!(metrics.requests(), 3, "every begun request counts, finished or not");
+        metrics.record_accept(2);
+        metrics.record_accept(5);
+        metrics.record_accept(1);
+        metrics.record_reject();
+        assert_eq!((metrics.accepted(), metrics.rejected()), (3, 1));
+        assert_eq!(metrics.live_conns.load(Ordering::Relaxed), 1, "latest accept");
+        assert_eq!(metrics.live_conns_peak.load(Ordering::Relaxed), 5, "high-water mark");
     }
 
     #[test]

@@ -39,8 +39,8 @@
 //! are deterministic functions of the snapshot, so a server-side build is
 //! bit-identical to the same build done in process. An unknown `method`
 //! (or a bad per-method option) fails only that request with an error
-//! frame — the connection survives — and increments the
-//! `serve.unknown_method` counter.
+//! frame — the connection survives — and is counted as `unknown_method`
+//! in the server's [`ServeMetrics`].
 //!
 //! ## Determinism
 //!
@@ -65,7 +65,7 @@ use qufem_types::{Error, QubitSet};
 use std::collections::{BTreeSet, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -161,13 +161,10 @@ struct Inner {
     /// prepared-plan caches. The startup [`QuFem`] is version 0 of
     /// [`ServeConfig::device_id`]; `admit` publishes new versions.
     catalog: Catalog,
+    /// The server's only recorder: every serve count lives here.
     metrics: ServeMetrics,
     config: ServeConfig,
     local_addr: SocketAddr,
-    requests: AtomicU64,
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    queue_len: AtomicUsize,
     shutdown: AtomicBool,
     prewarmed: AtomicBool,
 }
@@ -277,20 +274,21 @@ impl ServeHandle {
         self.inner.begin_shutdown();
     }
 
-    /// Requests answered so far (any command, including failures).
+    /// Requests begun so far (any command, including failures); every
+    /// begun request is answered before the server stops.
     pub fn requests(&self) -> u64 {
-        self.inner.requests.load(Ordering::Relaxed)
+        self.inner.metrics.requests()
     }
 
     /// Connections accepted so far (tests synchronize on this to know a
     /// written request will be drained by a shutdown).
     pub fn accepted(&self) -> u64 {
-        self.inner.accepted.load(Ordering::Relaxed)
+        self.inner.metrics.accepted()
     }
 
     /// Connections rejected by backpressure so far.
     pub fn rejected(&self) -> u64 {
-        self.inner.rejected.load(Ordering::Relaxed)
+        self.inner.metrics.rejected()
     }
 
     /// Whether the startup prewarm has finished (always `false` when
@@ -337,10 +335,6 @@ impl Server {
             )
             .with_frozen_clock(config.frozen_clock),
             local_addr,
-            requests: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            queue_len: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             prewarmed: AtomicBool::new(false),
             config,
@@ -429,17 +423,20 @@ impl Server {
     }
 
     /// Blocks until the server has fully stopped (acceptor, event loop, and
-    /// workers exited). Call [`ServeHandle::shutdown`] — or send the
-    /// `shutdown` command — to make that happen.
+    /// workers exited), then publishes its final metric totals into the
+    /// global telemetry collector when that is enabled
+    /// ([`ServeMetrics::publish`]) — so a run manifest written afterwards
+    /// carries every `serve.*` count exactly once. Call
+    /// [`ServeHandle::shutdown`] — or send the `shutdown` command — to make
+    /// that happen.
     pub fn join(self) {
-        if let Some(h) = self.prewarm.lock().expect("prewarm handle lock").take() {
-            let _ = h.join();
-        }
+        self.wait_for_prewarm();
         let _ = self.acceptor.join();
         let _ = self.event_loop.join();
         for w in self.workers {
             let _ = w.join();
         }
+        self.inner.metrics.publish();
     }
 
     /// Convenience: begin a graceful shutdown and wait for it to finish.
@@ -465,8 +462,7 @@ fn accept_loop(inner: &Inner, listener: &TcpListener, shared: &LoopShared) {
         let live = shared.live_conns.fetch_add(1, Ordering::SeqCst) + 1;
         if live > budget || inner.shutting_down() {
             shared.live_conns.fetch_sub(1, Ordering::SeqCst);
-            inner.rejected.fetch_add(1, Ordering::Relaxed);
-            qufem_telemetry::counter_add("serve.rejected", 1);
+            inner.metrics.record_reject();
             let reason = if inner.shutting_down() {
                 "server shutting down"
             } else {
@@ -475,12 +471,10 @@ fn accept_loop(inner: &Inner, listener: &TcpListener, shared: &LoopShared) {
             // Rejections are always one NDJSON error line: the client has
             // not sent its first byte yet, so no dialect was negotiated.
             let _ = stream.set_write_timeout(inner.config.read_timeout);
-            let _ = write_response(&stream, &Response::err(reason));
+            let _ = (&stream).write_all(&encode_json_response(&Response::err(reason)));
             drop(stream);
         } else {
-            inner.accepted.fetch_add(1, Ordering::Relaxed);
-            qufem_telemetry::gauge_set("serve.queue_depth", live as f64);
-            qufem_telemetry::gauge_max("serve.queue_depth.peak", live as f64);
+            inner.metrics.record_accept(live);
             shared.registrations.lock().expect("registrations lock").push((stream, Instant::now()));
             shared.wake();
         }
@@ -572,6 +566,7 @@ struct Completion {
 struct Work {
     slot: usize,
     gen: u64,
+    dialect: Dialect,
     queue_us: u64,
     item: Pending,
 }
@@ -683,7 +678,7 @@ fn event_loop(inner: &Arc<Inner>, shared: &Arc<LoopShared>, work_tx: SyncSender<
                 shared.live_conns.fetch_sub(1, Ordering::SeqCst);
             }
         }
-        inner.queue_len.store(backlog, Ordering::Relaxed);
+        inner.metrics.record_backlog(backlog);
 
         // Exit once shut down and fully drained: the acceptor has stopped
         // (no new registrations can appear) and every connection closed.
@@ -864,7 +859,10 @@ fn dispatch_pending(
                     break; // answer strictly after everything before it
                 }
                 let marker = conn.pending.pop_front().expect("front checked");
-                emit_terminal(inner, conn, marker);
+                let queue_us = std::mem::take(&mut conn.queue_us);
+                let (bytes, _) = serve_request(inner, conn.dialect, queue_us, marker);
+                conn.write_buf.extend_from_slice(&bytes);
+                conn.answered += 1;
                 conn.closing = true;
                 conn.read_closed = true;
                 conn.pending.clear();
@@ -879,7 +877,8 @@ fn dispatch_pending(
         }
         let queue_us = std::mem::take(&mut conn.queue_us);
         let item = conn.pending.pop_front().expect("front checked");
-        match work_tx.try_send(Work { slot, gen: conn.gen, queue_us, item }) {
+        let work = Work { slot, gen: conn.gen, dialect: conn.dialect, queue_us, item };
+        match work_tx.try_send(work) {
             Ok(()) => {
                 conn.in_flight += 1;
                 progress = true;
@@ -894,41 +893,6 @@ fn dispatch_pending(
     progress
 }
 
-/// Answers a terminal marker (oversized frame or lost framing) in the
-/// connection's dialect, with full request accounting, on the loop thread.
-fn emit_terminal(inner: &Inner, conn: &mut Conn, marker: Pending) {
-    let started = Instant::now();
-    let mut rec = RequestRecord::new(inner.metrics.begin());
-    rec.queue_us = std::mem::take(&mut conn.queue_us);
-    inner.requests.fetch_add(1, Ordering::Relaxed);
-    qufem_telemetry::counter_add("serve.requests", 1);
-    let (id, response) = match marker {
-        Pending::Oversized { id } => {
-            rec.outcome = RequestOutcome::Oversized;
-            qufem_telemetry::counter_add("serve.oversized", 1);
-            let limit = inner.config.max_request_bytes;
-            (id, Response::err(format!("request exceeds the {limit} byte frame limit")))
-        }
-        Pending::Desync { message } => {
-            rec.outcome = RequestOutcome::Malformed;
-            qufem_telemetry::counter_add("serve.malformed", 1);
-            (0, Response::err(format!("malformed request: {message}")))
-        }
-        Pending::Line(_) | Pending::Frame(_) => unreachable!("not a terminal marker"),
-    };
-    let serialize_start = Instant::now();
-    let bytes = match conn.dialect {
-        Dialect::Binary => wire::encode_response(&response, id),
-        Dialect::Json | Dialect::Undecided => encode_json_response(&response),
-    };
-    rec.serialize_us = serialize_start.elapsed().as_micros() as u64;
-    rec.response_bytes = bytes.len() as u64;
-    conn.write_buf.extend_from_slice(&bytes);
-    conn.answered += 1;
-    rec.total_us = started.elapsed().as_micros() as u64;
-    inner.metrics.finish(rec);
-}
-
 /// Serializes a response as one JSON line (newline included).
 fn encode_json_response(response: &Response) -> Vec<u8> {
     let mut line = serde_json::to_string(response)
@@ -937,7 +901,7 @@ fn encode_json_response(response: &Response) -> Vec<u8> {
     line.into_bytes()
 }
 
-/// Worker loop: execute decoded requests until the work channel closes.
+/// Worker loop: serve decoded requests until the work channel closes.
 fn worker_loop(inner: &Inner, rx: &Arc<Mutex<Receiver<Work>>>, shared: &LoopShared) {
     loop {
         // Holding the lock across the blocking `recv` is intentional: only
@@ -948,82 +912,67 @@ fn worker_loop(inner: &Inner, rx: &Arc<Mutex<Receiver<Work>>>, shared: &LoopShar
             guard.recv()
         };
         let Ok(work) = next else { break };
-        let completion = execute(inner, work);
+        let (bytes, shutdown) = serve_request(inner, work.dialect, work.queue_us, work.item);
+        let completion = Completion { slot: work.slot, gen: work.gen, bytes, shutdown };
         shared.completions.lock().expect("completions lock").push(completion);
         shared.wake();
     }
 }
 
-/// Executes one decoded request end to end on a worker thread: parse,
-/// dispatch, encode in the request's dialect, and fold the request record
-/// into the metrics. The returned completion carries the encoded bytes.
-fn execute(inner: &Inner, work: Work) -> Completion {
+/// The one request lifecycle, for both dialects: workers run it for NDJSON
+/// lines and binary frames, the event loop for terminal markers (oversized
+/// frame, lost framing). It begins the record and the `serve.request` span,
+/// decodes, dispatches, encodes in the connection's dialect, and folds the
+/// record into the metrics. Returns the encoded response and whether the
+/// request asked for a server shutdown.
+fn serve_request(inner: &Inner, dialect: Dialect, queue_us: u64, item: Pending) -> (Vec<u8>, bool) {
     let started = Instant::now();
     let mut rec = RequestRecord::new(inner.metrics.begin());
-    rec.queue_us = work.queue_us;
-    let (bytes, shutdown) = match work.item {
+    let _span = qufem_telemetry::span!("serve.request");
+    rec.queue_us = queue_us;
+    // Binary responses echo the frame's id (an oversized frame's declared
+    // one); NDJSON responses carry none.
+    let mut reply_id = 0;
+    let malformed =
+        |e: &dyn std::fmt::Display| (RequestOutcome::Malformed, format!("malformed request: {e}"));
+    let decoded = match item {
         Pending::Line(line) => {
             rec.request_bytes = line.len() as u64;
-            let (response, shutdown) = handle_request(inner, &line, &mut rec);
-            let serialize_start = Instant::now();
-            let bytes = encode_json_response(&response);
-            rec.serialize_us = serialize_start.elapsed().as_micros() as u64;
-            rec.response_bytes = bytes.len() as u64;
-            (bytes, shutdown)
+            serde_json::from_str::<Request>(&line).map_err(|e| malformed(&e))
         }
         Pending::Frame(frame) => {
-            let _span = qufem_telemetry::span!("serve.request");
             rec.request_bytes = (wire::HEADER_LEN + frame.payload.len()) as u64;
-            inner.requests.fetch_add(1, Ordering::Relaxed);
-            qufem_telemetry::counter_add("serve.requests", 1);
             inner.metrics.record_binary();
-            let (response, shutdown) = match wire::decode_request(&frame) {
-                Ok(request) => dispatch_request(inner, request, &mut rec),
-                Err(e) => {
-                    qufem_telemetry::counter_add("serve.malformed", 1);
-                    rec.outcome = RequestOutcome::Malformed;
-                    (Response::err(format!("malformed request: {e}")), false)
-                }
-            };
-            let serialize_start = Instant::now();
-            let bytes = wire::encode_response(&response, frame.id);
-            rec.serialize_us = serialize_start.elapsed().as_micros() as u64;
-            rec.response_bytes = bytes.len() as u64;
-            (bytes, shutdown)
+            reply_id = frame.id;
+            wire::decode_request(&frame).map_err(|e| malformed(&e))
         }
-        Pending::Oversized { .. } | Pending::Desync { .. } => {
-            unreachable!("terminal markers are answered on the loop thread")
+        Pending::Desync { message } => Err(malformed(&message)),
+        Pending::Oversized { id } => {
+            reply_id = id;
+            let limit = inner.config.max_request_bytes;
+            Err((
+                RequestOutcome::Oversized,
+                format!("request exceeds the {limit} byte frame limit"),
+            ))
         }
     };
+    let (response, shutdown) = match decoded {
+        Ok(request) => dispatch_request(inner, request, &mut rec),
+        Err((outcome, message)) => {
+            rec.outcome = outcome;
+            (Response::err(message), false)
+        }
+    };
+    let serialize_start = Instant::now();
+    let bytes = match dialect {
+        Dialect::Binary => wire::encode_response(&response, reply_id),
+        Dialect::Json | Dialect::Undecided => encode_json_response(&response),
+    };
+    rec.serialize_us = serialize_start.elapsed().as_micros() as u64;
+    rec.response_bytes = bytes.len() as u64;
     rec.total_us = started.elapsed().as_micros() as u64;
     inner.metrics.finish(rec);
-    Completion { slot: work.slot, gen: work.gen, bytes, shutdown }
-}
-
-/// Serializes a response as one JSON line onto a (blocking) stream — the
-/// acceptor's rejection path.
-fn write_response(mut stream: &TcpStream, response: &Response) -> io::Result<()> {
-    let line = encode_json_response(response);
-    stream.write_all(&line)?;
-    stream.flush()
-}
-
-/// Parses and executes one NDJSON request line, filling `rec` as it learns
-/// what the request is. Returns the response and whether the request asked
-/// for a server shutdown.
-fn handle_request(inner: &Inner, line: &str, rec: &mut RequestRecord) -> (Response, bool) {
-    let _span = qufem_telemetry::span!("serve.request");
-    inner.requests.fetch_add(1, Ordering::Relaxed);
-    qufem_telemetry::counter_add("serve.requests", 1);
-    let request: Request = match serde_json::from_str(line) {
-        Ok(r) => r,
-        Err(e) => {
-            qufem_telemetry::counter_add("serve.malformed", 1);
-            rec.outcome = RequestOutcome::Malformed;
-            return (Response::err(format!("malformed request: {e}")), false);
-        }
-    };
-    dispatch_request(inner, request, rec)
+    (bytes, shutdown)
 }
 
 /// Executes one decoded request — the shared dispatch for both wire
@@ -1049,8 +998,8 @@ fn dispatch_request(inner: &Inner, request: Request, rec: &mut RequestRecord) ->
             let status = StatusInfo {
                 n_qubits: head.snapshot().n_qubits(),
                 iterations: head.iterations(),
-                requests: inner.requests.load(Ordering::Relaxed),
-                rejected: inner.rejected.load(Ordering::Relaxed),
+                requests: inner.metrics.requests(),
+                rejected: inner.metrics.rejected(),
                 plan_cache_len,
                 plan_cache_capacity: inner.catalog.plan_cache_capacity(),
                 workers: inner.config.workers.max(1),
@@ -1087,8 +1036,8 @@ fn dispatch_request(inner: &Inner, request: Request, rec: &mut RequestRecord) ->
 }
 
 /// Resolves a request's `(device, version)` coordinate against the
-/// catalog, doing the shared bookkeeping for a failure: the
-/// `serve.unknown_device` counter and [`RequestOutcome::UnknownDevice`].
+/// catalog, doing the shared bookkeeping for a failure
+/// ([`RequestOutcome::UnknownDevice`]).
 /// The unresolved id is deliberately not interned into the metrics table
 /// (clients could flood it with garbage names).
 fn resolve_entry(
@@ -1097,7 +1046,6 @@ fn resolve_entry(
     rec: &mut RequestRecord,
 ) -> std::result::Result<Arc<VersionEntry>, Box<Response>> {
     inner.catalog.resolve(request.device.as_deref(), request.version).map_err(|e| {
-        qufem_telemetry::counter_add("serve.unknown_device", 1);
         rec.cache = CacheOutcome::NotApplicable;
         rec.outcome = RequestOutcome::UnknownDevice;
         Box::new(Response::err(e.message()))
@@ -1164,7 +1112,6 @@ fn calibrate(inner: &Inner, request: Request, rec: &mut RequestRecord) -> Respon
             // Unknown method id or malformed per-method option: fail only
             // this request — the connection stays open. The unresolved id is
             // deliberately not interned into the metrics table.
-            qufem_telemetry::counter_add("serve.unknown_method", 1);
             rec.cache = CacheOutcome::NotApplicable;
             rec.outcome = RequestOutcome::UnknownMethod;
             return Response::err(e.to_string());
@@ -1214,7 +1161,6 @@ fn admit(inner: &Inner, request: Request, rec: &mut RequestRecord) -> Response {
     match inner.catalog.admit(qufem, &versioned, request.device.as_deref()) {
         Ok(entry) => {
             inner.metrics.record_swap();
-            qufem_telemetry::counter_add("serve.swaps", 1);
             rec.device = Some(inner.metrics.device_key(entry.device_id()));
             rec.version = entry.version();
             rec.outcome = RequestOutcome::Ok;
@@ -1242,15 +1188,15 @@ fn metrics_info(inner: &Inner) -> MetricsInfo {
         .collect();
     MetricsInfo {
         uptime_us: inner.metrics.uptime_us(),
-        requests: inner.requests.load(Ordering::Relaxed),
-        accepted: inner.accepted.load(Ordering::Relaxed),
-        rejected: inner.rejected.load(Ordering::Relaxed),
+        requests: inner.metrics.requests(),
+        accepted: inner.metrics.accepted(),
+        rejected: inner.metrics.rejected(),
         malformed,
         oversized,
         unknown_method,
         slow,
         binary_requests: inner.metrics.binary_requests(),
-        queue_depth: inner.queue_len.load(Ordering::Relaxed) as u64,
+        queue_depth: inner.metrics.backlog(),
         plan_cache_len,
         plan_cache_capacity: inner.catalog.plan_cache_capacity(),
         plan_cache_hits: cache_hits,

@@ -1,8 +1,9 @@
 //! Pins the "observability adds no per-request heap allocations" contract:
-//! with global telemetry disabled and the method key already interned, a
-//! steady-state `begin` → fill record → `finish` cycle must not allocate —
-//! the histograms fold in place and the flight-recorder ring reuses its
-//! preallocated slots.
+//! with the method key already interned, a steady-state `begin` → fill
+//! record → `finish` cycle must not allocate — the histograms fold in place
+//! and the flight-recorder ring reuses its preallocated slots — whether the
+//! global telemetry collector is off or on (serve metrics reach the
+//! collector once, at `Server::join`, never per request).
 //!
 //! The counting allocator lives in `qufem-testsupport` (the library crates
 //! forbid unsafe code, a `#[global_allocator]` needs it); this test uses the
@@ -12,7 +13,7 @@
 
 use qufem_serve::{CacheOutcome, RequestCmd, RequestOutcome, RequestRecord, ServeMetrics};
 use qufem_testsupport::{counting_allocator_installed, thread_allocations, CountingAlloc};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -36,9 +37,10 @@ fn steady_state_request(metrics: &ServeMetrics, key: &Arc<str>, device: &Arc<str
     metrics.finish(rec);
 }
 
-#[test]
-fn steady_state_request_accounting_does_not_allocate() {
-    qufem_telemetry::disable();
+/// The collector switch is process-global: the two legs must not overlap.
+static COLLECTOR: Mutex<()> = Mutex::new(());
+
+fn assert_steady_state_does_not_allocate() {
     assert!(counting_allocator_installed(), "counting allocator is live");
     let metrics = ServeMetrics::new(64, Some(1_000_000_000), false);
     // First sight of a method or device interns its key (one-time
@@ -59,10 +61,26 @@ fn steady_state_request_accounting_does_not_allocate() {
     assert_eq!(after - before, 0, "request accounting must not touch the heap");
 
     // The loop really went through the full path.
+    assert_eq!(metrics.requests(), 10_128);
     assert_eq!(metrics.request_histogram().count, 10_128);
     let methods = metrics.method_stats();
     assert_eq!(methods.len(), 1);
     assert_eq!(methods[0].1, 10_128);
     assert_eq!(metrics.device_stats(), vec![("ibmq-7".to_string(), 10_128)]);
     assert_eq!(metrics.flight_stats(), (64, 64));
+}
+
+#[test]
+fn steady_state_request_accounting_does_not_allocate() {
+    let _guard = COLLECTOR.lock().unwrap_or_else(PoisonError::into_inner);
+    qufem_telemetry::disable();
+    assert_steady_state_does_not_allocate();
+}
+
+#[test]
+fn steady_state_request_accounting_does_not_allocate_with_the_collector_on() {
+    let _guard = COLLECTOR.lock().unwrap_or_else(PoisonError::into_inner);
+    qufem_telemetry::enable();
+    assert_steady_state_does_not_allocate();
+    qufem_telemetry::disable();
 }

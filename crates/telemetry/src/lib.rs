@@ -120,9 +120,6 @@ pub struct QuantileHistogram {
     pub buckets: [u64; HISTOGRAM_BUCKETS],
 }
 
-/// Former name of [`QuantileHistogram`], kept for source compatibility.
-pub type Histogram = QuantileHistogram;
-
 /// Bucket index for a finite value: IEEE-754 exponent, shifted and clamped.
 /// Zero, negative, and subnormal values land in bucket 0.
 #[inline]
@@ -258,7 +255,7 @@ struct State {
     spans: Vec<SpanRecord>,
     counters: HashMap<String, u64>,
     gauges: HashMap<String, f64>,
-    histograms: HashMap<String, Histogram>,
+    histograms: HashMap<String, QuantileHistogram>,
     meta: Vec<(String, serde::Value)>,
 }
 
@@ -367,6 +364,16 @@ pub fn histogram_record(name: &str, value: f64) {
         return;
     }
     with_state(|s| s.histograms.entry(name.to_string()).or_default().record(value));
+}
+
+/// Folds a whole histogram into a named one ([`QuantileHistogram::merge`]
+/// is lossless) — how a component that keeps its own distributions exports
+/// them once instead of recording every sample twice.
+pub fn histogram_merge(name: &str, histogram: &QuantileHistogram) {
+    if !enabled() || histogram.count == 0 {
+        return;
+    }
+    with_state(|s| s.histograms.entry(name.to_string()).or_default().merge(histogram));
 }
 
 /// Opens a span; prefer the [`span!`] macro, which skips label construction
@@ -550,48 +557,9 @@ pub struct PhaseGuard<'a> {
 
 impl Drop for PhaseGuard<'_> {
     fn drop(&mut self) {
-        let (Some(start), Some(inner)) = (self.start, self.set.inner.as_mut()) else { return };
-        let dur = start.elapsed().as_micros() as u64;
-        match inner.phases.iter_mut().find(|(n, _, _)| *n == self.name) {
-            Some(slot) => {
-                slot.1 += dur;
-                slot.2 += 1;
-            }
-            None => inner.phases.push((self.name, dur, 1)),
+        if let Some(start) = self.start {
+            self.set.add_micros(self.name, start.elapsed().as_micros() as u64, 1);
         }
-    }
-}
-
-/// Abstract metric sink, letting instrumented code publish into either the
-/// global collector or a test double.
-pub trait TelemetrySink {
-    /// Whether the sink is currently recording. Publishers should skip any
-    /// work needed only to build metric names (formatting, allocation) when
-    /// this is `false`.
-    fn active(&self) -> bool {
-        true
-    }
-    /// Adds to a monotone counter.
-    fn counter_add(&self, name: &str, delta: u64);
-    /// Raises a high-water-mark gauge.
-    fn gauge_max(&self, name: &str, value: f64);
-}
-
-/// The [`TelemetrySink`] backed by this crate's global collector.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GlobalSink;
-
-impl TelemetrySink for GlobalSink {
-    fn active(&self) -> bool {
-        enabled()
-    }
-
-    fn counter_add(&self, name: &str, delta: u64) {
-        counter_add(name, delta);
-    }
-
-    fn gauge_max(&self, name: &str, value: f64) {
-        gauge_max(name, value);
     }
 }
 
@@ -605,7 +573,7 @@ pub struct Snapshot {
     /// Gauge values by name.
     pub gauges: BTreeMap<String, f64>,
     /// Histograms by name.
-    pub histograms: BTreeMap<String, Histogram>,
+    pub histograms: BTreeMap<String, QuantileHistogram>,
 }
 
 impl Snapshot {
@@ -633,9 +601,10 @@ impl Snapshot {
         self.spans.iter().filter(|s| s.name == name).count() as u64
     }
 
-    /// Total duration of all completed spans with this name, in seconds.
+    /// Total duration of all completed spans with this name, in seconds
+    /// (`+0.0` when none match).
     pub fn span_total_secs(&self, name: &str) -> f64 {
-        self.spans.iter().filter(|s| s.name == name).map(|s| s.dur_us as f64 / 1e6).sum()
+        sum_secs(self.spans.iter().filter(|s| s.name == name))
     }
 }
 
@@ -657,13 +626,20 @@ pub fn mark() -> usize {
     STATE.lock().as_ref().map_or(0, |s| s.spans.len())
 }
 
-/// Total seconds of spans named `name` completed after `mark` was taken.
+/// Total seconds of spans named `name` completed after `mark` was taken
+/// (`+0.0` when none match).
 /// This is how the experiment harness derives method timings from the
 /// collector instead of stopwatching around calls.
 pub fn span_secs_since(mark: usize, name: &str) -> f64 {
     let guard = STATE.lock();
     let Some(s) = guard.as_ref() else { return 0.0 };
-    s.spans.iter().skip(mark).filter(|r| r.name == name).map(|r| r.dur_us as f64 / 1e6).sum()
+    sum_secs(s.spans.iter().skip(mark).filter(|r| r.name == name))
+}
+
+/// Total duration of `spans` in seconds. Folds from `+0.0`: float
+/// `Iterator::sum` starts at `-0.0`, which an empty selection would return.
+fn sum_secs<'a>(spans: impl Iterator<Item = &'a SpanRecord>) -> f64 {
+    spans.fold(0.0, |acc, s| acc + s.dur_us as f64 / 1e6)
 }
 
 fn fmt_us(us: u64) -> String {
@@ -1101,6 +1077,42 @@ mod tests {
     }
 
     #[test]
+    fn span_totals_of_an_empty_selection_are_positive_zero() {
+        let _guard = fresh();
+        {
+            let _s = span!("work");
+        }
+        let total = snapshot().span_total_secs("never");
+        assert_eq!(total, 0.0);
+        assert!(total.is_sign_positive(), "span_total_secs returned {total:?}");
+        let since = span_secs_since(mark(), "work");
+        assert_eq!(since, 0.0);
+        assert!(since.is_sign_positive(), "span_secs_since returned {since:?}");
+        assert!(Snapshot::default().span_total_secs("work").is_sign_positive());
+    }
+
+    #[test]
+    fn histogram_merge_folds_whole_distributions() {
+        let _guard = fresh();
+        let mut local = QuantileHistogram::default();
+        local.record(0.5);
+        local.record(0.25);
+        histogram_merge("m", &local);
+        histogram_merge("m", &local);
+        histogram_merge("empty", &QuantileHistogram::default());
+        let snap = snapshot();
+        let merged = snap.histograms.get("m").unwrap();
+        assert_eq!(merged.count, 4);
+        assert_eq!(merged.sum, 1.5);
+        assert_eq!((merged.min, merged.max), (0.25, 0.5));
+        assert!(!snap.histograms.contains_key("empty"), "empty merges create nothing");
+        disable();
+        histogram_merge("off", &local);
+        assert!(!snapshot().histograms.contains_key("off"), "disabled merges record nothing");
+        enable();
+    }
+
+    #[test]
     fn manifest_is_valid_chrome_trace_and_roundtrips() {
         let _guard = fresh();
         set_meta("seed", serde::Value::UInt(7));
@@ -1194,17 +1206,6 @@ mod tests {
         assert!(text.contains("characterize"));
         assert!(text.contains("device.circuits = 4"));
         assert!(text.contains("memwatch.peak_bytes = 1024"));
-    }
-
-    #[test]
-    fn sink_forwards_to_global_collector() {
-        let _guard = fresh();
-        let sink = GlobalSink;
-        TelemetrySink::counter_add(&sink, "s.c", 2);
-        TelemetrySink::gauge_max(&sink, "s.g", 8.0);
-        let snap = snapshot();
-        assert_eq!(snap.counter("s.c"), 2);
-        assert_eq!(snap.gauge("s.g"), Some(8.0));
     }
 
     #[test]

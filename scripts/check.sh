@@ -73,7 +73,7 @@ done
 
 echo "==> QUFEM_THREADS matrix: apply hot path must stay allocation-free"
 for t in 1 4; do
-  echo "==> QUFEM_THREADS=$t counting-allocator apply proofs"
+  echo "==> QUFEM_THREADS=$t counting-allocator proofs: apply, request accounting (collector off and on)"
   QUFEM_THREADS="$t" cargo test -q -p qufem-core --test apply_zero_alloc
   QUFEM_THREADS="$t" cargo test -q -p qufem-serve --test zero_alloc
   echo "==> QUFEM_THREADS=$t shard-pool differential and panic-recovery tests"

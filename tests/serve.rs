@@ -161,8 +161,9 @@ fn unknown_method_fails_the_request_not_the_connection() {
     let config = registry_config(&qufem);
     let server = Server::start(qufem, "127.0.0.1:0", config).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
-    qufem_telemetry::reset();
-    qufem_telemetry::enable();
+    let unknown_method = |client: &mut Client| {
+        client.request(&Request::metrics()).unwrap().metrics.expect("metrics").unknown_method
+    };
 
     // A method id nobody registered fails only this request.
     let dist = noisy_input(&device, &[0, 1, 2], 21);
@@ -170,7 +171,7 @@ fn unknown_method_fails_the_request_not_the_connection() {
     let response = client.request(&request).unwrap();
     assert!(!response.ok);
     assert!(response.error.as_deref().unwrap().contains("frobnicator"), "{response:?}");
-    assert_eq!(qufem_telemetry::snapshot().counter("serve.unknown_method"), 1);
+    assert_eq!(unknown_method(&mut client), 1);
 
     // A known method with a config option it does not accept also fails
     // only this request, through the same counter.
@@ -181,14 +182,13 @@ fn unknown_method_fails_the_request_not_the_connection() {
         .with_options(options);
     let response = client.request(&request).unwrap();
     assert!(!response.ok, "{response:?}");
-    assert_eq!(qufem_telemetry::snapshot().counter("serve.unknown_method"), 2);
+    assert_eq!(unknown_method(&mut client), 2);
 
     // The same connection still serves the default method afterwards.
     let response = client.request(&Request::calibrate(dist, Some(vec![0, 1, 2]))).unwrap();
     assert!(response.ok, "{response:?}");
     assert!(response.dist.is_some());
 
-    qufem_telemetry::disable();
     server.shutdown_and_join();
 }
 

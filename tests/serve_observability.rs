@@ -3,15 +3,32 @@
 //! recorder, the Prometheus-like text format, and the slow-request
 //! accounting — mostly with the global telemetry collector left
 //! **disabled**, because `ServeMetrics` must be live in every server
-//! regardless. One test flips the collector on to prove the serving
-//! histograms also mirror into it.
+//! regardless. Two tests flip the collector on to prove a joined server
+//! exports exactly the totals its `metrics` command reports.
 
 use qufem::device::presets;
-use qufem::serve::{Client, Request, ServeConfig, Server};
+use qufem::serve::{wire, Client, Request, ServeConfig, Server};
 use qufem::{ProbDist, QuFem, QuFemConfig, QubitSet};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// The telemetry collector is process-global and a server exports into it
+/// when joined. Tests that turn it on hold this lock for as long as it is
+/// on, and every other test joins its server under the lock, so no other
+/// server's totals land in a collector a test is reading.
+static COLLECTOR: Mutex<()> = Mutex::new(());
+
+fn collector_lock() -> MutexGuard<'static, ()> {
+    COLLECTOR.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Stops a server whose totals no test reads from the collector.
+fn stop_server(server: Server) {
+    let _guard = collector_lock();
+    server.shutdown_and_join();
+}
 
 fn characterized() -> (qufem::device::Device, QuFem) {
     let device = presets::ibmq_7(1);
@@ -119,7 +136,7 @@ fn metrics_under_concurrent_clients_report_monotone_quantiles() {
     assert_eq!(metrics.plan_cache_hits, calibrates - 1);
     assert_eq!(metrics.slow, 0, "no slow threshold configured");
 
-    server.shutdown_and_join();
+    stop_server(server);
 }
 
 #[test]
@@ -162,7 +179,7 @@ fn flight_recorder_evicts_oldest_and_dumps_in_order() {
     let trace = response.trace.unwrap();
     assert_eq!(trace.last().unwrap().cmd, "trace");
 
-    server.shutdown_and_join();
+    stop_server(server);
 }
 
 #[test]
@@ -193,7 +210,7 @@ fn metrics_text_format_renders_counters_and_quantiles() {
         assert!(parts[0].parse::<f64>().is_ok(), "non-numeric value in line: {line:?}");
     }
 
-    server.shutdown_and_join();
+    stop_server(server);
 }
 
 #[test]
@@ -213,7 +230,7 @@ fn slow_threshold_zero_marks_every_request_slow() {
     // itself only lands after its response is composed.
     assert_eq!(metrics.slow, 1, "threshold 0 must count every finished request as slow");
 
-    server.shutdown_and_join();
+    stop_server(server);
 }
 
 #[test]
@@ -221,6 +238,7 @@ fn enabled_global_telemetry_mirrors_serving_histograms() {
     let (device, qufem) = characterized();
     let server = Server::start(qufem, "127.0.0.1:0", test_config()).unwrap();
     let mut client = Client::connect(server.local_addr()).unwrap();
+    let _guard = collector_lock();
     qufem_telemetry::reset();
     qufem_telemetry::enable();
 
@@ -229,23 +247,109 @@ fn enabled_global_telemetry_mirrors_serving_histograms() {
         let dist = noisy_input(&device, &measured, seed);
         assert!(client.request(&Request::calibrate(dist, Some(measured))).unwrap().ok);
     }
-    // A same-connection round-trip guarantees the calibrates above have
-    // been folded in before the snapshot is taken.
     assert!(client.request(&Request::status()).unwrap().ok);
 
+    // The serving histograms reach the collector once, when the server is
+    // joined — nothing is mirrored per request.
+    assert!(!qufem_telemetry::snapshot().histograms.contains_key("serve.request_secs"));
+    server.shutdown_and_join();
     qufem_telemetry::disable();
     let snapshot = qufem_telemetry::snapshot();
-    // The always-on serving histograms mirror into the opt-in global
-    // collector while it is enabled (>=: concurrent tests in this binary
-    // may contribute while the collector is on).
     let request = snapshot.histograms.get("serve.request_secs").expect("request histogram");
-    assert!(request.count >= 3, "{request:?}");
+    assert_eq!(request.count, 4, "three calibrates and a status: {request:?}");
     assert!(request.quantile(0.5) <= request.quantile(0.99));
     let apply = snapshot.histograms.get("serve.apply_secs.qufem").expect("apply histogram");
-    assert!(apply.count >= 3, "{apply:?}");
-    assert!(snapshot.counter("serve.requests") >= 4);
+    assert_eq!(apply.count, 3, "{apply:?}");
+    assert_eq!(snapshot.counter("serve.requests"), 4);
+}
 
+#[test]
+fn joined_server_exports_exactly_its_metrics_command_totals() {
+    let (device, qufem) = characterized();
+    let config = ServeConfig {
+        registry: std::sync::Arc::new(qufem::baselines::standard_registry(qufem.config().clone())),
+        ..test_config()
+    };
+    let recalibrated = recalibrated_params(&device, 1);
+    let _guard = collector_lock();
+    qufem_telemetry::reset();
+    qufem_telemetry::enable();
+    let server = Server::start(qufem, "127.0.0.1:0", config).unwrap();
+    let handle = server.handle();
+    let addr = server.local_addr();
+
+    let mut client = Client::connect(addr).unwrap();
+    let measured = vec![0, 1, 2];
+    for seed in 0..4u64 {
+        let dist = noisy_input(&device, &measured, seed);
+        let method = if seed % 2 == 0 { "qufem" } else { "m3" };
+        let request = Request::calibrate(dist, Some(measured.clone())).with_method(method);
+        assert!(client.request(&request).unwrap().ok);
+    }
+    client.send_raw(b"this is not json\n").unwrap();
+    assert!(!client.read_response().unwrap().ok);
+    let dist = noisy_input(&device, &measured, 9);
+    let unknown_method =
+        Request::calibrate(dist.clone(), Some(measured.clone())).with_method("no-such-method");
+    assert!(!client.request(&unknown_method).unwrap().ok);
+    let unknown_device = Request::calibrate(dist, Some(measured)).with_device("no-such-device");
+    assert!(!client.request(&unknown_device).unwrap().ok);
+    assert!(client.request(&Request::admit(recalibrated)).unwrap().ok);
+
+    // A binary frame declaring a payload past the limit: answered with an
+    // error echoing its id, then the connection closes.
+    let mut binary = Client::connect_binary(addr).unwrap();
+    let mut header = wire::encode_frame(41, wire::CODE_CALIBRATE, &[]);
+    let declared = test_config().max_request_bytes as u32 + 1;
+    header[4..8].copy_from_slice(&declared.to_le_bytes());
+    binary.send_raw(&header).unwrap();
+    let (id, response) = binary.recv().unwrap();
+    assert_eq!(id, 41);
+    assert!(!response.ok);
+
+    let info = client.request(&Request::metrics()).unwrap().metrics.expect("metrics payload");
     server.shutdown_and_join();
+    qufem_telemetry::disable();
+    let snapshot = qufem_telemetry::snapshot();
+
+    // Every exported counter is the metrics command's field, once.
+    for (name, field) in [
+        ("serve.requests", info.requests),
+        ("serve.rejected", info.rejected),
+        ("serve.malformed", info.malformed),
+        ("serve.oversized", info.oversized),
+        ("serve.unknown_method", info.unknown_method),
+        ("serve.unknown_device", info.unknown_device),
+        ("serve.swaps", info.swaps),
+        ("serve.slow_requests", info.slow),
+    ] {
+        assert_eq!(snapshot.counter(name), field, "{name}");
+    }
+    // The drive above really produced each kind of event.
+    assert_eq!(
+        (info.malformed, info.oversized, info.unknown_method, info.unknown_device, info.swaps),
+        (1, 1, 1, 1, 1)
+    );
+    assert_eq!(info.requests, 10, "4 calibrates, 4 failures, an admit and the metrics request");
+    assert_eq!(handle.requests(), info.requests);
+
+    // The metrics request folds into the request histogram only after its
+    // own snapshot was composed: the export holds every begun request.
+    let request = snapshot.histograms.get("serve.request_secs").expect("request histogram");
+    assert_eq!(request.count, info.request.count + 1);
+    assert_eq!(request.count, info.requests);
+    let exported: Vec<&str> =
+        snapshot.histograms.keys().filter_map(|k| k.strip_prefix("serve.apply_secs.")).collect();
+    let served: Vec<&str> = info.methods.iter().map(|m| m.method.as_str()).collect();
+    assert_eq!(exported, served, "one apply histogram per served method");
+    for m in &info.methods {
+        let apply = &snapshot.histograms[&format!("serve.apply_secs.{}", m.method)];
+        assert_eq!(apply.count, m.apply.count, "{}", m.method);
+        assert_eq!(apply.count, 2, "{}", m.method);
+    }
+    let peak = snapshot.gauge("serve.queue_depth.peak").expect("peak gauge");
+    assert!(peak >= 2.0, "two connections were live at once: {peak}");
+    assert!(snapshot.gauge("serve.queue_depth").is_some());
 }
 
 #[test]
@@ -277,7 +381,7 @@ fn unknown_method_and_malformed_requests_are_counted_and_traced() {
     assert!(outcomes.contains(&"unknown_method"), "{outcomes:?}");
     assert!(outcomes.contains(&"malformed"), "{outcomes:?}");
 
-    server.shutdown_and_join();
+    stop_server(server);
 }
 
 /// A recalibration of `device` after `step` drift intervals, exported as
@@ -360,7 +464,7 @@ fn hot_swap_under_concurrent_traffic_keeps_every_request_ok() {
     assert_eq!(dev.versions, (0..=ADMITS).collect::<Vec<_>>(), "old versions stay pinnable");
     assert_eq!(dev.requests, (CLIENTS as u64) * REQUESTS_PER_CLIENT);
 
-    server.shutdown_and_join();
+    stop_server(server);
 }
 
 #[test]
@@ -415,7 +519,7 @@ fn version_pinned_responses_are_bit_identical_across_hot_swap() {
     assert!(unpinned.ok);
     assert_eq!(unpinned.version, Some(1), "unpinned requests follow the head");
 
-    server.shutdown_and_join();
+    stop_server(server);
 }
 
 #[test]
@@ -457,7 +561,7 @@ fn unknown_devices_and_versions_are_rejected_and_counted() {
     assert_eq!(last_ok.device.as_deref(), Some("default"));
     assert_eq!(last_ok.version, 0);
 
-    server.shutdown_and_join();
+    stop_server(server);
 }
 
 #[test]
@@ -546,5 +650,5 @@ fn rejected_admits_leave_catalog_and_caches_untouched_under_traffic() {
     assert_eq!(status.devices[0].head_version, 0, "head moved after rejected admits");
     assert_eq!(status.devices[0].versions, vec![0], "a rejected admit left a version behind");
 
-    server.shutdown_and_join();
+    stop_server(server);
 }
