@@ -107,7 +107,9 @@ fn engine_workload(n: usize, support: usize) -> EngineWorkload {
 fn bench_plan_execute(c: &mut Criterion) {
     const BETA: f64 = 1e-3;
     for &n in &[36usize, 136] {
-        let w = engine_workload(n, 200);
+        // 600 strings: enough that the sharded row's shards each get the
+        // shard pool's floor of input strings, so it really dispatches.
+        let w = engine_workload(n, 600);
         let chain = [Arc::new(IterationPlan::build(&w.positions, &w.groups, BETA))];
         let plan = &chain[0];
         let input = SupportIndex::from_dist(&w.dist);
@@ -156,7 +158,7 @@ fn bench_plan_execute(c: &mut Criterion) {
 /// `engine_136q/execute-*` rows above, which pay per-call buffer setup.
 fn bench_apply_hot_path(c: &mut Criterion) {
     const BETA: f64 = 1e-3;
-    let w = engine_workload(136, 200);
+    let w = engine_workload(136, 600); // above the pool floor, as above
     let plans = vec![Arc::new(IterationPlan::build(&w.positions, &w.groups, BETA))];
     let input = SupportIndex::from_dist(&w.dist);
 

@@ -42,16 +42,27 @@
 //! re-deriving positions per string. The same plan is shared across every
 //! distribution in a batch and every string in a distribution.
 //!
-//! [`crate::ExecArena::run_chain`] adds deterministic intra-distribution
-//! parallelism: the sorted input support is cut into contiguous shards, each
-//! worker *records* its (key, value) emission stream instead of
-//! accumulating, and a serial merge replays the streams in shard order.
-//! Because shard order concatenated equals the sequential emission order,
-//! every per-key float fold associates identically — the sharded output is
-//! **bit-identical** to the sequential one for any thread count.
+//! ## Record → bucket → sort-fold
+//!
+//! The walk never accumulates. It *records* its raw emission stream — key
+//! words and values in emission order, no hashing — and files the stream
+//! into fold buckets by the leading key bits with a stable counting sort
+//! (`RecordSink`). A fold then takes a contiguous range of buckets and,
+//! bucket by bucket, folds every key's emissions from `+0.0` in global
+//! emission order, writing the keys in ascending order. Bucket order is key
+//! order, so folded bucket ranges concatenate into a canonically sorted
+//! output whose ids are sorted ranks — the next iteration's input as it
+//! stands. [`execute`] records and folds inline as one shard and one
+//! partition; [`crate::ExecArena::run_chain`] cuts the sorted input into
+//! contiguous shards and the bucket range into partitions balanced by
+//! emission count, and runs both on a shard pool. Because every key's fold
+//! order is the global emission order (shard order, then order within the
+//! shard) whatever the cuts, the output is **bit-identical** to
+//! [`execute`] — and to [`reference::apply_iteration`] — for any thread
+//! count.
 
 use crate::noisematrix::GroupMatrix;
-use qufem_types::{ProbDist, SupportIndex};
+use qufem_types::{BitString, ProbDist, SupportIndex};
 use serde::{Deserialize, Serialize};
 
 /// Ratio between the relative threshold `β` and the absolute (scaled)
@@ -290,56 +301,322 @@ impl IterationPlan {
     }
 }
 
-/// Where the chain walk deposits completed products. [`execute`] wires this
-/// to a [`SupportIndex`] directly; the arena's shard pool records the
-/// emission stream for an order-preserving replay at merge time.
-pub(crate) trait EmitSink {
-    fn emit(&mut self, words: &[u64], value: f64);
+/// Leading key bits that pick an emission's fold bucket (fewer for keys
+/// narrower than this). Buckets are the unit of the fold: each is folded on
+/// its own, and the pooled path cuts the bucket range into partitions, so
+/// 2¹¹ buckets leave enough cut points to balance up to sixteen partitions
+/// by emission count. On offline-27q (2-vCPU x86-64 VM, 2 threads, seed 1,
+/// 3 alternating pairs each) 9 bits ran 12% fewer calibrations per second
+/// than 11 bits (21.3 against 24.3/s); 14 bits ran within the spread of
+/// 11 bits (25.0 against 24.3/s, interquartile range 1.1–1.4).
+pub(crate) const BUCKET_BITS: u32 = 11;
+
+/// How a key maps to its fold bucket: the top `BUCKET_BITS` bits of the
+/// first key word's used bits. The first word decides canonical order first
+/// ([`SupportIndex::sorted_ids`] compares keys as word slices), so bucket
+/// order is key order and sorted buckets concatenate into a sorted support.
+#[derive(Debug, Clone, Copy)]
+struct Buckets {
+    shift: u32,
+    count: usize,
 }
 
-/// Accumulates straight into the output index (sequential path).
-pub(crate) struct DirectSink<'a> {
-    pub(crate) out: &'a mut SupportIndex,
-}
+impl Buckets {
+    fn for_width(width: usize) -> Self {
+        let lead = width.min(64) as u32;
+        let bits = BUCKET_BITS.min(lead);
+        Buckets { shift: lead - bits, count: 1 << bits }
+    }
 
-impl EmitSink for DirectSink<'_> {
     #[inline]
-    fn emit(&mut self, words: &[u64], value: f64) {
-        self.out.accumulate(words, value);
+    fn of(self, words: &[u64]) -> usize {
+        // Width-0 keys have no words: one bucket. Otherwise `shift ≤ 63`.
+        words.first().map_or(0, |&w| (w >> self.shift) as usize)
     }
 }
 
-/// Records the uncombined emission stream: keys interned into a shard-local
-/// index (ids in first-emission order), values kept per emission. The merge
-/// replays them in shard order, reproducing the sequential fold exactly.
-#[derive(Debug)]
+/// One shard's emission stream, recorded raw: key words and values in
+/// emission order, no hashing during the walk, plus a per-bucket emission
+/// count. [`RecordSink::bucket`] then files the stream by fold bucket with
+/// a stable counting sort that moves only `u32` emission indices, and
+/// [`fold`] reads the recorded buffers through those indices.
+#[derive(Debug, Default)]
 pub(crate) struct RecordSink {
-    pub(crate) keys: SupportIndex,
-    pub(crate) emissions: Vec<(u32, f64)>,
+    words_per_key: usize,
+    buckets: Option<Buckets>,
+    keys: Vec<u64>,
+    values: Vec<f64>,
+    /// While recording: emissions per bucket. After [`RecordSink::bucket`]:
+    /// `ends[b]` is one past the last position of bucket `b` in `order`.
+    ends: Vec<u32>,
+    /// After [`RecordSink::bucket`]: emission indices grouped by bucket,
+    /// ascending (emission order) within each bucket.
+    order: Vec<u32>,
 }
 
 impl RecordSink {
-    pub(crate) fn new(width: usize) -> Self {
-        RecordSink { keys: SupportIndex::new(width), emissions: Vec::new() }
+    /// Empties the sink for a new recording pass over `width`-bit keys,
+    /// keeping every buffer's capacity (allocation-free reuse).
+    pub(crate) fn clear(&mut self, width: usize) {
+        let buckets = Buckets::for_width(width);
+        self.words_per_key = BitString::words_for_width(width);
+        self.buckets = Some(buckets);
+        self.keys.clear();
+        self.values.clear();
+        self.ends.clear();
+        self.ends.resize(buckets.count, 0);
+        self.order.clear();
     }
 
-    /// Empties the sink for a new recording pass over `width`-bit keys,
-    /// keeping both buffers' capacity (allocation-free reuse).
-    pub(crate) fn clear(&mut self, width: usize) {
-        self.keys.reset(width);
-        self.emissions.clear();
+    #[inline]
+    fn emit(&mut self, words: &[u64], value: f64) {
+        if let Some(buckets) = self.buckets {
+            self.ends[buckets.of(words)] += 1;
+        }
+        self.keys.extend_from_slice(words);
+        self.values.push(value);
+    }
+
+    #[inline]
+    fn key(&self, emission: u32) -> &[u64] {
+        let start = emission as usize * self.words_per_key;
+        &self.keys[start..start + self.words_per_key]
+    }
+
+    /// Number of fold buckets of the recorded key width.
+    pub(crate) fn bucket_count(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Stable counting sort of the recorded stream into fold buckets.
+    pub(crate) fn bucket(&mut self) {
+        let buckets = self.buckets.expect("sink cleared before recording");
+        let n = u32::try_from(self.values.len()).expect("shard emissions exceed u32 indices");
+        // Exclusive prefix sums of the counts: `ends[b]` becomes bucket
+        // `b`'s start, and the scatter below advances it to the bucket's end.
+        let mut start = 0;
+        for slot in &mut self.ends {
+            let len = *slot;
+            *slot = start;
+            start += len;
+        }
+        self.order.clear();
+        self.order.resize(n as usize, 0);
+        for e in 0..n {
+            let b = buckets.of(self.key(e));
+            self.order[self.ends[b] as usize] = e;
+            self.ends[b] += 1;
+        }
+    }
+
+    /// Positions in `order` of bucket `b`'s emissions.
+    #[inline]
+    fn bucket_range(&self, b: usize) -> std::ops::Range<usize> {
+        let lo = if b == 0 { 0 } else { self.ends[b - 1] as usize };
+        lo..self.ends[b] as usize
+    }
+
+    /// Emissions recorded into bucket `b`.
+    pub(crate) fn bucket_len(&self, b: usize) -> usize {
+        self.bucket_range(b).len()
     }
 
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.keys.heap_bytes() + self.emissions.capacity() * std::mem::size_of::<(u32, f64)>()
+        (self.keys.capacity() + self.values.capacity()) * std::mem::size_of::<u64>()
+            + (self.ends.capacity() + self.order.capacity()) * std::mem::size_of::<u32>()
     }
 }
 
-impl EmitSink for RecordSink {
-    #[inline]
-    fn emit(&mut self, words: &[u64], value: f64) {
-        let id = self.keys.intern(words);
-        self.emissions.push((id, value));
+/// Widest key remainder below the bucket bits (`width − BUCKET_BITS` for
+/// one-word keys) that [`fold`] accumulates through a direct-address slot
+/// table of `2^DENSE_BITS` entries (256 KiB, L2-resident) instead of sorting
+/// every emission. It covers registers up to 27 qubits, where the fold then
+/// sorts only the distinct keys of a bucket: on offline-27q (2-vCPU x86-64
+/// VM, 2 threads, seed 1, one 15-batch run each) the fold phases took
+/// 1.03 s of wall time against 1.99 s when sorting every emission.
+const DENSE_BITS: u32 = 16;
+
+/// Marks a free entry of [`FoldScratch`]'s direct-address slot table.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Bucket-sized working set of one [`fold`], reused bucket over bucket.
+#[derive(Debug, Default)]
+struct FoldScratch {
+    /// Sorting fold: `(first key word, gather position)` per emission.
+    /// Gathering walks the shards in order and each shard's bucket in
+    /// emission order, so the position orders equal keys by global
+    /// emission order.
+    entries: Vec<(u64, u32)>,
+    /// Sorting fold: gathered values. Dense fold: per-key sums.
+    values: Vec<f64>,
+    /// Sorting fold: gathered key words (keys wider than one word only).
+    /// Dense fold: the distinct key remainders seen in the bucket.
+    keys: Vec<u64>,
+    /// Dense fold: key remainder → index into `values`, [`NO_SLOT`] when
+    /// unseen. Every used entry is cleared again before the next bucket.
+    slots: Vec<u32>,
+}
+
+impl FoldScratch {
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<(u64, u32)>()
+            + (self.values.capacity() + self.keys.capacity()) * std::mem::size_of::<u64>()
+            + self.slots.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// One fold partition's output run in canonical key order (flat key words
+/// and folded values), with the working set that produced it.
+#[derive(Debug, Default)]
+pub(crate) struct FoldRun {
+    scratch: FoldScratch,
+    pub(crate) keys: Vec<u64>,
+    pub(crate) values: Vec<f64>,
+}
+
+impl FoldRun {
+    /// Replaces the run with the [`fold`] of `buckets` of `shards`.
+    pub(crate) fn fold<S: std::borrow::Borrow<RecordSink>>(
+        &mut self,
+        shards: &[S],
+        buckets: std::ops::Range<usize>,
+    ) {
+        let FoldRun { scratch, keys, values } = self;
+        keys.clear();
+        values.clear();
+        fold(shards, buckets, scratch, |words, value| {
+            keys.extend_from_slice(words);
+            values.push(value);
+        });
+    }
+
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.scratch.heap_bytes()
+            + (self.keys.capacity() + self.values.capacity()) * std::mem::size_of::<u64>()
+    }
+}
+
+/// Folds buckets `buckets` of the bucketed shard streams `shards` (in shard
+/// order) and hands each distinct key with its folded value to `emit`, in
+/// ascending canonical key order.
+///
+/// A key's value is `0.0 + e₁ + e₂ + …` over its emissions in global
+/// emission order (shard order, then order within the shard) — exactly
+/// [`reference::apply_iteration`]'s `ProbDist::add` fold — so the result is
+/// bit-identical for any cut of the input into shards and of the bucket
+/// range into partitions. Both [`execute`] and
+/// [`crate::ExecArena::run_chain`] fold through here.
+fn fold<S: std::borrow::Borrow<RecordSink>>(
+    shards: &[S],
+    buckets: std::ops::Range<usize>,
+    scratch: &mut FoldScratch,
+    emit: impl FnMut(&[u64], f64),
+) {
+    let Some(first) = shards.first().map(|s| s.borrow()) else {
+        return;
+    };
+    let spec = first.buckets.expect("sink cleared before recording");
+    if first.words_per_key == 1 && spec.shift <= DENSE_BITS {
+        fold_dense(shards, buckets, spec.shift, scratch, emit);
+    } else {
+        fold_sorted(shards, buckets, first.words_per_key, scratch, emit);
+    }
+}
+
+/// [`fold`] for one-word keys whose remainder below the bucket bits has at
+/// most [`DENSE_BITS`] bits: sums each key's emissions in gather (= global
+/// emission) order in a slot found by direct addressing, then sorts only
+/// the bucket's distinct keys.
+fn fold_dense<S: std::borrow::Borrow<RecordSink>>(
+    shards: &[S],
+    buckets: std::ops::Range<usize>,
+    shift: u32,
+    scratch: &mut FoldScratch,
+    mut emit: impl FnMut(&[u64], f64),
+) {
+    let FoldScratch { values: sums, keys: lows, slots, .. } = scratch;
+    let mask = (1u64 << shift) - 1;
+    if slots.len() < 1 << shift {
+        slots.resize(1 << shift, NO_SLOT);
+    }
+    for b in buckets {
+        sums.clear();
+        lows.clear();
+        for shard in shards {
+            let shard = shard.borrow();
+            for &e in &shard.order[shard.bucket_range(b)] {
+                let low = shard.keys[e as usize] & mask;
+                let slot = &mut slots[low as usize];
+                if *slot == NO_SLOT {
+                    *slot = sums.len() as u32;
+                    lows.push(low);
+                    sums.push(0.0);
+                }
+                sums[*slot as usize] += shard.values[e as usize];
+            }
+        }
+        lows.sort_unstable();
+        let top = (b as u64) << shift;
+        for &low in lows.iter() {
+            let slot = std::mem::replace(&mut slots[low as usize], NO_SLOT);
+            emit(&[top | low], sums[slot as usize]);
+        }
+    }
+}
+
+/// [`fold`] for any key width: gathers the bucket's emissions, sorts them
+/// by (key, gather position) — a stable sort by key of the global emission
+/// order — and folds each run of equal keys.
+fn fold_sorted<S: std::borrow::Borrow<RecordSink>>(
+    shards: &[S],
+    buckets: std::ops::Range<usize>,
+    wpk: usize,
+    scratch: &mut FoldScratch,
+    mut emit: impl FnMut(&[u64], f64),
+) {
+    let FoldScratch { entries, values, keys, .. } = scratch;
+    for b in buckets {
+        entries.clear();
+        values.clear();
+        keys.clear();
+        for shard in shards {
+            let shard = shard.borrow();
+            for &e in &shard.order[shard.bucket_range(b)] {
+                let key = shard.key(e);
+                entries.push((key.first().copied().unwrap_or(0), values.len() as u32));
+                values.push(shard.values[e as usize]);
+                if wpk > 1 {
+                    keys.extend_from_slice(key);
+                }
+            }
+        }
+        let full = |pos: u32| &keys[pos as usize * wpk..(pos as usize + 1) * wpk];
+        if wpk > 1 {
+            entries.sort_unstable_by(|a, b| {
+                a.0.cmp(&b.0).then_with(|| full(a.1).cmp(full(b.1))).then(a.1.cmp(&b.1))
+            });
+        } else {
+            // The first word is the whole key: the tuple order is the
+            // (key, emission order) order.
+            entries.sort_unstable();
+        }
+        let mut i = 0;
+        while i < entries.len() {
+            let (first, pos) = entries[i];
+            let same = |&(w, p): &(u64, u32)| w == first && (wpk <= 1 || full(p) == full(pos));
+            let mut acc = 0.0;
+            let mut j = i;
+            while j < entries.len() && same(&entries[j]) {
+                acc += values[entries[j].1 as usize];
+                j += 1;
+            }
+            match wpk {
+                0 => emit(&[], acc),
+                1 => emit(std::slice::from_ref(&first), acc),
+                _ => emit(full(pos), acc),
+            }
+            i = j;
+        }
     }
 }
 
@@ -358,7 +635,7 @@ const CHAIN_GATHER: usize = 8;
 /// operations, and counter totals are identical to the naive interleaved
 /// walk.
 #[allow(clippy::too_many_arguments)]
-fn chain<S: EmitSink>(
+fn chain(
     plan: &IterationPlan,
     mut level: usize,
     mut value: f64,
@@ -366,7 +643,7 @@ fn chain<S: EmitSink>(
     scratch: &mut [u64],
     sub_indices: &[usize],
     stats: &mut EngineStats,
-    sink: &mut S,
+    sink: &mut RecordSink,
 ) -> f64 {
     let beta = plan.beta;
     let scaled_floor = plan.scaled_floor;
@@ -446,7 +723,7 @@ fn chain<S: EmitSink>(
 /// crate builds on stable — revisit if that changes.
 #[cold]
 #[allow(clippy::too_many_arguments)]
-fn chain_spill<S: EmitSink>(
+fn chain_spill(
     plan: &IterationPlan,
     level: usize,
     value: f64,
@@ -454,7 +731,7 @@ fn chain_spill<S: EmitSink>(
     scratch: &mut [u64],
     sub_indices: &[usize],
     stats: &mut EngineStats,
-    sink: &mut S,
+    sink: &mut RecordSink,
 ) -> f64 {
     let group = &plan.groups[level];
     let x = sub_indices[level];
@@ -487,34 +764,40 @@ fn chain_spill<S: EmitSink>(
     kept_sum
 }
 
-/// Runs the chain walk over the input entries `lo..hi` (id order), emitting
-/// into `sink`. The per-entry float behaviour — skip exact zeros, forward
-/// sub-β strings, expand the rest, compensate the pruned deficit — is the
-/// engine's contract; both the sequential and the sharded path go through
-/// here.
-pub(crate) fn run_range<S: EmitSink>(
+/// Records the chain walk over `input` — runs of entries in id order, each
+/// as flat `width`-bit key words and values — into `sink` and files the
+/// stream into fold buckets. The per-entry float behaviour — skip exact
+/// zeros, forward sub-β strings, expand the rest, compensate the pruned
+/// deficit — is the engine's contract; [`execute`] and both arena paths
+/// record through here and fold through [`FoldRun::fold`].
+pub(crate) fn record<'a>(
     plan: &IterationPlan,
-    input: &SupportIndex,
-    lo: usize,
-    hi: usize,
+    width: usize,
+    input: impl IntoIterator<Item = (&'a [u64], &'a [f64])>,
     stats: &mut EngineStats,
-    sink: &mut S,
+    sink: &mut RecordSink,
 ) {
+    sink.clear(width);
+    if stats.kept_per_level.len() < plan.groups.len() {
+        stats.kept_per_level.resize(plan.groups.len(), 0);
+    }
     // The key-scratch and sub-index buffers live in a thread-local arena:
     // caller threads and pool workers alike pay the allocation once per
     // thread (and once more per growth to a wider plan), never per call.
     SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        let ScratchBuf { scratch, sub_indices } = &mut *buf;
+        let ScratchBuf { scratch, sub_indices } = &mut *cell.borrow_mut();
         scratch.clear();
-        scratch.resize(input.words_per_key(), 0);
+        scratch.resize(sink.words_per_key, 0);
         sub_indices.clear();
         sub_indices.resize(plan.groups.len(), 0);
-        run_entries(plan, input, lo, hi, stats, sink, scratch, sub_indices);
+        for (keys, values) in input {
+            run_entries(plan, keys, values, stats, sink, scratch, sub_indices);
+        }
     });
+    sink.bucket();
 }
 
-/// Per-thread reusable buffers for [`run_range`]: the packed-key scratch the
+/// Per-thread reusable buffers for [`record`]: the packed-key scratch the
 /// chain walk scatters outcomes into, and the per-group input sub-indices.
 struct ScratchBuf {
     scratch: Vec<u64>,
@@ -526,26 +809,21 @@ thread_local! {
         const { std::cell::RefCell::new(ScratchBuf { scratch: Vec::new(), sub_indices: Vec::new() }) };
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_entries<S: EmitSink>(
+fn run_entries(
     plan: &IterationPlan,
-    input: &SupportIndex,
-    lo: usize,
-    hi: usize,
+    keys: &[u64],
+    values: &[f64],
     stats: &mut EngineStats,
-    sink: &mut S,
+    sink: &mut RecordSink,
     scratch: &mut [u64],
     sub_indices: &mut [usize],
 ) {
-    if stats.kept_per_level.len() < plan.groups.len() {
-        stats.kept_per_level.resize(plan.groups.len(), 0);
-    }
-    for id in lo..hi {
-        let p = input.value(id as u32);
+    let wpk = scratch.len();
+    for (i, &p) in values.iter().enumerate() {
         if p == 0.0 {
             continue;
         }
-        let words = input.key_words(id as u32);
+        let words = &keys[i * wpk..(i + 1) * wpk];
         // Strings below the engine's resolution β — the residue earlier
         // iterations scattered across the output — are forwarded unchanged:
         // every correction the chain could apply to them is `< β · ε` and
@@ -573,21 +851,38 @@ fn run_entries<S: EmitSink>(
     }
 }
 
+thread_local! {
+    /// Per-thread record and fold buffers for [`execute`]: characterization
+    /// runs one `execute` per benchmark record on each worker, and reusing
+    /// the buffers keeps its peak memory at one emission stream per thread.
+    static EXEC: std::cell::RefCell<(RecordSink, FoldRun)> =
+        std::cell::RefCell::new(Default::default());
+}
+
 /// Applies one calibration iteration to an indexed support (paper Eq. 7).
 ///
 /// The input must be in canonical sorted order ([`SupportIndex::from_dist`]
-/// produces it; call [`SupportIndex::sort`] after a previous `execute`) —
-/// entry order fixes the float accumulation order, and sorted order is the
-/// reproducibility contract shared with [`crate::ExecArena::run_chain`].
+/// produces it) — entry order fixes the float accumulation order, and
+/// sorted order is the reproducibility contract shared with
+/// [`crate::ExecArena::run_chain`]. The output is in canonical order too
+/// (ids are sorted ranks), so it can feed the next iteration as is.
 pub fn execute(
     plan: &IterationPlan,
     input: &SupportIndex,
     stats: &mut EngineStats,
 ) -> SupportIndex {
     debug_assert_eq!(input.width(), plan.width, "input width must match the plan");
-    let mut out = SupportIndex::with_capacity(plan.width, input.len());
-    let mut sink = DirectSink { out: &mut out };
-    run_range(plan, input, 0, input.len(), stats, &mut sink);
+    let out = EXEC.with(|cell| {
+        let (sink, run) = &mut *cell.borrow_mut();
+        let entries = (input.flat_keys(), input.values());
+        record(plan, input.width(), [entries], stats, sink);
+        run.fold(std::slice::from_ref(sink), 0..sink.bucket_count());
+        // Sized exactly: callers keep the output (characterization stores
+        // one per benchmark record), so growth slack would stay resident.
+        let mut out = SupportIndex::with_capacity(input.width(), run.values.len());
+        out.sorted_appender(input.width()).extend(&run.keys, &run.values);
+        out
+    });
     stats.peak_output_support = stats.peak_output_support.max(out.len());
     out
 }

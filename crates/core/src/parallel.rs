@@ -2,14 +2,18 @@
 //! benchmark generator.
 //!
 //! Every parallel path in this codebase holds the same invariant:
-//! **bit-identical output at any thread count**. The pattern that delivers
-//! it (also behind the shard pool of [`crate::ExecArena::run_chain`]) is
-//! *record-and-replay*: the work list is cut into contiguous chunks, each
-//! scoped worker computes its chunk's results independently, and a serial
-//! merge consumes them in submission order. As long as each item's result
-//! is a pure function of the item (no shared mutable state, no
-//! worker-local RNG draws that depend on scheduling), concatenating the
-//! chunks in chunk order reproduces the sequential result stream exactly.
+//! **bit-identical output at any thread count**. The pattern behind the
+//! helpers here is *record-and-replay*: the work list is cut into
+//! contiguous chunks, each scoped worker computes its chunk's results
+//! independently, and a serial merge consumes them in submission order. As
+//! long as each item's result is a pure function of the item (no shared
+//! mutable state, no worker-local RNG draws that depend on scheduling),
+//! concatenating the chunks in chunk order reproduces the sequential result
+//! stream exactly. The engine's shard pool
+//! ([`crate::ExecArena::run_chain`]) holds the invariant without a serial
+//! merge: shards record raw emission streams, and partitions of key buckets
+//! fold them in parallel, each key in global emission order
+//! ([`crate::engine`] "Record → bucket → sort-fold").
 //!
 //! [`map_in_order`] and [`try_map_in_order`] package that pattern for the
 //! characterization pipeline: per-record Eq. 7 self-calibration, per-group

@@ -7,18 +7,24 @@
 //! allocate only at the boundary conversions, and those conversions to a
 //! small allocation count that does not grow with the support size.
 //!
-//! The thread count under proof comes from `configured_threads()`, so the
-//! CI allocation legs (`QUFEM_THREADS=1` and `QUFEM_THREADS=4`) exercise
-//! both the sequential in-arena path and the persistent shard pool.
+//! Two inputs are proven on a 10-qubit register: a noisy GHZ output and a
+//! 600-string input above the pool floor. At one thread every iteration
+//! records and folds inline; at more, the wide input's iterations (and the
+//! GHZ output's wider second iteration) record and fold on the persistent
+//! shard pool, record and fold jobs both counted. Each runs at 1 and 4
+//! threads and at `configured_threads()`, so the CI allocation legs
+//! (`QUFEM_THREADS=1` and `QUFEM_THREADS=4`) cover the configured default
+//! too.
 //!
 //! Everything lives in ONE test function: the process-wide allocation
 //! counter cannot distinguish concurrent test threads, and a single `#[test]`
 //! keeps the measured windows exclusive.
 
+use qufem_core::arena::POOL_FLOOR;
 use qufem_core::{configured_threads, EngineStats, PreparedMitigator, QuFem, QuFemConfig};
 use qufem_testsupport::{counting_allocator_installed, global_allocations, CountingAlloc};
 use qufem_types::{BitString, ProbDist, QubitSet, SupportIndex};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 #[global_allocator]
@@ -35,51 +41,68 @@ fn steady_state_apply_does_not_allocate() {
     qufem_telemetry::disable();
     assert!(counting_allocator_installed(), "counting allocator is live");
 
-    let device = qufem_device::presets::ibmq_7(1);
+    let n = 10;
+    let device = qufem_device::presets::scale_grid(n, 1);
     let config =
         QuFemConfig::builder().characterization_threshold(5e-4).shots(500).seed(3).build().unwrap();
     let qufem = QuFem::characterize(&device, config).unwrap();
-    let measured = QubitSet::full(7);
+    let measured = QubitSet::full(n);
     let prepared = qufem.prepare(&measured).unwrap();
 
     let mut rng = ChaCha8Rng::seed_from_u64(21);
-    let ideal = qufem_circuits::ghz(7);
+    let ideal = qufem_circuits::ghz(n);
     let noisy = device.measure_distribution(&ideal, &measured, 2000, &mut rng);
-    let input = SupportIndex::from_dist(&noisy);
+    let wide: ProbDist = (0..600)
+        .map(|_| (BitString::from_index(rng.gen_range(0..1usize << n), n).unwrap(), rng.gen()))
+        .collect();
 
     let threads = configured_threads();
     let mut arena = prepared.new_arena();
     let mut stats = EngineStats::default();
 
-    // Reference output for the correctness check of the measured calls.
-    let expected = prepared.apply(&noisy).unwrap().sorted_pairs();
-
     // --- apply_arena: strictly zero allocations in steady state ----------
     // Probe 4 explicitly in addition to the configured count so the shard
     // pool runs even when this machine defaults to one thread.
-    for probe_threads in [1, 4, threads] {
-        for _ in 0..WARMUP_ROUNDS {
+    for (name, dist) in [("ghz", &noisy), ("wide", &wide)] {
+        let input = SupportIndex::from_dist(dist);
+        if name == "wide" {
+            assert!(input.len() >= 2 * POOL_FLOOR, "{} strings", input.len());
+        }
+        // Reference output for the correctness check of the measured calls.
+        let expected = prepared.apply(dist).unwrap().sorted_pairs();
+        for probe_threads in [1, 4, threads] {
+            for _ in 0..WARMUP_ROUNDS {
+                stats.reset();
+                prepared.apply_arena(&input, probe_threads, &mut stats, &mut arena).unwrap();
+            }
             stats.reset();
-            prepared.apply_arena(&input, probe_threads, &mut stats, &mut arena).unwrap();
+            let before = global_allocations();
+            let out = prepared.apply_arena(&input, probe_threads, &mut stats, &mut arena).unwrap();
+            let after = global_allocations();
+            let out_pairs = out.to_dist().sorted_pairs();
+            assert_eq!(
+                after - before,
+                0,
+                "{name}: apply_arena must not touch the heap at {probe_threads} threads"
+            );
+            let shards = arena.last_shards();
+            if probe_threads == 1 {
+                assert_eq!(shards, 1, "{name}: one thread runs inline");
+            } else if name == "wide" {
+                assert!(shards > 1, "{name}: {probe_threads} threads dispatch to the pool");
+            }
+            // The measured call really did the work, bit-identically.
+            assert_eq!(out_pairs.len(), expected.len());
+            for ((ka, va), (kb, vb)) in out_pairs.iter().zip(&expected) {
+                assert_eq!(ka, kb);
+                assert_eq!(va.to_bits(), vb.to_bits());
+            }
+            assert!(stats.products > 0, "engine counters moved");
         }
-        stats.reset();
-        let before = global_allocations();
-        let out = prepared.apply_arena(&input, probe_threads, &mut stats, &mut arena).unwrap();
-        let after = global_allocations();
-        let out_pairs = out.to_dist().sorted_pairs();
-        assert_eq!(
-            after - before,
-            0,
-            "apply_arena must not touch the heap at {probe_threads} threads"
-        );
-        // The measured call really did the work, bit-identically.
-        assert_eq!(out_pairs.len(), expected.len());
-        for ((ka, va), (kb, vb)) in out_pairs.iter().zip(&expected) {
-            assert_eq!(ka, kb);
-            assert_eq!(va.to_bits(), vb.to_bits());
-        }
-        assert!(stats.products > 0, "engine counters moved");
     }
+    let expected = prepared.apply(&noisy).unwrap().sorted_pairs();
+    let input = SupportIndex::from_dist(&noisy);
+    prepared.apply_arena(&input, threads, &mut stats, &mut arena).unwrap();
 
     // --- apply_with_stats / apply: only the ProbDist boundary allocates --
     // Measure the boundary conversions in isolation, then require the

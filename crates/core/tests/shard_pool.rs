@@ -5,12 +5,15 @@
 //!    is bit-identical to the pre-refactor `engine::reference`
 //!    implementation chained over the prepared iterations, at thread
 //!    counts that don't divide the support, exceed it, and degenerate to
-//!    one. Merged `EngineStats` must match field-for-field.
+//!    one. Merged `EngineStats` must match field-for-field. Small 7-qubit
+//!    inputs stay below the pool floor and cover the inline path; 10-qubit
+//!    inputs of 600 strings really dispatch to the pool.
 //! 2. **Survival** — a panic inside a pool worker surfaces to the caller
 //!    exactly like the sequential path's panic would, and the long-lived
 //!    workers keep serving jobs afterwards: the next valid pooled call
 //!    still bit-matches the sequential result.
 
+use qufem_core::arena::POOL_FLOOR;
 use qufem_core::engine::{self, reference, EngineStats, IterationPlan};
 use qufem_core::{build_group_matrices_with, ExecArena, PreparedMitigator, QuFem, QuFemConfig};
 use qufem_types::{BitString, ProbDist, QubitSet, SupportIndex};
@@ -51,17 +54,34 @@ fn assert_dist_bits_equal(a: &ProbDist, b: &ProbDist, context: &str) {
 
 #[test]
 fn pooled_apply_matches_sequential_and_reference_chain() {
-    let device = qufem_device::presets::ibmq_7(3);
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5A4D);
+    let inputs: Vec<ProbDist> =
+        (0..4).map(|_| random_dist(7, rng.gen_range(6usize..=48), &mut rng)).collect();
+    assert_apply_matches_reference_chain(qufem_device::presets::ibmq_7(3), &inputs);
+}
+
+#[test]
+fn pooled_apply_above_the_floor_matches_reference_chain() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5A4E);
+    let inputs: Vec<ProbDist> = (0..2).map(|_| random_dist(10, 900, &mut rng)).collect();
+    for input in &inputs {
+        assert!(input.support_len() >= 2 * POOL_FLOOR, "{} strings", input.support_len());
+    }
+    assert_apply_matches_reference_chain(qufem_device::presets::scale_grid(10, 3), &inputs);
+}
+
+/// Characterizes `device`, prepares its full register, and pins every apply
+/// entry point at several thread counts to the reference chain on each
+/// input. Inputs above the pool floor must dispatch to the pool.
+fn assert_apply_matches_reference_chain(device: qufem_device::Device, inputs: &[ProbDist]) {
     let qufem = QuFem::characterize(&device, fast_config()).unwrap();
-    let measured = QubitSet::full(7);
+    let n = device.n_qubits();
+    let measured = QubitSet::full(n);
     let prepared = qufem.prepare(&measured).unwrap();
     let positions: Vec<usize> = measured.iter().collect();
     let beta = qufem.config().beta;
 
-    let mut rng = ChaCha8Rng::seed_from_u64(0x5A4D);
-    for round in 0..4u64 {
-        let noisy = random_dist(7, rng.gen_range(6usize..=48), &mut rng);
-
+    for (round, noisy) in inputs.iter().enumerate() {
         // Pre-refactor ground truth: fold the reference engine over the
         // per-iteration group matrices the prepared plans were built from.
         let mut ref_stats = EngineStats::default();
@@ -78,19 +98,24 @@ fn pooled_apply_matches_sequential_and_reference_chain() {
         }
 
         let mut stats = EngineStats::default();
-        let boxed = prepared.apply_with_stats(&noisy, &mut stats).unwrap();
+        let boxed = prepared.apply_with_stats(noisy, &mut stats).unwrap();
         assert_eq!(stats, ref_stats, "round {round}: apply stats diverge from reference");
         assert_dist_bits_equal(&boxed, &ref_out, &format!("round {round}: apply vs reference"));
-        assert_dist_bits_equal(&prepared.apply(&noisy).unwrap(), &ref_out, "apply");
+        assert_dist_bits_equal(&prepared.apply(noisy).unwrap(), &ref_out, "apply");
 
-        let input = SupportIndex::from_dist(&noisy);
+        let input = SupportIndex::from_dist(noisy);
+        let pooled = input.len() >= 2 * POOL_FLOOR;
         let mut arena = prepared.new_arena();
         for threads in [1usize, 2, 7, 16] {
-            let context = format!("round {round}, {threads} threads");
+            let context = format!("{n} qubits, round {round}, {threads} threads");
             let mut stats = EngineStats::default();
             let out = prepared.apply_arena(&input, threads, &mut stats, &mut arena).unwrap();
+            let out = out.to_dist();
+            if pooled && threads > 1 {
+                assert!(arena.last_shards() > 1, "pool not dispatched: {context}");
+            }
             assert_eq!(stats, ref_stats, "apply_arena stats diverge: {context}");
-            assert_dist_bits_equal(&out.to_dist(), &ref_out, &format!("apply_arena: {context}"));
+            assert_dist_bits_equal(&out, &ref_out, &format!("apply_arena: {context}"));
         }
     }
 }
@@ -110,10 +135,12 @@ fn mismatched_plan() -> IterationPlan {
 #[test]
 fn worker_panic_surfaces_and_pool_survives() {
     let bad_chain = [Arc::new(mismatched_plan())];
-    // Width-7 keys: one word per key, while the plan extracts from two.
+    // Width-10 keys: one word per key, while the plan extracts from two.
+    // Enough strings that the walk runs on the pool, not inline.
     let mut rng = ChaCha8Rng::seed_from_u64(77);
-    let narrow = random_dist(7, 12, &mut rng);
+    let narrow = random_dist(10, 900, &mut rng);
     let narrow_index = SupportIndex::from_dist(&narrow);
+    assert!(narrow_index.len() >= 2 * POOL_FLOOR);
 
     // The sequential executor panics on the width mismatch...
     let seq_panic = catch_unwind(AssertUnwindSafe(|| {
@@ -130,28 +157,27 @@ fn worker_panic_surfaces_and_pool_survives() {
             arena.run_chain(&bad_chain, &narrow_index, 4);
         }));
         assert!(pooled_panic.is_err(), "pooled path must surface the worker panic");
+        assert!(arena.last_shards() > 1, "the panicking walk ran on the pool");
     }
 
     // The persistent workers are still alive: a valid pooled execution on
     // the same process-wide pool (and the same arena) remains bit-identical
     // to sequential.
-    let n = 6usize;
+    let n = 10usize;
     let snap = qufem_core::BenchmarkSnapshot::new(n);
-    let grouping: Vec<QubitSet> = vec![
-        [0, 1].into_iter().collect(),
-        [2, 3].into_iter().collect(),
-        [4, 5].into_iter().collect(),
-    ];
+    let grouping: Vec<QubitSet> =
+        (0..n / 2).map(|g| [2 * g, 2 * g + 1].into_iter().collect()).collect();
     let gms = build_group_matrices_with(&snap, &grouping, &QubitSet::full(n), false).unwrap();
     let positions: Vec<usize> = (0..n).collect();
     let good_chain = [Arc::new(IterationPlan::build(&positions, &gms, 1e-5))];
-    let dist = random_dist(n, 20, &mut rng);
+    let dist = random_dist(n, 900, &mut rng);
     let input = SupportIndex::from_dist(&dist);
 
     let mut s_seq = EngineStats::default();
     let seq = engine::execute(&good_chain[0], &input, &mut s_seq);
     for threads in [2usize, 4, 16] {
         arena.run_chain(&good_chain, &input, threads);
+        assert!(arena.last_shards() > 1, "pool not dispatched at {threads} threads");
         let par = arena.out();
         assert_eq!(
             arena.local_stats(),

@@ -64,8 +64,9 @@ fn table_len_for(entries: usize) -> usize {
 /// Entry `id` (a dense `u32`) has key [`SupportIndex::key_words`]`(id)` and
 /// amplitude [`SupportIndex::value`]`(id)`. Ids are assigned in interning
 /// order; [`SupportIndex::from_dist`] interns in the distribution's sorted
-/// key order, and [`SupportIndex::sort`] restores that canonical order after
-/// arbitrary interning.
+/// key order, [`SupportIndex::sort`] restores that canonical order after
+/// arbitrary interning, and [`SupportIndex::sorted_appender`] rebuilds an
+/// index from entries already in canonical order.
 ///
 /// Key lookup runs over a flat open-addressing id table probing the flat key
 /// storage directly — no per-key boxing — so a cleared index
@@ -223,6 +224,13 @@ impl SupportIndex {
         &self.values
     }
 
+    /// All key words back to back, [`SupportIndex::words_per_key`] per
+    /// entry in id order: the flat storage behind
+    /// [`SupportIndex::key_words`].
+    pub fn flat_keys(&self) -> &[u64] {
+        &self.keys
+    }
+
     /// The id of `words`, if interned.
     #[inline]
     pub fn get(&self, words: &[u64]) -> Option<u32> {
@@ -258,22 +266,9 @@ impl SupportIndex {
         id
     }
 
-    /// Adds `delta` to the amplitude of `words`, interning if absent — the
-    /// engine's accumulation primitive. One hash probe, no allocation unless
-    /// the key is new.
-    #[inline]
-    pub fn accumulate(&mut self, words: &[u64], delta: f64) {
-        match self.get(words) {
-            Some(id) => self.values[id as usize] += delta,
-            None => {
-                let id = self.intern(words);
-                self.values[id as usize] = delta;
-            }
-        }
-    }
-
-    /// Adds `delta` to the amplitude of an already-interned entry (the
-    /// shard-merge fast path: ids pre-translated, no hashing).
+    /// Adds `delta` to the amplitude of an already-interned entry (no
+    /// hashing). After [`SupportIndex::intern`] of a new key this stores
+    /// `0.0 + delta`, exactly as [`ProbDist::add`] does.
     ///
     /// # Panics
     ///
@@ -289,25 +284,15 @@ impl SupportIndex {
     /// id-for-id identical to [`SupportIndex::from_dist`] of
     /// [`SupportIndex::to_dist`].
     pub fn sort(&mut self) {
-        let n = self.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by(|&a, &b| self.key_words(a).cmp(self.key_words(b)));
-        let mut keys = Vec::with_capacity(self.keys.len());
-        let mut values = Vec::with_capacity(n);
-        for &id in &order {
-            keys.extend_from_slice(self.key_words(id));
-            values.push(self.values[id as usize]);
-        }
-        self.keys = keys;
-        self.values = values;
-        self.rebuild_table();
+        let mut sorted = SupportIndex::new(self.width);
+        self.sorted_copy_into(&mut sorted, &mut Vec::new());
+        *self = sorted;
     }
 
     /// Writes the canonically sorted copy of `self` into `dest`, reusing
     /// `dest`'s retained buffers and the caller-provided `order` scratch.
     /// Produces exactly the state [`SupportIndex::sort`] would leave `self`
-    /// in, but allocation-free once `dest`/`order` capacity covers `self` —
-    /// the engine's between-iteration re-canonicalization primitive.
+    /// in, but allocation-free once `dest`/`order` capacity covers `self`.
     pub fn sorted_copy_into(&self, dest: &mut SupportIndex, order: &mut Vec<u32>) {
         dest.reset(self.width);
         self.sorted_ids(order);
@@ -326,9 +311,18 @@ impl SupportIndex {
         order.clear();
         order.extend(0..self.len() as u32);
         // Interned keys are distinct, so the comparator never returns
-        // `Equal` and the unstable sort yields the same permutation the
-        // stable sort in `sort` would.
+        // `Equal` and the unstable sort yields the one canonical permutation.
         order.sort_unstable_by(|&a, &b| self.key_words(a).cmp(self.key_words(b)));
+    }
+
+    /// Empties `self` for `width`-bit keys and returns a [`SortedAppender`]
+    /// that refills it from entries supplied in strictly ascending canonical
+    /// key order, so ids come out as sorted ranks with no sort and no hashing
+    /// per entry. The probe table is rebuilt once, when the appender drops.
+    /// Allocation-free once retained capacity covers the result.
+    pub fn sorted_appender(&mut self, width: usize) -> SortedAppender<'_> {
+        self.reset(width);
+        SortedAppender { index: self }
     }
 
     /// Mutable amplitudes, indexed by id.
@@ -444,6 +438,56 @@ impl SupportIndex {
     }
 }
 
+/// Refills a [`SupportIndex`] in canonical key order; see
+/// [`SupportIndex::sorted_appender`]. Lookups on the index resume, with the
+/// probe table rebuilt, when the appender drops.
+#[derive(Debug)]
+pub struct SortedAppender<'a> {
+    index: &'a mut SupportIndex,
+}
+
+impl SortedAppender<'_> {
+    /// Appends one entry with the next id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len()` differs from the key word count or the
+    /// support would exceed `u32` ids. Debug builds also panic if `words`
+    /// does not sort strictly after the previous key.
+    #[inline]
+    pub fn push(&mut self, words: &[u64], value: f64) {
+        self.extend(words, std::slice::from_ref(&value));
+    }
+
+    /// Appends `values.len()` entries whose keys lie back to back in `words`
+    /// (flat, as [`SupportIndex`] stores them), with the next ids.
+    ///
+    /// # Panics
+    ///
+    /// As [`SortedAppender::push`], for every appended entry.
+    pub fn extend(&mut self, words: &[u64], values: &[f64]) {
+        let index = &mut *self.index;
+        assert_eq!(words.len(), values.len() * index.words_per_key, "key word count mismatch");
+        assert!(index.values.len() + values.len() < EMPTY_SLOT as usize, "support exceeds u32 ids");
+        if cfg!(debug_assertions) && index.words_per_key > 0 {
+            let wpk = index.words_per_key;
+            let mut prev = index.keys.len().checked_sub(wpk).map(|start| &index.keys[start..]);
+            for key in words.chunks_exact(wpk) {
+                assert!(prev.is_none_or(|p| p < key), "sorted appends must be strictly ascending");
+                prev = Some(key);
+            }
+        }
+        index.keys.extend_from_slice(words);
+        index.values.extend_from_slice(values);
+    }
+}
+
+impl Drop for SortedAppender<'_> {
+    fn drop(&mut self) {
+        self.index.rebuild_table();
+    }
+}
+
 /// Linear probe over the id table: returns the slot the probe ended on and,
 /// if the key is present, its id. The table must be non-empty and below full
 /// load (both invariants are maintained by `intern`).
@@ -514,12 +558,18 @@ mod tests {
         assert_eq!(idx.key(0), bs("00"));
     }
 
+    /// Adds `value` to `key`'s amplitude, interning it at `0.0` if absent.
+    fn add(idx: &mut SupportIndex, key: &str, value: f64) {
+        let id = idx.intern(bs(key).as_words());
+        idx.accumulate_id(id, value);
+    }
+
     #[test]
-    fn accumulate_interns_once_and_sums() {
+    fn intern_once_then_accumulate_sums() {
         let mut idx = SupportIndex::new(2);
         let k = bs("01");
-        idx.accumulate(k.as_words(), 0.25);
-        idx.accumulate(k.as_words(), 0.25);
+        add(&mut idx, "01", 0.25);
+        add(&mut idx, "01", 0.25);
         assert_eq!(idx.len(), 1);
         assert_eq!(idx.value(0), 0.5);
         assert_eq!(idx.get(k.as_words()), Some(0));
@@ -530,7 +580,7 @@ mod tests {
     fn sort_matches_from_dist_ids() {
         let mut idx = SupportIndex::new(2);
         for key in ["11", "00", "01", "10"] {
-            idx.accumulate(bs(key).as_words(), 1.0);
+            add(&mut idx, key, 1.0);
         }
         idx.sort();
         let canonical = SupportIndex::from_dist(&idx.to_dist());
@@ -545,7 +595,7 @@ mod tests {
     fn sorted_copy_into_matches_sort() {
         let mut idx = SupportIndex::new(3);
         for key in ["110", "001", "111", "000", "010"] {
-            idx.accumulate(bs(key).as_words(), 0.125);
+            add(&mut idx, key, 0.125);
         }
         let mut dest = SupportIndex::new(0);
         let mut order = Vec::new();
@@ -562,20 +612,52 @@ mod tests {
     }
 
     #[test]
+    fn sorted_appender_assigns_ranks_and_rebuilds_lookup() {
+        let mut idx = SupportIndex::new(1);
+        add(&mut idx, "1", 9.0); // a previous width and support are discarded
+        {
+            let mut appender = idx.sorted_appender(3);
+            appender.push(bs("000").as_words(), -0.0);
+            appender.extend(&[bs("100").as_words()[0], bs("110").as_words()[0]], &[0.5, 0.25]);
+            appender.push(bs("111").as_words(), 1.0);
+        }
+        assert_eq!(idx.width(), 3);
+        let canonical = SupportIndex::from_dist(&idx.to_dist());
+        assert_eq!(idx.len(), 4);
+        for id in 0..idx.len() as u32 {
+            assert_eq!(idx.key(id), canonical.key(id));
+            assert_eq!(idx.value(id).to_bits(), canonical.value(id).to_bits());
+            assert_eq!(idx.get(idx.key_words(id)), Some(id));
+        }
+        assert_eq!(idx.value(0).to_bits(), (-0.0f64).to_bits(), "values are stored verbatim");
+        assert_eq!(idx.get(bs("010").as_words()), None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "strictly ascending")]
+    fn sorted_appender_rejects_out_of_order_keys() {
+        let mut idx = SupportIndex::new(2);
+        let mut appender = idx.sorted_appender(2);
+        appender.push(bs("01").as_words(), 1.0);
+        appender.push(bs("10").as_words(), 1.0);
+    }
+
+    #[test]
     fn clear_reset_and_copy_from_reuse_buffers() {
         let mut idx = SupportIndex::new(2);
         for key in ["11", "00", "01"] {
-            idx.accumulate(bs(key).as_words(), 1.0);
+            add(&mut idx, key, 1.0);
         }
         idx.clear();
         assert!(idx.is_empty());
         assert_eq!(idx.get(bs("11").as_words()), None);
-        idx.accumulate(bs("10").as_words(), 2.0);
+        add(&mut idx, "10", 2.0);
         assert_eq!(idx.get(bs("10").as_words()), Some(0));
 
         idx.reset(3);
         assert_eq!(idx.width(), 3);
-        idx.accumulate(bs("101").as_words(), 0.5);
+        add(&mut idx, "101", 0.5);
         assert_eq!(idx.len(), 1);
 
         let src = SupportIndex::from_dist(
@@ -677,7 +759,7 @@ mod tests {
     fn retain_compacts_in_order_and_rebuilds_lookup() {
         let mut idx = SupportIndex::new(3);
         for (i, key) in ["110", "001", "111", "000", "010"].into_iter().enumerate() {
-            idx.accumulate(bs(key).as_words(), i as f64);
+            add(&mut idx, key, i as f64);
         }
         assert_eq!(idx.retain(|v| v != 1.0 && v != 3.0), 2);
         let kept: Vec<_> = (0..idx.len() as u32).map(|id| (idx.key(id), idx.value(id))).collect();

@@ -18,14 +18,18 @@ cargo bench --no-run --workspace
 echo "==> cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml"
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
-echo "==> perfbench correctness gates (offline-27q, seed 7, 1 s)"
-perfbench_last="$(cargo run --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
-  --workload offline-27q --seed 7 --seconds 1 --trace 0 | tail -n 1)"
-echo "    $perfbench_last"
-case "$perfbench_last" in
-  *'"correct": true'*) ;;
-  *) echo "perfbench correctness gates failed" >&2; exit 1 ;;
-esac
+echo "==> perfbench correctness gates (offline-27q, seed 7, 1 s, QUFEM_THREADS 1 then 4)"
+# The second run's exact-count check compares its output digest and engine
+# counts with the record the first (inline) run left.
+for t in 1 4; do
+  perfbench_last="$(QUFEM_THREADS="$t" cargo run --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
+    --workload offline-27q --seed 7 --seconds 1 --trace 0 | tail -n 1)"
+  echo "    QUFEM_THREADS=$t: $perfbench_last"
+  case "$perfbench_last" in
+    *'"correct": true'*) ;;
+    *) echo "perfbench correctness gates failed at QUFEM_THREADS=$t" >&2; exit 1 ;;
+  esac
+done
 
 echo "==> RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

@@ -136,12 +136,9 @@ proptest! {
 
     #[test]
     fn support_index_sort_restores_canonical_ids(p in arb_quasi_dist(20, 16)) {
-        // Interning in arbitrary (here: unsorted-iteration) order followed
-        // by sort() must be id-for-id identical to from_dist.
-        let mut idx = SupportIndex::new(p.width());
-        for (k, v) in p.iter() {
-            idx.accumulate(k.as_words(), v);
-        }
+        // Interning in arbitrary (here: the distribution's insertion) order
+        // followed by sort() must be id-for-id identical to from_dist.
+        let mut idx = p.as_index().clone();
         idx.sort();
         let canonical = SupportIndex::from_dist(&p);
         prop_assert_eq!(idx.len(), canonical.len());
