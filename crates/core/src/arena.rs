@@ -353,10 +353,9 @@ impl ExecArena {
             };
             self.local_stats.peak_output_support = self.local_stats.peak_output_support.max(len);
         }
-        let mut appender = self.out.sorted_appender(width);
-        for run in &read(&self.shared.runs)[..runs] {
-            appender.extend(&run.keys, &run.values);
-        }
+        let all = read(&self.shared.runs);
+        let output = all[..runs].iter().map(|run| (&run.keys[..], &run.values[..]));
+        self.out.assign_sorted(width, output);
     }
 
     /// One iteration over the first `runs` runs on the caller's thread: one

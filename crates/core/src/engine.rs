@@ -315,7 +315,7 @@ pub(crate) const BUCKET_BITS: u32 = 11;
 /// first key word's used bits. The first word decides canonical order first
 /// ([`SupportIndex::sorted_ids`] compares keys as word slices), so bucket
 /// order is key order and sorted buckets concatenate into a sorted support.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Buckets {
     shift: u32,
     count: usize,
@@ -343,7 +343,7 @@ impl Buckets {
 #[derive(Debug, Default)]
 pub(crate) struct RecordSink {
     words_per_key: usize,
-    buckets: Option<Buckets>,
+    buckets: Buckets,
     keys: Vec<u64>,
     values: Vec<f64>,
     /// While recording: emissions per bucket. After [`RecordSink::bucket`]:
@@ -360,7 +360,7 @@ impl RecordSink {
     pub(crate) fn clear(&mut self, width: usize) {
         let buckets = Buckets::for_width(width);
         self.words_per_key = BitString::words_for_width(width);
-        self.buckets = Some(buckets);
+        self.buckets = buckets;
         self.keys.clear();
         self.values.clear();
         self.ends.clear();
@@ -370,9 +370,7 @@ impl RecordSink {
 
     #[inline]
     fn emit(&mut self, words: &[u64], value: f64) {
-        if let Some(buckets) = self.buckets {
-            self.ends[buckets.of(words)] += 1;
-        }
+        self.ends[self.buckets.of(words)] += 1;
         self.keys.extend_from_slice(words);
         self.values.push(value);
     }
@@ -390,7 +388,7 @@ impl RecordSink {
 
     /// Stable counting sort of the recorded stream into fold buckets.
     pub(crate) fn bucket(&mut self) {
-        let buckets = self.buckets.expect("sink cleared before recording");
+        let buckets = self.buckets;
         let n = u32::try_from(self.values.len()).expect("shard emissions exceed u32 indices");
         // Exclusive prefix sums of the counts: `ends[b]` becomes bucket
         // `b`'s start, and the scatter below advances it to the bucket's end.
@@ -515,9 +513,8 @@ fn fold<S: std::borrow::Borrow<RecordSink>>(
     let Some(first) = shards.first().map(|s| s.borrow()) else {
         return;
     };
-    let spec = first.buckets.expect("sink cleared before recording");
-    if first.words_per_key == 1 && spec.shift <= DENSE_BITS {
-        fold_dense(shards, buckets, spec.shift, scratch, emit);
+    if first.words_per_key == 1 && first.buckets.shift <= DENSE_BITS {
+        fold_dense(shards, buckets, first.buckets.shift, scratch, emit);
     } else {
         fold_sorted(shards, buckets, first.words_per_key, scratch, emit);
     }
@@ -880,7 +877,7 @@ pub fn execute(
         // Sized exactly: callers keep the output (characterization stores
         // one per benchmark record), so growth slack would stay resident.
         let mut out = SupportIndex::with_capacity(input.width(), run.values.len());
-        out.sorted_appender(input.width()).extend(&run.keys, &run.values);
+        out.assign_sorted(input.width(), [(&run.keys[..], &run.values[..])]);
         out
     });
     stats.peak_output_support = stats.peak_output_support.max(out.len());

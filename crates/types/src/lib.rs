@@ -41,7 +41,7 @@ pub use bitstring::BitString;
 pub use distribution::ProbDist;
 pub use error::Error;
 pub use qubit_set::QubitSet;
-pub use support_index::{SortedAppender, SupportIndex};
+pub use support_index::SupportIndex;
 
 /// Convenient result alias used across the workspace.
 pub type Result<T> = std::result::Result<T, Error>;

@@ -65,7 +65,7 @@ fn table_len_for(entries: usize) -> usize {
 /// amplitude [`SupportIndex::value`]`(id)`. Ids are assigned in interning
 /// order; [`SupportIndex::from_dist`] interns in the distribution's sorted
 /// key order, [`SupportIndex::sort`] restores that canonical order after
-/// arbitrary interning, and [`SupportIndex::sorted_appender`] rebuilds an
+/// arbitrary interning, and [`SupportIndex::assign_sorted`] refills an
 /// index from entries already in canonical order.
 ///
 /// Key lookup runs over a flat open-addressing id table probing the flat key
@@ -315,14 +315,42 @@ impl SupportIndex {
         order.sort_unstable_by(|&a, &b| self.key_words(a).cmp(self.key_words(b)));
     }
 
-    /// Empties `self` for `width`-bit keys and returns a [`SortedAppender`]
-    /// that refills it from entries supplied in strictly ascending canonical
-    /// key order, so ids come out as sorted ranks with no sort and no hashing
-    /// per entry. The probe table is rebuilt once, when the appender drops.
-    /// Allocation-free once retained capacity covers the result.
-    pub fn sorted_appender(&mut self, width: usize) -> SortedAppender<'_> {
+    /// Replaces the contents with `width`-bit entries supplied in strictly
+    /// ascending canonical key order, as consecutive runs of flat key words
+    /// (as [`SupportIndex::flat_keys`] stores them) and values. Ids come out
+    /// as sorted ranks with no sort and no per-entry hashing; the probe
+    /// table is rebuilt once, at the end. Allocation-free once retained
+    /// capacity covers the result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run's key word count does not match its value count or
+    /// the support would exceed `u32` ids. Debug builds also panic if the
+    /// keys are not strictly ascending.
+    pub fn assign_sorted<'a>(
+        &mut self,
+        width: usize,
+        runs: impl IntoIterator<Item = (&'a [u64], &'a [f64])>,
+    ) {
         self.reset(width);
-        SortedAppender { index: self }
+        let wpk = self.words_per_key;
+        for (words, values) in runs {
+            assert_eq!(words.len(), values.len() * wpk, "key word count mismatch");
+            assert!(
+                self.values.len() + values.len() < EMPTY_SLOT as usize,
+                "support exceeds u32 ids"
+            );
+            if cfg!(debug_assertions) && wpk > 0 {
+                let mut prev = self.keys.len().checked_sub(wpk).map(|start| &self.keys[start..]);
+                for key in words.chunks_exact(wpk) {
+                    assert!(prev.is_none_or(|p| p < key), "sorted keys must be strictly ascending");
+                    prev = Some(key);
+                }
+            }
+            self.keys.extend_from_slice(words);
+            self.values.extend_from_slice(values);
+        }
+        self.rebuild_table();
     }
 
     /// Mutable amplitudes, indexed by id.
@@ -435,56 +463,6 @@ impl SupportIndex {
         self.keys.capacity() * std::mem::size_of::<u64>()
             + self.values.capacity() * std::mem::size_of::<f64>()
             + self.table.capacity() * std::mem::size_of::<u32>()
-    }
-}
-
-/// Refills a [`SupportIndex`] in canonical key order; see
-/// [`SupportIndex::sorted_appender`]. Lookups on the index resume, with the
-/// probe table rebuilt, when the appender drops.
-#[derive(Debug)]
-pub struct SortedAppender<'a> {
-    index: &'a mut SupportIndex,
-}
-
-impl SortedAppender<'_> {
-    /// Appends one entry with the next id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words.len()` differs from the key word count or the
-    /// support would exceed `u32` ids. Debug builds also panic if `words`
-    /// does not sort strictly after the previous key.
-    #[inline]
-    pub fn push(&mut self, words: &[u64], value: f64) {
-        self.extend(words, std::slice::from_ref(&value));
-    }
-
-    /// Appends `values.len()` entries whose keys lie back to back in `words`
-    /// (flat, as [`SupportIndex`] stores them), with the next ids.
-    ///
-    /// # Panics
-    ///
-    /// As [`SortedAppender::push`], for every appended entry.
-    pub fn extend(&mut self, words: &[u64], values: &[f64]) {
-        let index = &mut *self.index;
-        assert_eq!(words.len(), values.len() * index.words_per_key, "key word count mismatch");
-        assert!(index.values.len() + values.len() < EMPTY_SLOT as usize, "support exceeds u32 ids");
-        if cfg!(debug_assertions) && index.words_per_key > 0 {
-            let wpk = index.words_per_key;
-            let mut prev = index.keys.len().checked_sub(wpk).map(|start| &index.keys[start..]);
-            for key in words.chunks_exact(wpk) {
-                assert!(prev.is_none_or(|p| p < key), "sorted appends must be strictly ascending");
-                prev = Some(key);
-            }
-        }
-        index.keys.extend_from_slice(words);
-        index.values.extend_from_slice(values);
-    }
-}
-
-impl Drop for SortedAppender<'_> {
-    fn drop(&mut self) {
-        self.index.rebuild_table();
     }
 }
 
@@ -612,15 +590,12 @@ mod tests {
     }
 
     #[test]
-    fn sorted_appender_assigns_ranks_and_rebuilds_lookup() {
+    fn assign_sorted_assigns_ranks_and_rebuilds_lookup() {
         let mut idx = SupportIndex::new(1);
         add(&mut idx, "1", 9.0); // a previous width and support are discarded
-        {
-            let mut appender = idx.sorted_appender(3);
-            appender.push(bs("000").as_words(), -0.0);
-            appender.extend(&[bs("100").as_words()[0], bs("110").as_words()[0]], &[0.5, 0.25]);
-            appender.push(bs("111").as_words(), 1.0);
-        }
+        let words = |keys: &[&str]| keys.iter().map(|k| bs(k).as_words()[0]).collect::<Vec<_>>();
+        let (first, second) = (words(&["000", "100"]), words(&["110", "111"]));
+        idx.assign_sorted(3, [(&first[..], &[-0.0, 0.5][..]), (&second[..], &[0.25, 1.0][..])]);
         assert_eq!(idx.width(), 3);
         let canonical = SupportIndex::from_dist(&idx.to_dist());
         assert_eq!(idx.len(), 4);
@@ -636,11 +611,10 @@ mod tests {
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "strictly ascending")]
-    fn sorted_appender_rejects_out_of_order_keys() {
+    fn assign_sorted_rejects_out_of_order_keys() {
         let mut idx = SupportIndex::new(2);
-        let mut appender = idx.sorted_appender(2);
-        appender.push(bs("01").as_words(), 1.0);
-        appender.push(bs("10").as_words(), 1.0);
+        let (a, b) = ([bs("01").as_words()[0]], [bs("10").as_words()[0]]);
+        idx.assign_sorted(2, [(&a[..], &[1.0][..]), (&b[..], &[1.0][..])]);
     }
 
     #[test]
