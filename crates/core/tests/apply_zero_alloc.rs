@@ -100,6 +100,8 @@ fn steady_state_apply_does_not_allocate() {
             assert!(stats.products > 0, "engine counters moved");
         }
     }
+    // The boundary checks below run on the GHZ input, with its output left
+    // in the arena.
     let expected = prepared.apply(&noisy).unwrap().sorted_pairs();
     let input = SupportIndex::from_dist(&noisy);
     prepared.apply_arena(&input, threads, &mut stats, &mut arena).unwrap();
