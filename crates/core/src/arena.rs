@@ -117,7 +117,7 @@ enum Task {
 
 /// One unit of pool work on slot `slot` (a shard slot for
 /// [`Task::Record`], a run slot for [`Task::Fold`]) of `shared`.
-struct ShardJob {
+struct PoolJob {
     shared: Arc<ApplyShared>,
     slot: usize,
     task: Task,
@@ -128,13 +128,13 @@ struct ShardJob {
 /// only matters under extreme caller fan-out).
 const POOL_QUEUE_CAPACITY: usize = 1024;
 
-static POOL: OnceLock<Arc<WorkQueue<ShardJob>>> = OnceLock::new();
+static POOL: OnceLock<Arc<WorkQueue<PoolJob>>> = OnceLock::new();
 
 /// The process-wide shard pool queue, spawning `configured_threads()`
 /// workers on first use. Worker count does not affect results (each job
 /// writes only its own slot, and the fold order is fixed by the emission
 /// order), only how many jobs run concurrently.
-fn pool() -> &'static Arc<WorkQueue<ShardJob>> {
+fn pool() -> &'static Arc<WorkQueue<PoolJob>> {
     POOL.get_or_init(|| {
         let queue = Arc::new(WorkQueue::with_capacity(POOL_QUEUE_CAPACITY));
         for i in 0..configured_threads().max(1) {
@@ -170,7 +170,7 @@ fn entries(
 /// Runs one job inside `catch_unwind` so a panicking chain walk (e.g. a
 /// width-mismatched input) reaches the waiting caller as a panic — exactly
 /// like the inline path — while the worker thread survives.
-fn run_job(job: ShardJob) {
+fn run_job(job: PoolJob) {
     let shared = &job.shared;
     let result = catch_unwind(AssertUnwindSafe(|| match &job.task {
         Task::Record { plan, width, runs, lo, hi } => {
@@ -389,7 +389,7 @@ impl ExecArena {
         for s in 0..shards {
             let (lo, hi) = (s * len / shards, (s + 1) * len / shards);
             let task = Task::Record { plan: Arc::clone(plan), width, runs, lo, hi };
-            queue.push(ShardJob { shared: Arc::clone(&self.shared), slot: s, task });
+            queue.push(PoolJob { shared: Arc::clone(&self.shared), slot: s, task });
         }
         self.wait(shards);
         qufem_telemetry::counter_add("engine.shards", shards as u64);
@@ -417,7 +417,7 @@ impl ExecArena {
             }
             if folded > start {
                 let task = Task::Fold { shards, buckets: lo..hi };
-                queue.push(ShardJob { shared: Arc::clone(&self.shared), slot: jobs, task });
+                queue.push(PoolJob { shared: Arc::clone(&self.shared), slot: jobs, task });
                 jobs += 1;
             }
             lo = hi;
