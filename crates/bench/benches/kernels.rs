@@ -50,16 +50,20 @@ fn bench_engine(c: &mut Criterion) {
     let positions: Vec<usize> = measured.iter().collect();
     let dist =
         qufem_circuits::synthetic::generate(qufem_circuits::synthetic::Shape::Uniform, 18, 200, 7);
+    let input = SupportIndex::from_dist(&dist);
 
-    let mut group = c.benchmark_group("engine_apply_iteration");
+    // Plan build plus one inline iteration on a fresh arena.
+    let mut group = c.benchmark_group("engine_iteration");
     for &beta in &[0.0, 1e-5, 1e-3] {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("beta={beta:e}")),
             &beta,
             |b, &beta| {
                 b.iter(|| {
-                    let mut stats = EngineStats::default();
-                    engine::apply_iteration(&dist, &positions, &groups, beta, &mut stats)
+                    let chain = [Arc::new(IterationPlan::build(&positions, &groups, beta))];
+                    let mut arena = ExecArena::with_shards(1);
+                    arena.run_chain(&chain, &input, 1);
+                    arena.out().len()
                 });
             },
         );
@@ -101,7 +105,7 @@ fn engine_workload(n: usize, support: usize) -> EngineWorkload {
     EngineWorkload { positions, groups, dist }
 }
 
-/// Plan construction plus the sequential/sharded executors, at the paper's
+/// Plan construction plus inline and sharded `run_chain`, at the paper's
 /// small (36q) and large (136q) scales, against the pre-refactor reference
 /// walk for comparison.
 fn bench_plan_execute(c: &mut Criterion) {
@@ -111,7 +115,6 @@ fn bench_plan_execute(c: &mut Criterion) {
         // shard pool's floor of input strings, so it really dispatches.
         let w = engine_workload(n, 600);
         let chain = [Arc::new(IterationPlan::build(&w.positions, &w.groups, BETA))];
-        let plan = &chain[0];
         let input = SupportIndex::from_dist(&w.dist);
 
         let name = format!("engine_{n}q");
@@ -120,15 +123,16 @@ fn bench_plan_execute(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter("plan-build"), |b| {
             b.iter(|| IterationPlan::build(&w.positions, &w.groups, BETA));
         });
-        group.bench_function(BenchmarkId::from_parameter("execute-sequential"), |b| {
+        // A fresh arena per call in both rows: each pays per-call buffer
+        // setup.
+        group.bench_function(BenchmarkId::from_parameter("run-chain-inline"), |b| {
             b.iter(|| {
-                let mut stats = EngineStats::default();
-                engine::execute(plan, &input, &mut stats)
+                let mut arena = ExecArena::with_shards(1);
+                arena.run_chain(&chain, &input, 1);
+                arena.out().len()
             });
         });
-        // A fresh arena per call, so this row pays the same per-call buffer
-        // setup as `execute-sequential`.
-        group.bench_function(BenchmarkId::from_parameter("execute-sharded"), |b| {
+        group.bench_function(BenchmarkId::from_parameter("run-chain-sharded"), |b| {
             let threads = engine::configured_threads().max(4);
             b.iter(|| {
                 let mut arena = ExecArena::with_shards(threads);
@@ -155,7 +159,7 @@ fn bench_plan_execute(c: &mut Criterion) {
 /// The zero-allocation apply hot path at the paper's large scale: a warmed
 /// [`ExecArena`] running the plan chain in place (`arena`, sequential) and
 /// over the persistent shard pool (`pooled`). Comparable against the
-/// `engine_136q/execute-*` rows above, which pay per-call buffer setup.
+/// `engine_136q/run-chain-*` rows above, which pay per-call buffer setup.
 fn bench_apply_hot_path(c: &mut Criterion) {
     const BETA: f64 = 1e-3;
     let w = engine_workload(136, 600); // above the pool floor, as above

@@ -6,9 +6,11 @@
 //! manifest lands in `results/telemetry/<stem>.json` and an aggregate
 //! `results/telemetry/bench_summary.json` records per-experiment
 //! wall-clock seconds, peak accounted bytes, and engine/plan-build
-//! time from the telemetry spans.
+//! time from the telemetry spans. A run replaces only the summary rows of
+//! the experiments it ran; the other rows stay while `--quick` and
+//! `--seed` match the summary's.
 
-use qufem_bench::report::Table;
+use qufem_bench::report::{merge_summary, Table};
 use qufem_bench::{experiments, RunOptions};
 use serde::Value;
 
@@ -139,13 +141,13 @@ fn main() {
     }
     qufem_telemetry::disable();
 
-    let summary_value = Value::Map(vec![
-        ("quick".to_string(), Value::Bool(opts.quick)),
-        ("seed".to_string(), Value::UInt(opts.seed)),
-        ("total_secs".to_string(), Value::Float(start.elapsed().as_secs_f64())),
-        ("experiments".to_string(), Value::Map(summary)),
-    ]);
     let summary_path = telemetry_dir.join("bench_summary.json");
+    let previous = std::fs::read_to_string(&summary_path)
+        .ok()
+        .and_then(|text| serde_json::from_str::<Value>(&text).ok());
+    let total_secs = start.elapsed().as_secs_f64();
+    let summary_value =
+        merge_summary(previous.as_ref(), opts.quick, opts.seed, total_secs, summary);
     let text = serde_json::to_string_pretty(&summary_value).expect("summary serializes");
     std::fs::write(&summary_path, text).expect("write bench summary");
 

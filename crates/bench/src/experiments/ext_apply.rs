@@ -7,10 +7,10 @@
 //! Latency is reported as p50/p99 over many repeat calls of the *same*
 //! prepared calibration — the serving steady state. Allocations per call
 //! are measured with the `qufem-testsupport` counting global allocator
-//! (installed by the `exp_all` and `ext_apply_alloc` binaries; without it
-//! the columns read n/a). Telemetry is switched off during the measured
-//! loops so the numbers reflect the engine alone, then restored so the
-//! published gauges land in the run manifest.
+//! (installed by the `exp_all` binary; without it the columns read n/a).
+//! Telemetry is switched off during the measured loops so the numbers
+//! reflect the engine alone, then restored so the published gauges land in
+//! the run manifest.
 
 use crate::report::Table;
 use crate::RunOptions;
@@ -65,8 +65,8 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
     let noisy = device.measure_distribution(&ideal, &measured, 2000, &mut rng);
     let input = SupportIndex::from_dist(&noisy);
 
-    // The counting allocator is installed by the measuring binaries; when a
-    // different binary links this experiment the latency columns still hold
+    // The counting allocator is installed by `exp_all`; when a different
+    // binary links this experiment the latency columns still hold
     // but allocation counts cannot be attributed.
     let counting = qufem_testsupport::counting_allocator_installed();
 

@@ -1,8 +1,8 @@
 //! One module per reproduced table/figure.
 //!
-//! Every module exposes `run(&RunOptions) -> Vec<Table>`; the corresponding
-//! binary in `src/bin/` parses options, calls `run`, and the tables are
-//! printed and archived under `results/`.
+//! Every module exposes `run(&RunOptions) -> Vec<Table>`; the `exp_all`
+//! binary parses options, calls each selected `run`, and prints and
+//! archives the tables under `results/`.
 
 pub mod ext_adaption;
 pub mod ext_apply;
@@ -22,7 +22,6 @@ pub mod table1;
 pub mod table2;
 pub mod table3;
 pub mod table4;
-pub mod table5;
 pub mod table6;
 
 use qufem_baselines::{standard_registry, Mitigator};

@@ -2,8 +2,8 @@
 //! device size.
 //!
 //! Both tables come from the same sweep, so this module produces the two
-//! together; the `table4_calibration_time` and `table5_memory` binaries
-//! select their half.
+//! together: `exp_all` writes Table 4 as `table4_calibration_time` and
+//! Table 5 as `table4_calibration_time_2`.
 //!
 //! Methods whose cost is exponential are executed only up to the sizes
 //! where they finish (mirroring the paper's time-outs) and *estimated*

@@ -1,15 +1,16 @@
 //! Experiment harness for the QuFEM reproduction.
 //!
 //! Each table and figure of the paper's evaluation (§6) has a corresponding
-//! module under [`experiments`] and a runnable binary in `src/bin/`:
+//! module under [`experiments`] and an artifact stem that the `exp_all`
+//! binary writes (and selects with `--only STEM`):
 //!
-//! | Paper artifact | Module | Binary |
+//! | Paper artifact | Module | Artifact stem |
 //! |---|---|---|
 //! | Table 1 | [`experiments::table1`] | `table1_comparison` |
 //! | Table 2 | [`experiments::table2`] | `table2_devices` |
 //! | Table 3 | [`experiments::table3`] | `table3_characterization_circuits` |
 //! | Table 4 | [`experiments::table4`] | `table4_calibration_time` |
-//! | Table 5 | [`experiments::table5`] | `table5_memory` |
+//! | Table 5 | [`experiments::table4`] | `table4_calibration_time_2` |
 //! | Table 6 | [`experiments::table6`] | `table6_scale_out` |
 //! | Figure 8 | [`experiments::fig8`] | `fig8_intermediate_values` |
 //! | Figure 9a/9b | [`experiments::fig9`] | `fig9a_fidelity_7q`, `fig9b_fidelity_18q` |
@@ -19,8 +20,8 @@
 //! | Figure 12 | [`experiments::fig12`] | `fig12_thresholds` |
 //! | Figure 13 | [`experiments::fig13`] | `fig13_ablations` |
 //!
-//! `exp_all` runs everything and writes text + JSON artifacts to
-//! `results/`. Every binary accepts `--quick` for a reduced-size run.
+//! `exp_all` runs everything (or the `--only` selection) and writes text +
+//! JSON artifacts to `results/`; `--quick` runs reduced sizes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -31,7 +32,7 @@ pub mod memwatch;
 pub mod report;
 pub mod workloads;
 
-/// Shared options for experiment binaries.
+/// Options of the `exp_all` experiment driver.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Reduced sizes and shot counts for smoke-testing.
@@ -40,7 +41,7 @@ pub struct RunOptions {
     pub out_dir: std::path::PathBuf,
     /// Base RNG seed.
     pub seed: u64,
-    /// Experiment-name substrings to run (`exp_all` only; empty = all).
+    /// Experiment-name substrings to run (empty = all).
     pub only: Vec<String>,
 }
 

@@ -1,6 +1,6 @@
 //! Result tables: text rendering and JSON artifacts.
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -123,9 +123,74 @@ pub fn fmt_mb(bytes: f64) -> String {
     }
 }
 
+/// Builds `exp_all`'s aggregate summary from this run's per-experiment
+/// `rows` and the `previous` summary file's contents. A row replaces the
+/// previous row of the same experiment or is appended; the previous rows of
+/// experiments that did not run are kept when the previous summary has the
+/// same `quick` and `seed`, and dropped otherwise.
+pub fn merge_summary(
+    previous: Option<&Value>,
+    quick: bool,
+    seed: u64,
+    total_secs: f64,
+    rows: Vec<(String, Value)>,
+) -> Value {
+    let same_run = previous.is_some_and(|p| {
+        p.get("quick") == Some(&Value::Bool(quick)) && p.get("seed") == Some(&Value::UInt(seed))
+    });
+    let mut experiments = match previous.and_then(|p| p.get("experiments")?.as_map()) {
+        Some(kept) if same_run => kept.to_vec(),
+        _ => Vec::new(),
+    };
+    for (stem, row) in rows {
+        match experiments.iter_mut().find(|(name, _)| *name == stem) {
+            Some(slot) => slot.1 = row,
+            None => experiments.push((stem, row)),
+        }
+    }
+    Value::Map(vec![
+        ("quick".to_string(), Value::Bool(quick)),
+        ("seed".to_string(), Value::UInt(seed)),
+        ("total_secs".to_string(), Value::Float(total_secs)),
+        ("experiments".to_string(), Value::Map(experiments)),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn row(stem: &str, secs: f64) -> (String, Value) {
+        (stem.to_string(), Value::Map(vec![("wall_secs".to_string(), Value::Float(secs))]))
+    }
+
+    fn stems(summary: &Value) -> Vec<(String, f64)> {
+        let experiments = summary.get("experiments").and_then(Value::as_map).unwrap();
+        experiments
+            .iter()
+            .map(|(stem, row)| (stem.clone(), row.get("wall_secs").unwrap().as_f64().unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn summary_merge_replaces_only_the_rows_that_ran() {
+        let first = merge_summary(None, true, 7, 3.0, vec![row("a", 1.0), row("b", 2.0)]);
+        // Round-trip through the file format, as `exp_all` reads it back.
+        let text = serde_json::to_string_pretty(&first).unwrap();
+        let previous: Value = serde_json::from_str(&text).unwrap();
+
+        let merged =
+            merge_summary(Some(&previous), true, 7, 5.0, vec![row("b", 4.0), row("c", 1.0)]);
+        let expected = [("a".to_string(), 1.0), ("b".to_string(), 4.0), ("c".to_string(), 1.0)];
+        assert_eq!(stems(&merged), expected);
+        assert_eq!(merged.get("total_secs").unwrap().as_f64(), Some(5.0));
+
+        // A different seed or size class starts a fresh summary.
+        let reseeded = merge_summary(Some(&previous), true, 8, 1.0, vec![row("c", 1.0)]);
+        assert_eq!(stems(&reseeded), [("c".to_string(), 1.0)]);
+        let full = merge_summary(Some(&previous), false, 7, 1.0, vec![row("c", 1.0)]);
+        assert_eq!(stems(&full), [("c".to_string(), 1.0)]);
+    }
 
     #[test]
     fn renders_aligned_text() {

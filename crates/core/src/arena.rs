@@ -1,4 +1,5 @@
-//! Reusable execution state for the zero-allocation apply hot path.
+//! Reusable execution state for the engine: [`ExecArena::run_chain`] is the
+//! one way an Eq. 7 iteration runs, for apply and characterization alike.
 //!
 //! [`ExecArena`] owns every buffer one calibration apply needs — per-shard
 //! emission streams, per-partition fold runs and the output index — so a
@@ -24,9 +25,9 @@
 //! [`ExecArena::run_chain`]: `configured_threads()` long-lived workers drain
 //! a process-wide bounded `WorkQueue`. An iteration goes to the pool only
 //! when every shard gets at least [`POOL_FLOOR`] input strings; smaller
-//! ones record and fold inline on the caller's thread as one shard and one
-//! partition, through the same functions. A job carries an `Arc` of the
-//! arena's shared state and either records one shard or folds one
+//! ones run the same record and fold job bodies inline on the caller's
+//! thread, as one shard and one partition. A pooled job carries an `Arc` of
+//! the arena's shared state and either records one shard or folds one
 //! partition, then signals a condvar. Worker panics are caught, reported to
 //! the waiting caller, and re-raised there; the workers themselves live on.
 
@@ -106,7 +107,7 @@ struct ApplyShared {
     done_cv: Condvar,
 }
 
-/// What one pool job does.
+/// What one job does, on the pool or inline.
 enum Task {
     /// Record entries `lo..hi` of the first `runs` runs, concatenated, as
     /// `width`-bit keys under `plan`.
@@ -167,28 +168,34 @@ fn entries(
     })
 }
 
+/// Runs `task` on slot `slot` of `shared`. Pool workers and the caller's
+/// thread (for an inline iteration) run the same job bodies.
+fn run_task(shared: &ApplyShared, slot: usize, task: &Task) {
+    match task {
+        Task::Record { plan, width, runs, lo, hi } => {
+            let input = read(&shared.runs);
+            let mut shard = std::mem::take(&mut write(&shared.shards)[slot]);
+            shard.stats.reset();
+            let wpk = BitString::words_for_width(*width);
+            let input = entries(&input[..*runs], wpk, *lo, *hi);
+            record(plan, *width, input, &mut shard.stats, &mut shard.sink);
+            write(&shared.shards)[slot] = shard;
+        }
+        Task::Fold { shards, buckets } => {
+            let recorded = read(&shared.shards);
+            let mut run = std::mem::take(&mut write(&shared.runs)[slot]);
+            run.fold(&recorded[..*shards], buckets.clone());
+            write(&shared.runs)[slot] = run;
+        }
+    }
+}
+
 /// Runs one job inside `catch_unwind` so a panicking chain walk (e.g. a
 /// width-mismatched input) reaches the waiting caller as a panic — exactly
 /// like the inline path — while the worker thread survives.
 fn run_job(job: PoolJob) {
     let shared = &job.shared;
-    let result = catch_unwind(AssertUnwindSafe(|| match &job.task {
-        Task::Record { plan, width, runs, lo, hi } => {
-            let input = read(&shared.runs);
-            let mut slot = std::mem::take(&mut write(&shared.shards)[job.slot]);
-            slot.stats.reset();
-            let wpk = BitString::words_for_width(*width);
-            let input = entries(&input[..*runs], wpk, *lo, *hi);
-            record(plan, *width, input, &mut slot.stats, &mut slot.sink);
-            write(&shared.shards)[job.slot] = slot;
-        }
-        Task::Fold { shards, buckets } => {
-            let recorded = read(&shared.shards);
-            let mut run = std::mem::take(&mut write(&shared.runs)[job.slot]);
-            run.fold(&recorded[..*shards], buckets.clone());
-            write(&shared.runs)[job.slot] = run;
-        }
-    }));
+    let result = catch_unwind(AssertUnwindSafe(|| run_task(shared, job.slot, &job.task)));
     let mut progress = lock(&shared.progress);
     progress.done += 1;
     if let Err(payload) = result {
@@ -296,15 +303,16 @@ impl ExecArena {
     /// [`ExecArena::out`] and the accumulated stats in
     /// [`ExecArena::local_stats`].
     ///
-    /// `input` must be in canonical sorted order (the contract shared with
-    /// [`crate::execute`]). Every iteration's output comes out canonical and
+    /// `input` must be in canonical sorted order ([`SupportIndex::from_dist`]
+    /// produces it): entry order fixes the float accumulation order. Every
+    /// iteration's output comes out canonical and
     /// is the next iteration's input as it stands: nothing is re-sorted
     /// between iterations, and the output's probe table is built once, at
     /// the end. An iteration goes to the shard pool when `threads > 1` and
     /// each of up to `threads` shards gets at least [`POOL_FLOOR`] input
-    /// strings; otherwise it records and folds inline. Either way the
-    /// bucketed sort-fold keeps every output bit and stats counter identical
-    /// to [`crate::execute`].
+    /// strings; otherwise its jobs run inline. Either way the bucketed
+    /// sort-fold keeps every output bit and stats counter identical at any
+    /// thread count, and to [`crate::engine::reference::apply_iteration`].
     pub fn run_chain(
         &mut self,
         plans: &[Arc<IterationPlan>],
@@ -345,12 +353,7 @@ impl ExecArena {
         let (mut runs, mut len) = (1, input.len());
         for plan in plans {
             let (shards, parts) = cut(len);
-            (runs, len) = if shards.max(parts) >= 2 {
-                self.last_shards = self.last_shards.max(shards);
-                self.run_pooled(plan, width, runs, len, shards.max(1), parts.max(1))
-            } else {
-                self.run_inline(plan, width, runs)
-            };
+            (runs, len) = self.run_iteration(plan, width, runs, len, shards, parts);
             self.local_stats.peak_output_support = self.local_stats.peak_output_support.max(len);
         }
         let all = read(&self.shared.runs);
@@ -358,25 +361,14 @@ impl ExecArena {
         self.out.assign_sorted(width, output);
     }
 
-    /// One iteration over the first `runs` runs on the caller's thread: one
-    /// shard, one partition. Returns the output's run count and length.
-    fn run_inline(&mut self, plan: &IterationPlan, width: usize, runs: usize) -> (usize, usize) {
-        let mut all = write(&self.shared.runs);
-        let mut shards = write(&self.shared.shards);
-        let sink = &mut shards[0].sink;
-        let wpk = BitString::words_for_width(width);
-        record(plan, width, entries(&all[..runs], wpk, 0, usize::MAX), &mut self.local_stats, sink);
-        all[0].fold(std::slice::from_ref(sink), 0..sink.bucket_count());
-        (1, all[0].values.len())
-    }
-
-    /// One iteration over the first `runs` runs (`len` entries) on the shard
-    /// pool: record `shards` contiguous input ranges, cut the bucket range
-    /// into at most `parts` partitions of about equal emission count, and
-    /// fold them into consecutive runs. Returns the output's run count and
-    /// length. Re-raises a worker panic once every job of the phase has
-    /// finished.
-    fn run_pooled(
+    /// One iteration over the first `runs` runs (`len` entries): record
+    /// `shards` contiguous input ranges, cut the bucket range into at most
+    /// `parts` partitions of about equal emission count, and fold them into
+    /// consecutive runs. The jobs go to the shard pool when either count is
+    /// at least 2, else they run inline on the caller's thread as one shard
+    /// and one partition. Returns the output's run count and length.
+    /// Re-raises a worker panic once every job of the phase has finished.
+    fn run_iteration(
         &mut self,
         plan: &Arc<IterationPlan>,
         width: usize,
@@ -385,14 +377,19 @@ impl ExecArena {
         shards: usize,
         parts: usize,
     ) -> (usize, usize) {
-        let queue = pool();
+        let pooled = shards.max(parts) >= 2;
+        let (shards, parts) = (shards.max(1), parts.max(1));
+        if pooled {
+            self.last_shards = self.last_shards.max(shards);
+        }
         for s in 0..shards {
             let (lo, hi) = (s * len / shards, (s + 1) * len / shards);
-            let task = Task::Record { plan: Arc::clone(plan), width, runs, lo, hi };
-            queue.push(PoolJob { shared: Arc::clone(&self.shared), slot: s, task });
+            self.submit(pooled, s, Task::Record { plan: Arc::clone(plan), width, runs, lo, hi });
         }
-        self.wait(shards);
-        qufem_telemetry::counter_add("engine.shards", shards as u64);
+        if pooled {
+            self.wait(shards);
+            qufem_telemetry::counter_add("engine.shards", shards as u64);
+        }
 
         let recorded = read(&self.shared.shards);
         let buckets = recorded[0].sink.bucket_count();
@@ -416,15 +413,26 @@ impl ExecArena {
                 hi += 1;
             }
             if folded > start {
-                let task = Task::Fold { shards, buckets: lo..hi };
-                queue.push(PoolJob { shared: Arc::clone(&self.shared), slot: jobs, task });
+                self.submit(pooled, jobs, Task::Fold { shards, buckets: lo..hi });
                 jobs += 1;
             }
             lo = hi;
         }
-        self.wait(jobs);
+        if pooled {
+            self.wait(jobs);
+        }
         let runs = read(&self.shared.runs);
         (jobs, runs[..jobs].iter().map(|run| run.values.len()).sum())
+    }
+
+    /// Runs `task` on slot `slot`: on the shard pool when `pooled`, else
+    /// right away on the caller's thread.
+    fn submit(&self, pooled: bool, slot: usize, task: Task) {
+        if pooled {
+            pool().push(PoolJob { shared: Arc::clone(&self.shared), slot, task });
+        } else {
+            run_task(&self.shared, slot, &task);
+        }
     }
 
     /// Blocks until `jobs` pool jobs have finished — all of them, even after
@@ -478,8 +486,8 @@ impl ArenaPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::execute;
-    use crate::noisematrix::group_noise_matrix;
+    use crate::engine::reference;
+    use crate::noisematrix::{group_noise_matrix, GroupMatrix};
     use crate::snapshot::{BenchmarkRecord, BenchmarkSnapshot};
     use proptest::prelude::*;
     use qufem_device::BenchmarkCircuit;
@@ -488,9 +496,10 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     /// A two-iteration chain over `n` qubits with independent random flip
-    /// rates, plus a random input of up to `support` strings (bulk, sub-β
-    /// dust, exact and negative zeros).
-    fn workload(seed: u64, n: usize, support: usize) -> (Vec<Arc<IterationPlan>>, SupportIndex) {
+    /// rates (each plan with its group matrices and β), plus a random input
+    /// of up to `support` strings (bulk, sub-β dust, exact and negative
+    /// zeros).
+    fn workload(seed: u64, n: usize, support: usize) -> (Vec<Chained>, ProbDist) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let eps: Vec<f64> = (0..n).map(|_| rng.gen_range(0.01..0.2)).collect();
         let mut snap = BenchmarkSnapshot::new(n);
@@ -518,7 +527,8 @@ mod tests {
                         group_noise_matrix(&snap, &set, &measured).unwrap().unwrap()
                     })
                     .collect();
-                Arc::new(IterationPlan::build(&positions, &groups, [1e-5, 1e-3][i]))
+                let beta = [1e-5, 1e-3][i];
+                (Arc::new(IterationPlan::build(&positions, &groups, beta)), groups, beta)
             })
             .collect();
         let mut dist = ProbDist::new(n);
@@ -532,7 +542,15 @@ mod tests {
             };
             dist.set(key, value);
         }
-        (plans, SupportIndex::from_dist(&dist))
+        (plans, dist)
+    }
+
+    /// One iteration of a test chain: the plan, and the group matrices and
+    /// β it was built from.
+    type Chained = (Arc<IterationPlan>, Vec<GroupMatrix>, f64);
+
+    fn plans_of(chain: &[Chained]) -> Vec<Arc<IterationPlan>> {
+        chain.iter().map(|(plan, _, _)| Arc::clone(plan)).collect()
     }
 
     proptest! {
@@ -540,8 +558,8 @@ mod tests {
 
         /// Shard and partition cuts never change a bit: any cut of the
         /// input into 1–16 shards (more shards than strings included) and
-        /// of the bucket range into 1–16 partitions reproduces the inline
-        /// `execute` chain, stats included.
+        /// of the bucket range into 1–16 partitions reproduces the
+        /// `engine::reference` chain, stats included.
         #[test]
         fn any_shard_and_partition_cut_is_bit_identical(
             seed in any::<u64>(),
@@ -549,12 +567,16 @@ mod tests {
             support in 1usize..=40,
             shards in 1usize..=16,
         ) {
-            let (plans, input) = workload(seed, n, support);
+            let (chain, dist) = workload(seed, n, support);
+            let positions: Vec<usize> = (0..n).collect();
             let mut stats = EngineStats::default();
-            let mut expected = input.clone();
-            for plan in &plans {
-                expected = execute(plan, &expected, &mut stats);
+            let mut expected = dist.clone();
+            for (_, groups, beta) in &chain {
+                expected =
+                    reference::apply_iteration(&expected, &positions, groups, *beta, &mut stats);
             }
+            let expected = SupportIndex::from_dist(&expected);
+            let (plans, input) = (plans_of(&chain), SupportIndex::from_dist(&dist));
             let mut arena = ExecArena::with_shards(1);
             for parts in 1..=16 {
                 arena.run_chain_cut(&plans, &input, 16, |_| (shards, parts));
@@ -570,12 +592,14 @@ mod tests {
 
     #[test]
     fn dispatch_respects_the_floor() {
-        let (plans, small) = workload(5, 8, 2 * POOL_FLOOR - 100);
+        let (chain, small) = workload(5, 8, 2 * POOL_FLOOR - 100);
+        let (plans, small) = (plans_of(&chain), SupportIndex::from_dist(&small));
         assert!(small.len() < 2 * POOL_FLOOR);
         let mut arena = ExecArena::with_shards(1);
         arena.run_chain(&plans[..1], &small, 4);
         assert_eq!(arena.last_shards(), 1, "below the floor the iteration runs inline");
-        let (plans, large) = workload(6, 10, 4 * POOL_FLOOR);
+        let (chain, large) = workload(6, 10, 4 * POOL_FLOOR);
+        let (plans, large) = (plans_of(&chain), SupportIndex::from_dist(&large));
         let len = large.len();
         assert!(len >= 2 * POOL_FLOOR);
         arena.run_chain(&plans[..1], &large, 16);

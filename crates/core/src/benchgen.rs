@@ -165,7 +165,7 @@ fn random_op<R: Rng + ?Sized>(rng: &mut R) -> QubitOp {
 /// from its own `ChaCha8Rng`, so every sampled distribution depends only
 /// on the parent stream position of its circuit — never on the thread
 /// count or the scheduling of the workers.
-fn execute_batch<R: Rng + ?Sized>(
+fn sample_batch<R: Rng + ?Sized>(
     device: &Device,
     circuits: Vec<BenchmarkCircuit>,
     shots: u64,
@@ -203,7 +203,7 @@ pub fn generate<R: Rng + ?Sized>(
 }
 
 /// [`generate`] with an explicit worker count. The returned snapshot is
-/// **bit-identical at any `threads`** (see `execute_batch`); `generate`
+/// **bit-identical at any `threads`** (see `sample_batch`); `generate`
 /// delegates here with [`parallel::configured_threads`].
 ///
 /// # Errors
@@ -224,7 +224,7 @@ pub fn generate_with_threads<R: Rng + ?Sized>(
     // Circuit construction stays on the caller's RNG stream; only the shot
     // sampling fans out.
     let seed_batch: Vec<BenchmarkCircuit> = (0..initial).map(|_| random_circuit(n, rng)).collect();
-    for record in execute_batch(device, seed_batch, config.shots, rng, threads) {
+    for record in sample_batch(device, seed_batch, config.shots, rng, threads) {
         table.add_record(&record);
         snapshot.push(record);
     }
@@ -261,7 +261,7 @@ pub fn generate_with_threads<R: Rng + ?Sized>(
         };
         let budget = config.max_benchmark_circuits - snapshot.len();
         let round: Vec<BenchmarkCircuit> = circuits.into_iter().take(budget).collect();
-        for record in execute_batch(device, round, config.shots, rng, threads) {
+        for record in sample_batch(device, round, config.shots, rng, threads) {
             table.add_record(&record);
             snapshot.push(record);
         }
@@ -283,7 +283,7 @@ pub fn generate_random_budget<R: Rng + ?Sized>(
     let n = device.n_qubits();
     let mut snapshot = BenchmarkSnapshot::new(n);
     let circuits: Vec<BenchmarkCircuit> = (0..count).map(|_| random_circuit(n, rng)).collect();
-    for record in execute_batch(device, circuits, shots, rng, parallel::configured_threads()) {
+    for record in sample_batch(device, circuits, shots, rng, parallel::configured_threads()) {
         snapshot.push(record);
     }
     snapshot
@@ -315,7 +315,7 @@ pub fn generate_qubit_independent<R: Rng + ?Sized>(
             circuits.push(BenchmarkCircuit::new(ops));
         }
     }
-    for record in execute_batch(device, circuits, shots, rng, parallel::configured_threads()) {
+    for record in sample_batch(device, circuits, shots, rng, parallel::configured_threads()) {
         snapshot.push(record);
     }
     snapshot

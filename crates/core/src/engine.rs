@@ -1,5 +1,6 @@
 //! The sparse tensor-product engine (paper §4.2), split into a *plan* built
-//! once per iteration and a pure *execute* step.
+//! once per iteration and a pure execute step that
+//! [`crate::ExecArena::run_chain`] runs.
 //!
 //! One calibration iteration computes, for every nonzero input bit string
 //! `x` with probability `p(x)`,
@@ -36,10 +37,10 @@
 //!
 //! Everything that depends only on the iteration — group-local bit
 //! positions, word-level extraction shifts and scatter masks, the `M⁻¹`
-//! columns — is resolved once into an [`IterationPlan`]. [`execute`] then
-//! runs the chain walk over a [`SupportIndex`] with pure array arithmetic:
-//! no hash lookups on `BitString`s, no per-bit `get`/`set` calls, no
-//! re-deriving positions per string. The same plan is shared across every
+//! columns — is resolved once into an [`IterationPlan`]. The arena then
+//! runs the chain walk over a [`qufem_types::SupportIndex`] with pure array
+//! arithmetic: no hash lookups on `BitString`s, no per-bit `get`/`set`
+//! calls, no re-deriving positions per string. The same plan is shared across every
 //! distribution in a batch and every string in a distribution.
 //!
 //! ## Record → bucket → sort-fold
@@ -52,17 +53,18 @@
 //! emission order, writing the keys in ascending order. Bucket order is key
 //! order, so folded bucket ranges concatenate into a canonically sorted
 //! output whose ids are sorted ranks — the next iteration's input as it
-//! stands. [`execute`] records and folds inline as one shard and one
-//! partition; [`crate::ExecArena::run_chain`] cuts the sorted input into
-//! contiguous shards and the bucket range into partitions balanced by
-//! emission count, and runs both on a shard pool. Because every key's fold
-//! order is the global emission order (shard order, then order within the
-//! shard) whatever the cuts, the output is **bit-identical** to
-//! [`execute`] — and to [`reference::apply_iteration`] — for any thread
+//! stands. [`crate::ExecArena::run_chain`] is the engine's only entry
+//! point: it cuts the sorted input into contiguous shards and the bucket
+//! range into partitions balanced by emission count, and runs the record
+//! and fold jobs on a shard pool — or, for a small iteration, runs the same
+//! jobs as one shard and one partition on the caller's thread. Because
+//! every key's fold order is the global emission order (shard order, then
+//! order within the shard) whatever the cuts, the output is
+//! **bit-identical** to [`reference::apply_iteration`] for any thread
 //! count.
 
 use crate::noisematrix::GroupMatrix;
-use qufem_types::{BitString, ProbDist, SupportIndex};
+use qufem_types::BitString;
 use serde::{Deserialize, Serialize};
 
 /// Ratio between the relative threshold `β` and the absolute (scaled)
@@ -247,8 +249,7 @@ impl GroupPlan {
 /// Everything one calibration iteration needs, resolved once: group-local
 /// positions as word/shift pairs, per-outcome scatter masks, the dense
 /// `M⁻¹` columns, and the pruning thresholds. Build with
-/// [`IterationPlan::build`], run with [`execute`] or, chained and sharded,
-/// [`crate::ExecArena::run_chain`].
+/// [`IterationPlan::build`], run with [`crate::ExecArena::run_chain`].
 /// One plan serves every distribution of a batch and every string of a
 /// distribution.
 #[derive(Debug, Clone)]
@@ -313,8 +314,9 @@ pub(crate) const BUCKET_BITS: u32 = 11;
 
 /// How a key maps to its fold bucket: the top `BUCKET_BITS` bits of the
 /// first key word's used bits. The first word decides canonical order first
-/// ([`SupportIndex::sorted_ids`] compares keys as word slices), so bucket
-/// order is key order and sorted buckets concatenate into a sorted support.
+/// ([`qufem_types::SupportIndex::sorted_ids`] compares keys as word
+/// slices), so bucket order is key order and sorted buckets concatenate
+/// into a sorted support.
 #[derive(Debug, Clone, Copy, Default)]
 struct Buckets {
     shift: u32,
@@ -502,8 +504,8 @@ impl FoldRun {
 /// emission order (shard order, then order within the shard) — exactly
 /// [`reference::apply_iteration`]'s `ProbDist::add` fold — so the result is
 /// bit-identical for any cut of the input into shards and of the bucket
-/// range into partitions. Both [`execute`] and
-/// [`crate::ExecArena::run_chain`] fold through here.
+/// range into partitions. Every fold job of
+/// [`crate::ExecArena::run_chain`] runs through here.
 fn fold<S: std::borrow::Borrow<RecordSink>>(
     shards: &[S],
     buckets: std::ops::Range<usize>,
@@ -765,8 +767,8 @@ fn chain_spill(
 /// as flat `width`-bit key words and values — into `sink` and files the
 /// stream into fold buckets. The per-entry float behaviour — skip exact
 /// zeros, forward sub-β strings, expand the rest, compensate the pruned
-/// deficit — is the engine's contract; [`execute`] and both arena paths
-/// record through here and fold through [`FoldRun::fold`].
+/// deficit — is the engine's contract; every record job of
+/// [`crate::ExecArena::run_chain`] runs through here.
 pub(crate) fn record<'a>(
     plan: &IterationPlan,
     width: usize,
@@ -848,95 +850,29 @@ fn run_entries(
     }
 }
 
-thread_local! {
-    /// Per-thread record and fold buffers for [`execute`]: characterization
-    /// runs one `execute` per benchmark record on each worker, and reusing
-    /// the buffers keeps its peak memory at one emission stream per thread.
-    static EXEC: std::cell::RefCell<(RecordSink, FoldRun)> =
-        std::cell::RefCell::new(Default::default());
-}
-
-/// Applies one calibration iteration to an indexed support (paper Eq. 7).
-///
-/// The input must be in canonical sorted order ([`SupportIndex::from_dist`]
-/// produces it) — entry order fixes the float accumulation order, and
-/// sorted order is the reproducibility contract shared with
-/// [`crate::ExecArena::run_chain`]. The output is in canonical order too
-/// (ids are sorted ranks), so it can feed the next iteration as is.
-pub fn execute(
-    plan: &IterationPlan,
-    input: &SupportIndex,
-    stats: &mut EngineStats,
-) -> SupportIndex {
-    debug_assert_eq!(input.width(), plan.width, "input width must match the plan");
-    let out = EXEC.with(|cell| {
-        let (sink, run) = &mut *cell.borrow_mut();
-        let entries = (input.flat_keys(), input.values());
-        record(plan, input.width(), [entries], stats, sink);
-        run.fold(std::slice::from_ref(sink), 0..sink.bucket_count());
-        // Sized exactly: callers keep the output (characterization stores
-        // one per benchmark record), so growth slack would stay resident.
-        let mut out = SupportIndex::with_capacity(input.width(), run.values.len());
-        out.assign_sorted(input.width(), [(&run.keys[..], &run.values[..])]);
-        out
-    });
-    stats.peak_output_support = stats.peak_output_support.max(out.len());
-    out
-}
-
 pub use crate::parallel::configured_threads;
 
-/// Applies one calibration iteration (paper Eq. 7) to a distribution.
-///
-/// Convenience wrapper over the plan/execute split: builds an
-/// [`IterationPlan`], indexes the distribution, executes sequentially, and
-/// converts back. Callers applying many distributions or chaining
-/// iterations should build the plan once and call [`execute`] or run the
-/// chain on a [`crate::ExecArena`] (see `PreparedCalibration`).
-///
-/// * `dist` — the current distribution `P_i`, one bit per measured qubit;
-/// * `measured_positions` — global qubit index of each bit of `dist`
-///   (ascending);
-/// * `groups` — the per-group inverse noise matrices of this iteration,
-///   whose `qubits()` are subsets of `measured_positions`;
-/// * `beta` — the pruning threshold (`0.0` disables pruning);
-/// * `stats` — instrumentation accumulator.
-///
-/// Bits of the output at positions covered by no group (possible only if
-/// the grouping misses a measured qubit, which the flows never produce) are
-/// passed through unchanged.
-///
-/// # Panics
-///
-/// Panics if a group references a qubit outside `measured_positions`.
-pub fn apply_iteration(
-    dist: &ProbDist,
-    measured_positions: &[usize],
-    groups: &[GroupMatrix],
-    beta: f64,
-    stats: &mut EngineStats,
-) -> ProbDist {
-    debug_assert_eq!(
-        dist.width(),
-        measured_positions.len(),
-        "distribution width must match measured positions"
-    );
-    let plan = IterationPlan::build(measured_positions, groups, beta);
-    let input = SupportIndex::from_dist(dist);
-    execute(&plan, &input, stats).into_dist()
-}
-
 /// The pre-plan/execute engine, retained verbatim: the differential
-/// property tests pin the refactored engine to this implementation
-/// bit-for-bit, and the `kernels` benchmarks measure the speedup against
-/// it. Not part of the supported API surface.
+/// property tests pin [`crate::ExecArena::run_chain`] to this
+/// implementation bit-for-bit, and the `kernels` benchmarks measure the
+/// speedup against it. Not part of the supported API surface.
 pub mod reference {
     use super::{EngineStats, ABS_FLOOR_RATIO};
     use crate::noisematrix::GroupMatrix;
     use qufem_types::{BitString, ProbDist};
 
-    /// Pre-refactor [`super::apply_iteration`]: per-call position resolve,
-    /// per-bit `BitString::get`/`set`, hash-map accumulation.
+    /// One calibration iteration (paper Eq. 7) over a distribution:
+    /// per-call position resolve, per-bit `BitString::get`/`set`, hash-map
+    /// accumulation.
+    ///
+    /// * `dist` — the current distribution `P_i`, one bit per measured
+    ///   qubit;
+    /// * `measured_positions` — global qubit index of each bit of `dist`
+    ///   (ascending);
+    /// * `groups` — the per-group inverse noise matrices of this iteration,
+    ///   whose `qubits()` are subsets of `measured_positions`;
+    /// * `beta` — the pruning threshold (`0.0` disables pruning);
+    /// * `stats` — instrumentation accumulator.
     ///
     /// # Panics
     ///
@@ -1067,11 +1003,30 @@ mod tests {
     use super::*;
     use crate::noisematrix::group_noise_matrix;
     use crate::snapshot::{BenchmarkRecord, BenchmarkSnapshot};
+    use crate::ExecArena;
     use qufem_device::BenchmarkCircuit;
-    use qufem_types::{BitString, QubitSet};
+    use qufem_types::{BitString, ProbDist, QubitSet, SupportIndex};
+    use std::sync::Arc;
 
     fn bs(s: &str) -> BitString {
         BitString::from_binary_str(s).unwrap()
+    }
+
+    /// One iteration over `dist` through a one-plan [`ExecArena::run_chain`]
+    /// at one thread, with the same arguments as
+    /// [`reference::apply_iteration`].
+    fn apply_inline(
+        dist: &ProbDist,
+        measured_positions: &[usize],
+        groups: &[GroupMatrix],
+        beta: f64,
+        stats: &mut EngineStats,
+    ) -> ProbDist {
+        let plan = Arc::new(IterationPlan::build(measured_positions, groups, beta));
+        let mut arena = ExecArena::with_shards(1);
+        arena.run_chain(std::slice::from_ref(&plan), &SupportIndex::from_dist(dist), 1);
+        stats.merge(arena.local_stats());
+        arena.out().to_dist()
     }
 
     /// Snapshot encoding independent 10% error on each of two qubits.
@@ -1122,7 +1077,7 @@ mod tests {
         )
         .unwrap();
         let mut stats = EngineStats::default();
-        let calibrated = apply_iteration(&noisy, &[0, 1], &gms, 0.0, &mut stats);
+        let calibrated = apply_inline(&noisy, &[0, 1], &gms, 0.0, &mut stats);
         assert!((calibrated.prob(&bs("00")) - 1.0).abs() < 1e-9);
         assert!(calibrated.prob(&bs("10")).abs() < 1e-9);
         assert!(calibrated.prob(&bs("01")).abs() < 1e-9);
@@ -1138,8 +1093,8 @@ mod tests {
         let noisy = ProbDist::from_pairs(2, [(bs("00"), 0.9), (bs("11"), 0.1)]).unwrap();
         let mut s1 = EngineStats::default();
         let mut s2 = EngineStats::default();
-        let a = apply_iteration(&noisy, &[0, 1], &single, 0.0, &mut s1);
-        let b = apply_iteration(&noisy, &[0, 1], &joint, 0.0, &mut s2);
+        let a = apply_inline(&noisy, &[0, 1], &single, 0.0, &mut s1);
+        let b = apply_inline(&noisy, &[0, 1], &joint, 0.0, &mut s2);
         for (k, v) in a.iter() {
             assert!((v - b.prob(&k)).abs() < 1e-9, "mismatch at {k}: {v} vs {}", b.prob(&k));
         }
@@ -1155,7 +1110,7 @@ mod tests {
         let noisy = ProbDist::from_pairs(3, [(bs("000"), 0.5), (bs("110"), 0.3), (bs("011"), 0.2)])
             .unwrap();
         let mut stats = EngineStats::default();
-        let out = apply_iteration(&noisy, &[0, 1, 2], &gms, 0.0, &mut stats);
+        let out = apply_inline(&noisy, &[0, 1, 2], &gms, 0.0, &mut stats);
         assert!((out.total_mass() - 1.0).abs() < 1e-9);
     }
 
@@ -1170,12 +1125,12 @@ mod tests {
         )
         .unwrap();
         let mut s_full = EngineStats::default();
-        let full = apply_iteration(&noisy, &[0, 1, 2], &gms, 0.0, &mut s_full);
+        let full = apply_inline(&noisy, &[0, 1, 2], &gms, 0.0, &mut s_full);
         // Pruning applies to the unscaled per-string products: with 10%
         // flip rates, single off-diagonal factors are ~0.1, so a threshold
         // of 0.05 prunes every correction beyond first order.
         let mut s_pruned = EngineStats::default();
-        let pruned = apply_iteration(&noisy, &[0, 1, 2], &gms, 0.05, &mut s_pruned);
+        let pruned = apply_inline(&noisy, &[0, 1, 2], &gms, 0.05, &mut s_pruned);
         assert!(s_pruned.pruned > 0, "expected pruning to trigger");
         assert!(s_pruned.accumulated < s_full.accumulated);
         // The dominant outcome is barely affected.
@@ -1189,7 +1144,7 @@ mod tests {
         let gms = matrices_for(&snap, &[vec![0], vec![1], vec![2]], &measured);
         let noisy = ProbDist::from_pairs(3, [(bs("000"), 1.0)]).unwrap();
         let mut stats = EngineStats::default();
-        let _ = apply_iteration(&noisy, &[0, 1, 2], &gms, 0.05, &mut stats);
+        let _ = apply_inline(&noisy, &[0, 1, 2], &gms, 0.05, &mut stats);
         assert_eq!(stats.kept_per_level.len(), 3);
         // With a 1e-2 threshold, deep branches die off: monotone non-increase
         // is not guaranteed in general, but survivors at the last level can
@@ -1207,7 +1162,7 @@ mod tests {
         dist.set(bs("00"), 1.0);
         dist.set(bs("11"), 0.0); // explicit zero entry
         let mut stats = EngineStats::default();
-        let out = apply_iteration(&dist, &[0, 1], &gms, 0.0, &mut stats);
+        let out = apply_inline(&dist, &[0, 1], &gms, 0.0, &mut stats);
         assert!((out.total_mass() - 1.0).abs() < 1e-9);
     }
 
@@ -1223,8 +1178,8 @@ mod tests {
         without_tail.set(bs("00"), 0.9999);
         let mut s_with = EngineStats::default();
         let mut s_without = EngineStats::default();
-        let out_with = apply_iteration(&with_tail, &[0, 1], &gms, 1e-5, &mut s_with);
-        let out_without = apply_iteration(&without_tail, &[0, 1], &gms, 1e-5, &mut s_without);
+        let out_with = apply_inline(&with_tail, &[0, 1], &gms, 1e-5, &mut s_with);
+        let out_without = apply_inline(&without_tail, &[0, 1], &gms, 1e-5, &mut s_without);
         assert_eq!(s_with.passthrough, 1);
         assert_eq!(s_without.passthrough, 0);
         // "11" sorts after "00", so the tail is forwarded as one literal
@@ -1256,7 +1211,7 @@ mod tests {
         let noisy = ProbDist::from_pairs(3, [(bs("000"), 0.7), (bs("111"), 0.2), (bs("010"), 0.1)])
             .unwrap();
         let mut stats = EngineStats::default();
-        let out = apply_iteration(&noisy, &[0, 1, 2], &gms, 0.5, &mut stats);
+        let out = apply_inline(&noisy, &[0, 1, 2], &gms, 0.5, &mut stats);
         assert!(stats.pruned > 0, "the 0.5 threshold must prune off-diagonals");
         assert!(
             (out.total_mass() - 1.0).abs() < 1e-12,
@@ -1272,7 +1227,7 @@ mod tests {
         let gms = matrices_for(&snap, &[vec![0], vec![1]], &measured);
         let noisy = ProbDist::from_pairs(2, [(bs("00"), 0.6), (bs("11"), 0.4)]).unwrap();
         let mut s0 = EngineStats::default();
-        let exact = apply_iteration(&noisy, &[0, 1], &gms, 0.0, &mut s0);
+        let exact = apply_inline(&noisy, &[0, 1], &gms, 0.0, &mut s0);
         // Exact inversion: M (M⁻¹ p) = p round trip through forward matrices.
         let mut forward = ProbDist::new(2);
         for (k, v) in exact.iter() {
@@ -1329,7 +1284,7 @@ mod tests {
         ];
         let dist = ProbDist::from_pairs(2, [(bs("10"), 1.0)]).unwrap();
         let mut stats = EngineStats::default();
-        let out = apply_iteration(&dist, &[1, 3], &gms, 0.0, &mut stats);
+        let out = apply_inline(&dist, &[1, 3], &gms, 0.0, &mut stats);
         // Identity matrices: distribution unchanged.
         assert!((out.prob(&bs("10")) - 1.0).abs() < 1e-12);
     }
@@ -1347,7 +1302,7 @@ mod tests {
         for beta in [0.0, 1e-5, 5e-2, 0.5] {
             let mut s_new = EngineStats::default();
             let mut s_old = EngineStats::default();
-            let new = apply_iteration(&noisy, &[0, 1, 2], &gms, beta, &mut s_new);
+            let new = apply_inline(&noisy, &[0, 1, 2], &gms, beta, &mut s_new);
             let old = reference::apply_iteration(&noisy, &[0, 1, 2], &gms, beta, &mut s_old);
             assert_eq!(s_new, s_old, "stats diverge at β = {beta}");
             assert_eq!(new.support_len(), old.support_len(), "support diverges at β = {beta}");
@@ -1380,11 +1335,12 @@ mod tests {
             ],
         )
         .unwrap();
-        let plan = std::sync::Arc::new(IterationPlan::build(&[0, 1, 2], &gms, 1e-4));
+        let plan = Arc::new(IterationPlan::build(&[0, 1, 2], &gms, 1e-4));
         let input = SupportIndex::from_dist(&noisy);
         let mut s_seq = EngineStats::default();
-        let seq = execute(&plan, &input, &mut s_seq);
-        let mut arena = crate::ExecArena::with_shards(1);
+        let seq = reference::apply_iteration(&noisy, &[0, 1, 2], &gms, 1e-4, &mut s_seq);
+        let seq = SupportIndex::from_dist(&seq);
+        let mut arena = ExecArena::with_shards(1);
         for threads in [1, 2, 3, 4, 7, 16] {
             arena.run_chain(std::slice::from_ref(&plan), &input, threads);
             let par = arena.out();

@@ -4,7 +4,7 @@
 use crate::arena::{ArenaPool, ExecArena};
 use crate::benchgen::{self, BenchGenReport};
 use crate::config::QuFemConfig;
-use crate::engine::{self, EngineStats, IterationPlan};
+use crate::engine::{EngineStats, IterationPlan};
 use crate::interaction::InteractionTable;
 use crate::mitigate::PreparedMitigator;
 use crate::noisematrix::{group_noise_matrix_with, GroupMatrix};
@@ -274,30 +274,42 @@ impl QuFem {
                     Ok((plan, phase_micros(start)))
                 })?;
             qufem_telemetry::counter_add("characterize.plan_builds", built.len() as u64);
-            let plans: Vec<IterationPlan> = {
+            let plans: Vec<Arc<IterationPlan>> = {
                 let mut plans = Vec::with_capacity(built.len());
                 let mut matrix_gen_us = 0u64;
                 for (plan, us) in built {
                     matrix_gen_us += us;
-                    plans.push(plan);
+                    plans.push(Arc::new(plan));
                 }
                 phases.add_micros("matrix-gen", matrix_gen_us, plans.len() as u64);
                 plans
             };
 
-            let record_results: Vec<(ProbDist, EngineStats, u64)> =
-                parallel::map_in_order(current.records(), threads, |ri, record| {
-                    let start = phase_clock();
-                    let mut local = EngineStats::default();
-                    let input = SupportIndex::from_dist(record.dist());
-                    let updated =
-                        engine::execute(&plans[record_set[ri]], &input, &mut local).into_dist();
-                    (updated, local, phase_micros(start))
+            // One arena per contiguous chunk of records, reused record over
+            // record: a worker keeps one emission stream and one fold run.
+            let records = current.records();
+            let chunk = records.len().div_ceil(threads).max(1);
+            let chunks: Vec<_> = records.chunks(chunk).collect();
+            let record_results: Vec<Vec<(ProbDist, EngineStats, u64)>> =
+                parallel::map_in_order(&chunks, threads, |c, chunk_records| {
+                    let mut arena = ExecArena::with_shards(1);
+                    let mut results = Vec::with_capacity(chunk_records.len());
+                    for (k, record) in chunk_records.iter().enumerate() {
+                        let start = phase_clock();
+                        let plan = std::slice::from_ref(&plans[record_set[c * chunk + k]]);
+                        arena.run_chain(plan, &SupportIndex::from_dist(record.dist()), 1);
+                        let local = arena.local_stats().clone();
+                        // `to_dist` copies into exactly sized buffers: the
+                        // next snapshot keeps every record's output, so
+                        // growth slack would stay resident.
+                        results.push((arena.out().to_dist(), local, phase_micros(start)));
+                    }
+                    results
                 });
-            qufem_telemetry::counter_add("characterize.records", record_results.len() as u64);
+            qufem_telemetry::counter_add("characterize.records", records.len() as u64);
             let mut next = BenchmarkSnapshot::new(n);
             let mut engine_us = 0u64;
-            for ((updated, local, us), record) in record_results.into_iter().zip(current.records())
+            for ((updated, local, us), record) in record_results.into_iter().flatten().zip(records)
             {
                 // Record-order merge: EngineStats::merge sums integer
                 // counters, so this equals the sequential accumulation.

@@ -65,7 +65,7 @@ mod version;
 pub use arena::ExecArena;
 pub use config::{QuFemConfig, QuFemConfigBuilder};
 pub use digest::{digest_bytes, digest_hex, digest_prob_dist, digest_str, Digest64};
-pub use engine::{configured_threads, execute, EngineStats, IterationPlan};
+pub use engine::{configured_threads, EngineStats, IterationPlan};
 pub use flows::{
     build_group_matrices, build_group_matrices_threaded, build_group_matrices_with, calibrate_once,
     IterationParams, PreparedCalibration, QuFem, DEFAULT_PREPARED_MEMO_CAP,

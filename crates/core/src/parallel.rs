@@ -9,17 +9,19 @@
 //! long as each item's result is a pure function of the item (no shared
 //! mutable state, no worker-local RNG draws that depend on scheduling),
 //! concatenating the chunks in chunk order reproduces the sequential result
-//! stream exactly. The engine's shard pool
-//! ([`crate::ExecArena::run_chain`]) holds the invariant without a serial
-//! merge: shards record raw emission streams, and partitions of key buckets
-//! fold them in parallel, each key in global emission order
-//! ([`crate::engine`] "Record → bucket → sort-fold").
+//! stream exactly. The engine's shard pool behind
+//! [`crate::ExecArena::run_chain`], the one way an Eq. 7 iteration runs,
+//! holds the invariant without a serial merge: shards record raw emission
+//! streams, and partitions of key buckets fold them in parallel, each key
+//! in global emission order ([`crate::engine`] "Record → bucket →
+//! sort-fold").
 //!
 //! [`map_in_order`] and [`try_map_in_order`] package that pattern for the
-//! characterization pipeline: per-record Eq. 7 self-calibration, per-group
-//! matrix generation, per-iteration plan building, and per-circuit device
-//! sampling all reduce to "map a pure function over a slice, keep input
-//! order".
+//! characterization pipeline: per-record Eq. 7 self-calibration (mapped
+//! over contiguous chunks of records, each chunk running one-thread
+//! `run_chain`s on its own arena), per-group matrix generation,
+//! per-iteration plan building, and per-circuit device sampling all reduce
+//! to "map a pure function over a slice, keep input order".
 
 /// The pipeline's thread count: `QUFEM_THREADS` when set (values below 1 or
 /// unparsable fall back to 1), otherwise the machine's available

@@ -17,6 +17,10 @@ use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 7, 16];
 
+/// `digest_str` of the exported JSON of `ibmq_7(1)` characterized under
+/// [`fast_config`].
+const CHARACTERIZE_EXPORT_DIGEST: u64 = 0x336a_432a_9119_f5dd;
+
 fn fast_config() -> QuFemConfig {
     QuFemConfig::builder().characterization_threshold(5e-4).shots(400).seed(3).build().unwrap()
 }
@@ -93,6 +97,14 @@ fn from_snapshot_bit_identical_across_thread_counts() {
 fn characterize_export_bit_identical_across_thread_counts() {
     let baseline = QuFem::characterize_with_threads(&presets::ibmq_7(1), fast_config(), 1).unwrap();
     let baseline_json = serde_json::to_string(&baseline.export()).unwrap();
+    // Pins the bytes themselves, not only their agreement across thread
+    // counts: a change to the characterization engine that moves any float
+    // bit of the self-calibrated snapshots changes this digest.
+    assert_eq!(
+        qufem_core::digest_str(&baseline_json),
+        CHARACTERIZE_EXPORT_DIGEST,
+        "characterize export digest"
+    );
     for threads in THREAD_COUNTS {
         let qufem =
             QuFem::characterize_with_threads(&presets::ibmq_7(1), fast_config(), threads).unwrap();

@@ -1,8 +1,8 @@
-//! Differential tests pinning the plan/execute engine to the pre-refactor
-//! implementation (`engine::reference`) bit-for-bit, and the arena's chain
-//! walk (`ExecArena::run_chain`) — inline below the pool floor, sharded on
-//! the pool above it — to the sequential `execute`, across seeded random
-//! workloads.
+//! Differential tests pinning the engine's one entry point,
+//! `ExecArena::run_chain`, to the pre-refactor implementation
+//! (`engine::reference`) bit-for-bit — inline below the pool floor, and
+//! sharded on the pool above it against the inline chain — across seeded
+//! random workloads.
 
 use qufem_core::arena::POOL_FLOOR;
 use qufem_core::engine::{self, reference, EngineStats};
@@ -152,8 +152,23 @@ fn assert_dist_bits_equal(a: &ProbDist, b: &ProbDist, context: &str) {
     }
 }
 
+/// One iteration over `dist` through the inline `run_chain`, with the same
+/// arguments as `reference::apply_iteration`.
+fn apply_inline(
+    dist: &ProbDist,
+    positions: &[usize],
+    groups: &[GroupMatrix],
+    beta: f64,
+    stats: &mut EngineStats,
+) -> ProbDist {
+    let chain = [Arc::new(IterationPlan::build(positions, groups, beta))];
+    let (out, chain_stats) = inline_chain(&chain, &SupportIndex::from_dist(dist));
+    stats.merge(&chain_stats);
+    out.to_dist()
+}
+
 #[test]
-fn execute_matches_reference_across_random_workloads() {
+fn inline_chain_matches_reference_across_random_workloads() {
     for seed in 0..6u64 {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let n = rng.gen_range(3usize..=6);
@@ -166,7 +181,7 @@ fn execute_matches_reference_across_random_workloads() {
             let context = format!("seed {seed}, n {n}, β {beta}");
             let mut s_new = EngineStats::default();
             let mut s_old = EngineStats::default();
-            let new = engine::apply_iteration(&dist, &positions, &gms, beta, &mut s_new);
+            let new = apply_inline(&dist, &positions, &gms, beta, &mut s_new);
             let old = reference::apply_iteration(&dist, &positions, &gms, beta, &mut s_old);
             assert_eq!(s_new, s_old, "stats diverge: {context}");
             assert_dist_bits_equal(&new, &old, &context);
@@ -175,7 +190,7 @@ fn execute_matches_reference_across_random_workloads() {
 }
 
 #[test]
-fn execute_matches_reference_on_multiword_keys() {
+fn inline_chain_matches_reference_on_multiword_keys() {
     // 70-bit keys span two words; an empty snapshot yields identity group
     // matrices, so the walk exercises cross-word extraction and scatter
     // while staying cheap. The reference path must agree bit for bit.
@@ -197,14 +212,14 @@ fn execute_matches_reference_on_multiword_keys() {
     }
     let mut s_new = EngineStats::default();
     let mut s_old = EngineStats::default();
-    let new = engine::apply_iteration(&dist, &positions, &gms, 1e-5, &mut s_new);
+    let new = apply_inline(&dist, &positions, &gms, 1e-5, &mut s_new);
     let old = reference::apply_iteration(&dist, &positions, &gms, 1e-5, &mut s_old);
     assert_eq!(s_new, s_old);
     assert_dist_bits_equal(&new, &old, "70-qubit identity workload");
 }
 
 #[test]
-fn sharded_matches_sequential_across_random_workloads() {
+fn small_inputs_run_inline_and_match_reference_at_any_thread_count() {
     // Thread counts cover degenerate (1), small, the QUFEM_THREADS-derived
     // session value (exercised by the CI matrix), and more threads than
     // input strings. These inputs (2–24 strings) sit below the pool floor,
@@ -224,8 +239,8 @@ fn sharded_matches_sequential_across_random_workloads() {
             let chain = [Arc::new(IterationPlan::build(&positions, &gms, beta))];
             let input = SupportIndex::from_dist(&dist);
             let mut s_seq = EngineStats::default();
-            let seq = engine::execute(&chain[0], &input, &mut s_seq);
-            assert_canonical(&seq, &format!("execute, seed {seed}, n {n}, β {beta}"));
+            let seq = reference::apply_iteration(&dist, &positions, &gms, beta, &mut s_seq);
+            let seq = SupportIndex::from_dist(&seq);
             for &threads in &thread_counts {
                 let context = format!("seed {seed}, n {n}, β {beta}, {threads} threads");
                 arena.run_chain(&chain, &input, threads);
@@ -247,18 +262,13 @@ fn sharded_matches_sequential_across_random_workloads() {
     }
 }
 
-/// The inline `execute` chain over `input`: outputs come out canonical, so
-/// each feeds the next iteration as is.
-fn execute_chain(
-    chain: &[Arc<IterationPlan>],
-    input: &SupportIndex,
-) -> (SupportIndex, EngineStats) {
-    let mut stats = EngineStats::default();
-    let mut out = input.clone();
-    for plan in chain {
-        out = engine::execute(plan, &out, &mut stats);
-    }
-    (out, stats)
+/// `chain` over `input` on a fresh arena at one thread: every iteration
+/// runs inline on the caller's thread.
+fn inline_chain(chain: &[Arc<IterationPlan>], input: &SupportIndex) -> (SupportIndex, EngineStats) {
+    let mut arena = ExecArena::with_shards(1);
+    arena.run_chain(chain, input, 1);
+    assert_eq!(arena.last_shards(), 1, "one thread runs inline");
+    (arena.out().clone(), arena.local_stats().clone())
 }
 
 /// Ids are canonical sorted ranks and every key looks up its own id.
@@ -272,7 +282,7 @@ fn assert_canonical(index: &SupportIndex, context: &str) {
 }
 
 /// Runs `chain` over `input` on the arena at several thread counts and pins
-/// every result to the inline `execute` chain id for id and bit for bit.
+/// every result to the inline chain id for id and bit for bit.
 /// The input is above the pool floor, so every leg with `threads > 1` must
 /// really dispatch to the shard pool.
 fn assert_pooled_matches_inline(
@@ -282,7 +292,7 @@ fn assert_pooled_matches_inline(
     context: &str,
 ) {
     assert!(input.len() >= 2 * POOL_FLOOR, "input below the pool floor: {context}");
-    let (expected, stats) = execute_chain(chain, input);
+    let (expected, stats) = inline_chain(chain, input);
     assert_canonical(&expected, context);
     for threads in [1usize, 2, 4, engine::configured_threads(), 16, 64] {
         let context = format!("{context}, {threads} threads");
@@ -358,7 +368,7 @@ fn pooled_matches_inline_on_keys_too_wide_for_the_dense_fold() {
         // reference engine too.
         let mut s_ref = EngineStats::default();
         let reference = reference::apply_iteration(&dist, &positions, &gms, 1e-4, &mut s_ref);
-        let (inline, s_inline) = execute_chain(&chain, &input);
+        let (inline, s_inline) = inline_chain(&chain, &input);
         assert_eq!(s_inline, s_ref, "stats diverge from reference: {context}");
         assert_dist_bits_equal(&inline.to_dist(), &reference, &context);
         assert_pooled_matches_inline(&mut ExecArena::with_shards(1), &chain, &input, &context);
@@ -455,10 +465,6 @@ fn negative_zero_first_emission_folds_from_positive_zero_at_any_thread_count() {
 
     let plan = Arc::new(IterationPlan::build(&positions, &gms, 0.0));
     let input = SupportIndex::from_dist(&dist);
-    let executed = engine::execute(&plan, &input, &mut EngineStats::default());
-    let id = executed.get(target.as_words()).expect("110… is in the output");
-    assert_eq!(executed.value(id).to_bits(), positive_zero, "execute");
-
     let mut arena = ExecArena::with_shards(1);
     for threads in [1usize, 2, 4, 16] {
         arena.run_chain(std::slice::from_ref(&plan), &input, threads);

@@ -9,12 +9,12 @@
 //!    inputs stay below the pool floor and cover the inline path; 10-qubit
 //!    inputs of 600 strings really dispatch to the pool.
 //! 2. **Survival** — a panic inside a pool worker surfaces to the caller
-//!    exactly like the sequential path's panic would, and the long-lived
+//!    exactly like the inline path's panic would, and the long-lived
 //!    workers keep serving jobs afterwards: the next valid pooled call
-//!    still bit-matches the sequential result.
+//!    still bit-matches the reference engine.
 
 use qufem_core::arena::POOL_FLOOR;
-use qufem_core::engine::{self, reference, EngineStats, IterationPlan};
+use qufem_core::engine::{reference, EngineStats, IterationPlan};
 use qufem_core::{build_group_matrices_with, ExecArena, PreparedMitigator, QuFem, QuFemConfig};
 use qufem_types::{BitString, ProbDist, QubitSet, SupportIndex};
 use rand::{Rng, SeedableRng};
@@ -142,16 +142,16 @@ fn worker_panic_surfaces_and_pool_survives() {
     let narrow_index = SupportIndex::from_dist(&narrow);
     assert!(narrow_index.len() >= 2 * POOL_FLOOR);
 
-    // The sequential executor panics on the width mismatch...
-    let seq_panic = catch_unwind(AssertUnwindSafe(|| {
-        let mut stats = EngineStats::default();
-        engine::execute(&bad_chain[0], &narrow_index, &mut stats)
-    }));
-    assert!(seq_panic.is_err(), "sequential path must reject the width mismatch");
-
-    // ...and the pooled executor surfaces the worker's panic the same way
-    // instead of hanging or poisoning the pool (or the arena).
+    // The inline path panics on the width mismatch on the caller's thread...
     let mut arena = ExecArena::with_shards(4);
+    let inline_panic = catch_unwind(AssertUnwindSafe(|| {
+        arena.run_chain(&bad_chain, &narrow_index, 1);
+    }));
+    assert!(inline_panic.is_err(), "inline path must reject the width mismatch");
+    assert_eq!(arena.last_shards(), 1, "the one-thread walk ran inline");
+
+    // ...and the pooled path surfaces the worker's panic the same way
+    // instead of hanging or poisoning the pool (or the arena).
     for _ in 0..3 {
         let pooled_panic = catch_unwind(AssertUnwindSafe(|| {
             arena.run_chain(&bad_chain, &narrow_index, 4);
@@ -162,7 +162,7 @@ fn worker_panic_surfaces_and_pool_survives() {
 
     // The persistent workers are still alive: a valid pooled execution on
     // the same process-wide pool (and the same arena) remains bit-identical
-    // to sequential.
+    // to the reference engine.
     let n = 10usize;
     let snap = qufem_core::BenchmarkSnapshot::new(n);
     let grouping: Vec<QubitSet> =
@@ -174,7 +174,8 @@ fn worker_panic_surfaces_and_pool_survives() {
     let input = SupportIndex::from_dist(&dist);
 
     let mut s_seq = EngineStats::default();
-    let seq = engine::execute(&good_chain[0], &input, &mut s_seq);
+    let seq = reference::apply_iteration(&dist, &positions, &gms, 1e-5, &mut s_seq);
+    let seq = SupportIndex::from_dist(&seq);
     for threads in [2usize, 4, 16] {
         arena.run_chain(&good_chain, &input, threads);
         assert!(arena.last_shards() > 1, "pool not dispatched at {threads} threads");

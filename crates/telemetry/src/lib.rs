@@ -760,25 +760,6 @@ fn histogram_value(h: &QuantileHistogram) -> serde::Value {
     ])
 }
 
-/// Renders every histogram in the global collector as Prometheus-style
-/// summary text (see [`QuantileHistogram::render_text`]), plus one line per
-/// counter and gauge. Stable ordering: counters, gauges, histograms, each
-/// sorted by name.
-pub fn render_text() -> String {
-    let snap = snapshot();
-    let mut out = String::new();
-    for (name, value) in &snap.counters {
-        let _ = writeln!(out, "{} {value}", sanitize_metric_name(name));
-    }
-    for (name, value) in &snap.gauges {
-        let _ = writeln!(out, "{} {}", sanitize_metric_name(name), fmt_text_value(*value));
-    }
-    for (name, h) in &snap.histograms {
-        out.push_str(&h.render_text(name));
-    }
-    out
-}
-
 /// Raw-span cap per distinct span name in the manifest. Aggregates
 /// (counters, gauges, histogram quantiles) always cover every sample; the
 /// raw span list exists for timeline inspection, and a handful of examples
@@ -1311,18 +1292,6 @@ mod tests {
         assert_eq!(lines[0], "serve_request_secs{quantile=\"0.5\"} 0.25");
         assert_eq!(lines[4], "serve_request_secs_sum 2.5");
         assert_eq!(lines[5], "serve_request_secs_count 10");
-    }
-
-    #[test]
-    fn global_render_text_lists_counters_gauges_histograms() {
-        let _guard = fresh();
-        counter_add("serve.requests", 3);
-        gauge_set("serve.queue_depth", 2.0);
-        histogram_record("serve.request_secs", 0.5);
-        let text = render_text();
-        assert!(text.contains("serve_requests 3"));
-        assert!(text.contains("serve_queue_depth 2"));
-        assert!(text.contains("serve_request_secs_count 1"));
     }
 
     #[test]

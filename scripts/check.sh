@@ -41,6 +41,9 @@ echo "==> QUFEM_THREADS matrix: sharded engine must match sequential bit-for-bit
 for t in 1 4; do
   echo "==> QUFEM_THREADS=$t cargo test -q -p qufem-core --test plan_execute"
   QUFEM_THREADS="$t" cargo test -q -p qufem-core --test plan_execute
+  echo "==> QUFEM_THREADS=$t engine and arena unit tests"
+  QUFEM_THREADS="$t" cargo test -q -p qufem-core --lib engine::
+  QUFEM_THREADS="$t" cargo test -q -p qufem-core --lib arena::
 done
 
 echo "==> QUFEM_THREADS matrix: characterization pipeline must be bit-identical"
