@@ -1,19 +1,25 @@
 //! Memory-accounting regression for the calibration parameters:
-//! `IterationParams` keeps its snapshot behind an `Arc`, so cloning a
-//! `QuFem` — the harness does it for every worker sweep and server start —
-//! must share the stored `BP_i` allocations instead of deep-copying them.
+//! `IterationParams` keeps its snapshot and its group-matrix table behind
+//! `Arc`s, so cloning a `QuFem` — the harness does it for every worker sweep
+//! and server start — must share the stored `BP_i` allocations and matrix
+//! tables instead of deep-copying them.
 
 use qufem_bench::memwatch::MemoryAccount;
-use qufem_core::{BenchmarkSnapshot, QuFem, QuFemConfig};
+use qufem_core::{BenchmarkSnapshot, MatrixTable, QuFem, QuFemConfig};
 use qufem_device::presets;
+use qufem_types::QubitSet;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-#[test]
-fn cloned_calibrators_account_a_single_snapshot_set() {
+fn characterized() -> QuFem {
     let config =
         QuFemConfig::builder().characterization_threshold(5e-4).shots(400).seed(3).build().unwrap();
-    let qufem = QuFem::characterize(&presets::ibmq_7(1), config).unwrap();
+    QuFem::characterize(&presets::ibmq_7(1), config).unwrap()
+}
+
+#[test]
+fn cloned_calibrators_account_a_single_snapshot_set() {
+    let qufem = characterized();
     let clones: Vec<QuFem> = (0..8).map(|_| qufem.clone()).collect();
 
     // Account every *distinct* snapshot allocation across the original and
@@ -38,5 +44,42 @@ fn cloned_calibrators_account_a_single_snapshot_set() {
         account.peak(),
         single_instance,
         "9 calibrators (original + 8 clones) must account the snapshot bytes of exactly one"
+    );
+}
+
+#[test]
+fn cloned_calibrators_share_one_matrix_table_per_iteration() {
+    // An imported calibrator starts with empty tables.
+    let qufem = QuFem::import(characterized().export()).unwrap();
+    let clones: Vec<QuFem> = (0..8).map(|_| qufem.clone()).collect();
+    assert!(qufem.iterations().iter().all(|p| p.matrix_table().is_empty()));
+    let table_bytes =
+        |q: &QuFem| -> usize { q.iterations().iter().map(|p| p.matrix_table().heap_bytes()).sum() };
+    let (bytes_before, tables_before) = (qufem.heap_bytes(), table_bytes(&qufem));
+
+    // Matrices a clone builds land in the tables every holder shares.
+    clones[3].prepare(&QubitSet::full(7)).unwrap();
+    assert!(qufem.iterations().iter().all(|p| !p.matrix_table().is_empty()));
+
+    let mut account = MemoryAccount::new();
+    let mut seen: HashSet<*const MatrixTable> = HashSet::new();
+    let mut distinct_bytes = 0usize;
+    for calibrator in std::iter::once(&qufem).chain(&clones) {
+        for params in calibrator.iterations() {
+            if seen.insert(Arc::as_ptr(params.matrix_table())) {
+                distinct_bytes += params.matrix_table().heap_bytes();
+            }
+        }
+    }
+    account.set("distinct-matrix-tables", distinct_bytes);
+
+    let tables = table_bytes(&qufem);
+    assert_eq!(seen.len(), qufem.iterations().len(), "one table per iteration, not per clone");
+    assert_eq!(account.peak(), tables, "9 calibrators account the tables of exactly one");
+    assert!(tables > tables_before);
+    assert_eq!(
+        qufem.heap_bytes() - bytes_before,
+        tables - tables_before,
+        "the original's heap_bytes counts the matrices its clone built"
     );
 }

@@ -66,6 +66,7 @@
 use crate::noisematrix::GroupMatrix;
 use qufem_types::BitString;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// Ratio between the relative threshold `β` and the absolute (scaled)
 /// floor: a branch is also cut when `|p(x) · v| < β · ABS_FLOOR_RATIO`.
@@ -263,11 +264,17 @@ pub struct IterationPlan {
 impl IterationPlan {
     /// Resolves `groups` against `measured_positions` (ascending global
     /// qubit indices, one per distribution bit) into an executable plan.
+    /// The matrices may be owned or shared (`Arc<GroupMatrix>` from an
+    /// iteration's matrix table): the plan copies their columns either way.
     ///
     /// # Panics
     ///
     /// Panics if a group references a qubit outside `measured_positions`.
-    pub fn build(measured_positions: &[usize], groups: &[GroupMatrix], beta: f64) -> Self {
+    pub fn build<G: Borrow<GroupMatrix>>(
+        measured_positions: &[usize],
+        groups: &[G],
+        beta: f64,
+    ) -> Self {
         let _span = qufem_telemetry::span!("plan-build");
         IterationPlan {
             width: measured_positions.len(),
@@ -275,7 +282,7 @@ impl IterationPlan {
             scaled_floor: beta * ABS_FLOOR_RATIO,
             groups: groups
                 .iter()
-                .map(|gm| GroupPlan::from_matrix(gm, measured_positions))
+                .map(|gm| GroupPlan::from_matrix(gm.borrow(), measured_positions))
                 .collect(),
         }
     }

@@ -1,5 +1,11 @@
 //! The characterization flow (Algorithm 1) and calibration flow
 //! (Algorithm 2) of the paper, packaged as the [`QuFem`] type.
+//!
+//! Every reader of group noise matrices here — the characterization loop's
+//! per-measured-set plan builds, [`QuFem::prepare`] and
+//! [`QuFem::effective_noise_matrix`] — goes through the iteration's
+//! [`MatrixTable`], which builds each (group, `g∩`) matrix once. The free
+//! [`build_group_matrices`] functions are the uncached reference.
 
 use crate::arena::{ArenaPool, ExecArena};
 use crate::benchgen::{self, BenchGenReport};
@@ -7,7 +13,7 @@ use crate::config::QuFemConfig;
 use crate::engine::{EngineStats, IterationPlan};
 use crate::interaction::InteractionTable;
 use crate::mitigate::PreparedMitigator;
-use crate::noisematrix::{group_noise_matrix_with, GroupMatrix};
+use crate::noisematrix::{group_noise_matrix_with, GroupMatrix, MatrixTable};
 use crate::parallel;
 use crate::partition::{self, grouped_pairs, Grouping};
 use crate::snapshot::BenchmarkSnapshot;
@@ -43,18 +49,22 @@ pub const DEFAULT_PREPARED_MEMO_CAP: usize = 32;
 ///
 /// The snapshot sits behind an [`Arc`]: the characterization loop's working
 /// snapshot and the recorded `BP_i` are the same allocation, and cloning a
-/// [`QuFem`] shares every stored snapshot instead of deep-copying them.
+/// [`QuFem`] shares every stored snapshot instead of deep-copying them. The
+/// iteration's [`MatrixTable`] is shared the same way, so a matrix built
+/// through one clone serves them all.
 #[derive(Debug, Clone)]
 pub struct IterationParams {
     grouping: Grouping,
     snapshot: Arc<BenchmarkSnapshot>,
+    matrices: Arc<MatrixTable>,
 }
 
 impl IterationParams {
-    /// Reassembles iteration parameters from their parts (used by the
-    /// persistence layer).
-    pub(crate) fn from_parts(grouping: Grouping, snapshot: BenchmarkSnapshot) -> Self {
-        IterationParams { grouping, snapshot: Arc::new(snapshot) }
+    /// Iteration parameters with an empty matrix table estimating as
+    /// `joint` says (see [`QuFemConfig::joint_group_estimation`]).
+    pub(crate) fn new(grouping: Grouping, snapshot: Arc<BenchmarkSnapshot>, joint: bool) -> Self {
+        let matrices = Arc::new(MatrixTable::new(grouping.len(), joint));
+        IterationParams { grouping, snapshot, matrices }
     }
 
     /// The grouping scheme `G_i`.
@@ -73,6 +83,17 @@ impl IterationParams {
     /// shares rather than duplicates the stored `BP_i`.
     pub fn snapshot_arc(&self) -> Arc<BenchmarkSnapshot> {
         Arc::clone(&self.snapshot)
+    }
+
+    /// The iteration's group-matrix table, shared across clones.
+    pub fn matrix_table(&self) -> &Arc<MatrixTable> {
+        &self.matrices
+    }
+
+    /// The sub-noise matrices of every group intersecting `measured`, in
+    /// group order, from the matrix table.
+    fn group_matrices(&self, measured: &QubitSet) -> Result<Vec<Arc<GroupMatrix>>> {
+        self.matrices.group_matrices(&self.snapshot, &self.grouping, measured)
     }
 }
 
@@ -230,7 +251,7 @@ impl QuFem {
 
             // Line 4: record G_i and BP_i (shared, not deep-copied).
             let params =
-                IterationParams { grouping: grouping.clone(), snapshot: Arc::clone(&current) };
+                IterationParams::new(grouping, Arc::clone(&current), config.joint_group_estimation);
 
             // Lines 5–10: update every benchmarking distribution with Eq. 7.
             // Self-calibration always prunes at least at
@@ -240,11 +261,10 @@ impl QuFem {
             // unmodified in the calibration flow.
             let char_beta = config.beta.max(MIN_CHARACTERIZATION_BETA);
 
-            // Matrix generation is deterministic per measured set within one
-            // iteration, so records sharing a measured set (the common case:
-            // full-register benchmark circuits) share one plan. All distinct
-            // sets are built up front, concurrently; nested group-level
-            // parallelism takes whatever the set-level fan-out leaves over.
+            // Records sharing a measured set (the common case: full-register
+            // benchmark circuits) share one plan. All distinct sets are built
+            // up front, concurrently; their group matrices come from the
+            // iteration's table, which builds each (group, g∩) once.
             let mut set_index: HashMap<QubitSet, usize> = HashMap::new();
             let mut sets: Vec<QubitSet> = Vec::new();
             let record_set: Vec<usize> = current
@@ -258,17 +278,10 @@ impl QuFem {
                     })
                 })
                 .collect();
-            let (outer, inner) = parallel::split_threads(threads, sets.len());
             let built: Vec<(IterationPlan, u64)> =
-                parallel::try_map_in_order(&sets, outer, |_, measured| {
+                parallel::try_map_in_order(&sets, threads, |_, measured| {
                     let start = phase_clock();
-                    let groups = build_group_matrices_threaded(
-                        &current,
-                        &grouping,
-                        measured,
-                        config.joint_group_estimation,
-                        inner,
-                    )?;
+                    let groups = params.group_matrices(measured)?;
                     let positions: Vec<usize> = measured.iter().collect();
                     let plan = IterationPlan::build(&positions, &groups, char_beta);
                     Ok((plan, phase_micros(start)))
@@ -380,10 +393,9 @@ impl QuFem {
     }
 
     /// [`QuFem::prepare`] with an explicit worker count: the `L` iterations
-    /// fan out (each builds its group matrices and plan independently), and
-    /// each iteration's per-group matrix generation fans out over whatever
-    /// the iteration-level split leaves. The prepared plans are
-    /// **bit-identical at any `threads`**.
+    /// fan out, each taking its group matrices from its table (building only
+    /// intersections no earlier reader met) and building its plan. The
+    /// prepared plans are **bit-identical at any `threads`**.
     ///
     /// # Errors
     ///
@@ -401,15 +413,8 @@ impl QuFem {
             }
         }
         let positions: Vec<usize> = measured.iter().collect();
-        let (outer, inner) = parallel::split_threads(threads, self.iterations.len());
-        let plans = parallel::try_map_in_order(&self.iterations, outer, |_, params| {
-            let groups = build_group_matrices_threaded(
-                params.snapshot(),
-                &params.grouping,
-                measured,
-                self.config.joint_group_estimation,
-                inner,
-            )?;
+        let plans = parallel::try_map_in_order(&self.iterations, threads, |_, params| {
+            let groups = params.group_matrices(measured)?;
             Ok(Arc::new(IterationPlan::build(&positions, &groups, self.config.beta)))
         })?;
         // Seed the arena pool at prepare time so the first apply starts from
@@ -490,12 +495,7 @@ impl QuFem {
         let dim = 1usize << m;
         let mut effective: Option<Matrix> = None;
         for params in &self.iterations {
-            let groups = build_group_matrices_with(
-                &params.snapshot,
-                &params.grouping,
-                measured,
-                self.config.joint_group_estimation,
-            )?;
+            let groups = params.group_matrices(measured)?;
             let mut full = Matrix::zeros(dim, dim);
             for x in 0..dim {
                 let xb = BitString::from_index(x, m).expect("x < 2^m");
@@ -521,12 +521,14 @@ impl QuFem {
     }
 
     /// Approximate heap usage of the stored calibration parameters, in
-    /// bytes (Table 5 memory accounting).
+    /// bytes (Table 5 memory accounting): snapshots, groupings and the
+    /// matrix tables, which grow as new intersections are prepared.
     pub fn heap_bytes(&self) -> usize {
         self.iterations
             .iter()
             .map(|p| {
                 p.snapshot.heap_bytes()
+                    + p.matrices.heap_bytes()
                     + p.grouping
                         .iter()
                         .map(|g| g.len() * std::mem::size_of::<usize>())
@@ -564,30 +566,20 @@ pub fn build_group_matrices(
 
 /// [`build_group_matrices`] with selectable estimation (`joint = true`
 /// additionally captures correlated readout inside each group).
+///
+/// Builds every matrix afresh: the uncached reference for the per-iteration
+/// [`MatrixTable`] the flows read through.
 pub fn build_group_matrices_with(
     snapshot: &BenchmarkSnapshot,
     grouping: &Grouping,
     measured: &QubitSet,
     joint: bool,
 ) -> Result<Vec<GroupMatrix>> {
-    build_group_matrices_threaded(snapshot, grouping, measured, joint, 1)
-}
-
-/// [`build_group_matrices_with`] fanned out over the groups across up to
-/// `threads` scoped workers. Each group's matrix is a pure function of the
-/// snapshot and the group, and the results keep group order, so the output
-/// is bit-identical at any thread count.
-pub fn build_group_matrices_threaded(
-    snapshot: &BenchmarkSnapshot,
-    grouping: &Grouping,
-    measured: &QubitSet,
-    joint: bool,
-    threads: usize,
-) -> Result<Vec<GroupMatrix>> {
-    let maybe = parallel::try_map_in_order(grouping, threads, |_, group| {
-        group_noise_matrix_with(snapshot, group, measured, joint)
-    })?;
-    Ok(maybe.into_iter().flatten().collect())
+    let mut groups = Vec::with_capacity(grouping.len());
+    for group in grouping {
+        groups.extend(group_noise_matrix_with(snapshot, group, measured, joint)?);
+    }
+    Ok(groups)
 }
 
 /// Starts a phase stopwatch on a parallel worker — `None` (free) when the

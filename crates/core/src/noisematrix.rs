@@ -5,10 +5,21 @@
 //! qubits the target circuit actually measured. This captures the paper's
 //! observation that "interactions always change under different combinations
 //! of measured qubits" (§3.2, feature 2).
+//!
+//! A group's matrix depends on the measured set only through `g∩`, the
+//! group's measured qubits (Eq. 10): every measured set with the same `g∩`
+//! gets the same matrix, bit for bit. Each iteration therefore keeps one
+//! [`MatrixTable`] that builds a matrix on the first request for its
+//! (group, `g∩`) and serves it to every later one — the characterization
+//! loop's hundreds of benchmark measured sets, every `prepare`, and the
+//! effective-matrix assembly. [`group_noise_matrix_with`] is the uncached
+//! builder behind it.
 
 use crate::snapshot::{BenchmarkSnapshot, IdealCondition};
 use qufem_linalg::Matrix;
 use qufem_types::{BitString, Error, QubitSet, Result};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A per-group noise matrix together with its pre-inverted form, positioned
 /// on specific global qubits.
@@ -186,6 +197,105 @@ pub fn group_noise_matrix_with(
     };
     qufem_telemetry::counter_add("noisematrix.submatrices", 1);
     Ok(Some(GroupMatrix { qubits, matrix, inverse_t: inverse.transpose() }))
+}
+
+/// The group matrices of one iteration, each built on first use and kept.
+///
+/// Keyed by (group index, `g∩` mask), where bit `k` of the mask marks the
+/// group's `k`-th qubit (ascending) as measured; groups never exceed
+/// `max_group_size` (at most 12) qubits, so the mask fits. A group `g` has
+/// at most `2^|g| − 1` nonempty intersections, so the table never holds
+/// more than `Σ_g (2^|g| − 1)` matrices and needs no cap. A matrix is built
+/// under its group's lock, so each key is built exactly once even when
+/// several threads ask for it together; a failed build is returned, not
+/// stored. [`crate::IterationParams`] holds its table behind an [`Arc`], so
+/// clones of a [`crate::QuFem`] share it.
+#[derive(Debug)]
+pub struct MatrixTable {
+    joint: bool,
+    /// One map per group, in grouping order: `g∩` mask → matrix.
+    groups: Vec<Mutex<HashMap<u64, Arc<GroupMatrix>>>>,
+}
+
+impl MatrixTable {
+    /// An empty table for `n_groups` groups, estimating as
+    /// [`group_noise_matrix_with`] does with `joint`.
+    pub(crate) fn new(n_groups: usize, joint: bool) -> Self {
+        MatrixTable { joint, groups: (0..n_groups).map(|_| Mutex::default()).collect() }
+    }
+
+    /// The matrices of every group of `grouping` that intersects `measured`,
+    /// in group order — exactly what [`group_noise_matrix_with`] returns for
+    /// each group, built only for keys not seen before. `snapshot` and
+    /// `grouping` must be the ones the table was made for.
+    ///
+    /// # Errors
+    ///
+    /// As [`group_noise_matrix_with`].
+    pub(crate) fn group_matrices(
+        &self,
+        snapshot: &BenchmarkSnapshot,
+        grouping: &[QubitSet],
+        measured: &QubitSet,
+    ) -> Result<Vec<Arc<GroupMatrix>>> {
+        let mut out = Vec::with_capacity(grouping.len());
+        for (cells, group) in self.groups.iter().zip(grouping) {
+            let mask = group
+                .iter()
+                .enumerate()
+                .filter(|&(_, q)| measured.contains(q))
+                .fold(0u64, |mask, (k, _)| mask | 1 << k);
+            if mask == 0 {
+                continue;
+            }
+            let mut cells = cells.lock().unwrap_or_else(PoisonError::into_inner);
+            let matrix = match cells.get(&mask) {
+                Some(matrix) => Arc::clone(matrix),
+                None => {
+                    let matrix = Arc::new(
+                        group_noise_matrix_with(snapshot, group, measured, self.joint)?
+                            .expect("a nonempty g∩ yields a matrix"),
+                    );
+                    cells.insert(mask, Arc::clone(&matrix));
+                    matrix
+                }
+            };
+            out.push(matrix);
+        }
+        Ok(out)
+    }
+
+    /// Number of matrices built so far.
+    pub fn len(&self) -> usize {
+        self.groups
+            .iter()
+            .map(|cells| cells.lock().unwrap_or_else(PoisonError::into_inner).len())
+            .sum()
+    }
+
+    /// Whether no matrix has been built yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Approximate heap usage in bytes: the per-group maps and every stored
+    /// matrix.
+    pub fn heap_bytes(&self) -> usize {
+        let slot = std::mem::size_of::<(u64, Arc<GroupMatrix>)>();
+        self.groups.capacity() * std::mem::size_of::<Mutex<HashMap<u64, Arc<GroupMatrix>>>>()
+            + self
+                .groups
+                .iter()
+                .map(|cells| {
+                    let cells = cells.lock().unwrap_or_else(PoisonError::into_inner);
+                    cells.capacity() * slot
+                        + cells
+                            .values()
+                            .map(|m| std::mem::size_of::<GroupMatrix>() + m.heap_bytes())
+                            .sum::<usize>()
+                })
+                .sum::<usize>()
+    }
 }
 
 /// Nudges a (near-)singular estimated matrix towards the identity so it can

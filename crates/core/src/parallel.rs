@@ -19,9 +19,12 @@
 //! [`map_in_order`] and [`try_map_in_order`] package that pattern for the
 //! characterization pipeline: per-record Eq. 7 self-calibration (mapped
 //! over contiguous chunks of records, each chunk running one-thread
-//! `run_chain`s on its own arena), per-group matrix generation,
-//! per-iteration plan building, and per-circuit device sampling all reduce
-//! to "map a pure function over a slice, keep input order".
+//! `run_chain`s on its own arena), per-measured-set and per-iteration plan
+//! building, and per-circuit device sampling all reduce to "map a pure
+//! function over a slice, keep input order". Plan builds read their group
+//! matrices from a shared per-iteration table that builds each key once
+//! under a lock; a matrix is a pure function of its key, so which worker
+//! builds it cannot change a bit.
 
 /// The pipeline's thread count: `QUFEM_THREADS` when set (values below 1 or
 /// unparsable fall back to 1), otherwise the machine's available
@@ -34,17 +37,6 @@ pub fn configured_threads() -> usize {
         Ok(v) => v.trim().parse::<usize>().ok().filter(|&t| t >= 1).unwrap_or(1),
         Err(_) => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
     })
-}
-
-/// Splits `threads` over an outer fan-out of `outer_items` work items,
-/// returning `(outer, inner)` thread counts whose product stays within
-/// `threads`: `outer` workers run concurrently and each may fan out over
-/// `inner` more. Keeps nested parallelism (iterations × groups, measured
-/// sets × groups) from oversubscribing the pool.
-pub fn split_threads(threads: usize, outer_items: usize) -> (usize, usize) {
-    let threads = threads.max(1);
-    let outer = threads.min(outer_items.max(1));
-    (outer, (threads / outer).max(1))
 }
 
 /// Applies `f` to every item of `items` across up to `threads` scoped
@@ -236,22 +228,6 @@ mod tests {
         for threads in [1, 5] {
             let got: Result<Vec<usize>, ()> = try_map_in_order(&items, threads, |_, &x| Ok(x * x));
             assert_eq!(got.unwrap(), items.iter().map(|&x| x * x).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn split_threads_bounds_the_product() {
-        assert_eq!(split_threads(8, 2), (2, 4));
-        assert_eq!(split_threads(8, 100), (8, 1));
-        assert_eq!(split_threads(1, 5), (1, 1));
-        assert_eq!(split_threads(7, 3), (3, 2));
-        assert_eq!(split_threads(0, 0), (1, 1));
-        for threads in 1..20 {
-            for items in 0..20 {
-                let (outer, inner) = split_threads(threads, items);
-                assert!(outer * inner <= threads.max(1));
-                assert!(outer >= 1 && inner >= 1);
-            }
         }
     }
 

@@ -125,8 +125,16 @@ impl QuFem {
         for iter_data in data.iterations {
             // Grouping indices feed positional bit extraction later (plan
             // build, effective-matrix assembly); an out-of-range index from
-            // a corrupted export must fail here, not panic downstream.
+            // a corrupted export must fail here, not panic downstream. The
+            // size bound keeps every g∩ within the matrix table's mask.
             for group in &iter_data.grouping {
+                if group.len() > data.config.max_group_size {
+                    return Err(Error::InvalidConfig(format!(
+                        "exported group of {} qubits exceeds max_group_size {}",
+                        group.len(),
+                        data.config.max_group_size
+                    )));
+                }
                 if let Some(&max) = group.as_slice().last() {
                     if max >= data.n_qubits {
                         return Err(Error::QubitOutOfRange { index: max, width: data.n_qubits });
@@ -149,7 +157,11 @@ impl QuFem {
                 }
                 snapshot.push(BenchmarkRecord::new(record.circuit, record.dist));
             }
-            iterations.push(IterationParams::from_parts(iter_data.grouping, snapshot));
+            iterations.push(IterationParams::new(
+                iter_data.grouping,
+                Arc::new(snapshot),
+                data.config.joint_group_estimation,
+            ));
         }
         Ok(QuFem::from_parts(data.config, data.n_qubits, iterations, data.benchgen_report))
     }
@@ -278,5 +290,13 @@ mod tests {
         record.dist =
             ProbDist::point_mass(BitString::zeros(record.circuit.measured_qubits().len() + 1));
         assert!(matches!(QuFem::import(data), Err(Error::WidthMismatch { .. })));
+    }
+
+    #[test]
+    fn import_rejects_groups_above_max_group_size() {
+        let (_, qufem) = characterized();
+        let mut data = qufem.export();
+        data.iterations[0].grouping[0] = QubitSet::full(data.config.max_group_size + 1);
+        assert!(matches!(QuFem::import(data), Err(Error::InvalidConfig(_))));
     }
 }

@@ -50,6 +50,8 @@ echo "==> QUFEM_THREADS matrix: characterization pipeline must be bit-identical"
 for t in 1 4; do
   echo "==> QUFEM_THREADS=$t cargo test -q -p qufem-core --test characterize_parallel"
   QUFEM_THREADS="$t" cargo test -q -p qufem-core --test characterize_parallel
+  echo "==> QUFEM_THREADS=$t cargo test -q -p qufem-core --test matrix_table"
+  QUFEM_THREADS="$t" cargo test -q -p qufem-core --test matrix_table
 done
 
 echo "==> QUFEM_THREADS matrix: served responses must match in-process calibration"
