@@ -32,8 +32,8 @@ fn percentile(sorted: &[f64], pct: f64) -> f64 {
 /// One measured leg: repeated calls through `call`, timed individually,
 /// with the process-wide allocation counter sampled around each call.
 fn measure(rounds: usize, mut call: impl FnMut()) -> (Vec<f64>, f64) {
-    // Warm-up outside the window: sizes arenas, pool scratch, and memo
-    // paths so the measured calls are steady-state.
+    // Warm-up outside the window: sizes arenas and pool scratch so the
+    // measured calls are steady-state.
     for _ in 0..3.min(rounds) {
         call();
     }

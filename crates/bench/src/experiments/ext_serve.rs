@@ -266,7 +266,7 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
     // Wire dialect shoot-out: the same calibrate frame over NDJSON vs the
     // length-prefixed binary dialect, lockstep (depth 1) vs pipelined
     // (depth N) on a single connection. The request repeats verbatim so the
-    // plan and memo caches stay hot and the framing + dispatch layer — not
+    // plan cache stays hot and the framing + dispatch layer — not
     // the engine — dominates what the clock sees.
     let mut wire_table = Table::new(
         "Extension: wire dialect frames/sec (JSON vs binary, lockstep vs pipelined)",
@@ -296,7 +296,7 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
                 } else {
                     Client::connect(addr).expect("client connects")
                 };
-                // Warm the plan and memo caches outside the timed window.
+                // Warm the plan cache outside the timed window.
                 let warm = client.request(&request).expect("warmup round-trips");
                 assert!(warm.ok, "warmup error: {:?}", warm.error);
                 let start = Instant::now();

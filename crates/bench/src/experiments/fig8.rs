@@ -57,7 +57,7 @@ pub fn run(opts: &RunOptions) -> Vec<Table> {
         let mut stats = EngineStats::default();
         let before = qufem_telemetry::snapshot();
         let _ = qufem
-            .prepared(&QubitSet::full(n))
+            .prepare(&QubitSet::full(n))
             .and_then(|prepared| prepared.apply_with_stats(&w.noisy, &mut stats))
             .expect("calibration succeeds");
         let after = qufem_telemetry::snapshot();

@@ -23,7 +23,7 @@ use qufem_types::{BitString, Error, ProbDist, QubitSet, Result, SupportIndex};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Pruning floor applied while self-calibrating the benchmarking
@@ -35,13 +35,6 @@ use std::time::Instant;
 /// per benchmark string even when the user requests an effectively unpruned
 /// *calibration* flow.
 const MIN_CHARACTERIZATION_BETA: f64 = 1e-3;
-
-/// Default cap on the number of measured sets whose prepared calibrations a
-/// [`QuFem`] memoizes (see [`QuFem::prepared`]). When a workload cycles
-/// through more distinct sets than this, the memo is cleared rather than
-/// grown without bound. Tunable per instance via
-/// [`QuFem::set_prepared_memo_cap`].
-pub const DEFAULT_PREPARED_MEMO_CAP: usize = 32;
 
 /// The static calibration parameters of one iteration: the grouping scheme
 /// `G_i` and the benchmarking distributions `BP_i` (paper Algorithm 1's
@@ -120,13 +113,6 @@ pub struct QuFem {
     iterations: Vec<IterationParams>,
     benchgen_report: Option<BenchGenReport>,
     characterization_engine_stats: EngineStats,
-    /// Prepared calibrations per measured set, built on first use and
-    /// shared across clones (plan construction is deterministic, so
-    /// serving a memoized plan cannot change any output bit).
-    prepared_memo: Arc<Mutex<HashMap<QubitSet, Arc<PreparedCalibration>>>>,
-    /// Memo size cap, shared across clones like the memo itself so a tune
-    /// on one handle governs every holder of the same memo.
-    prepared_memo_cap: Arc<std::sync::atomic::AtomicUsize>,
 }
 
 impl QuFem {
@@ -144,10 +130,6 @@ impl QuFem {
             iterations,
             benchgen_report,
             characterization_engine_stats: EngineStats::default(),
-            prepared_memo: Arc::new(Mutex::new(HashMap::new())),
-            prepared_memo_cap: Arc::new(std::sync::atomic::AtomicUsize::new(
-                DEFAULT_PREPARED_MEMO_CAP,
-            )),
         }
     }
 
@@ -345,10 +327,6 @@ impl QuFem {
             iterations,
             benchgen_report: None,
             characterization_engine_stats: stats,
-            prepared_memo: Arc::new(Mutex::new(HashMap::new())),
-            prepared_memo_cap: Arc::new(std::sync::atomic::AtomicUsize::new(
-                DEFAULT_PREPARED_MEMO_CAP,
-            )),
         })
     }
 
@@ -425,46 +403,6 @@ impl QuFem {
         Ok(PreparedCalibration { width: positions.len(), plans, arenas })
     }
 
-    /// The memo cap currently in force for [`QuFem::prepared`].
-    pub fn prepared_memo_cap(&self) -> usize {
-        self.prepared_memo_cap.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Tunes the [`QuFem::prepared`] memo cap (clamped to at least 1). The
-    /// cap is shared across clones, so tuning a served instance takes effect
-    /// on every handle. Sizing: each entry holds one full prepared plan set,
-    /// so budget roughly `distinct measured sets per tenant × tenants
-    /// sharing this instance`.
-    pub fn set_prepared_memo_cap(&self, cap: usize) {
-        self.prepared_memo_cap.store(cap.max(1), std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// A shared prepared calibration for `measured`, built on first use and
-    /// memoized (capped at [`QuFem::prepared_memo_cap`] distinct sets,
-    /// shared across clones). Repeat callers of [`QuFem::calibrate`] over
-    /// the same measured set skip the redundant matrix generation and plan
-    /// builds; because plan construction is deterministic, the memoized
-    /// plans calibrate to the exact bits a fresh [`QuFem::prepare`] would.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`QuFem::prepare`] failures.
-    pub fn prepared(&self, measured: &QubitSet) -> Result<Arc<PreparedCalibration>> {
-        if let Some(hit) = self.prepared_memo.lock().expect("prepared memo lock").get(measured) {
-            return Ok(Arc::clone(hit));
-        }
-        // Build outside the lock: preparation can take seconds at scale and
-        // other measured sets should not serialize behind it. If two threads
-        // race on the same set, both build identical plans and the loser's
-        // copy is simply dropped.
-        let built = Arc::new(self.prepare(measured)?);
-        let mut memo = self.prepared_memo.lock().expect("prepared memo lock");
-        if memo.len() >= self.prepared_memo_cap() && !memo.contains_key(measured) {
-            memo.clear();
-        }
-        Ok(Arc::clone(memo.entry(measured.clone()).or_insert(built)))
-    }
-
     /// Calibrates one measured distribution (paper Algorithm 2).
     ///
     /// The result is a quasi-probability distribution; apply
@@ -474,7 +412,7 @@ impl QuFem {
     ///
     /// Propagates [`QuFem::prepare`] failures and width mismatches.
     pub fn calibrate(&self, dist: &ProbDist, measured: &QubitSet) -> Result<ProbDist> {
-        self.prepared(measured)?.apply(dist)
+        self.prepare(measured)?.apply(dist)
     }
 
     /// The effective full noise matrix `M_eff = M_1 · M_2 · … · M_L` that
@@ -811,27 +749,6 @@ mod tests {
             let b = qufem.calibrate(&noisy, &measured).unwrap();
             assert_eq!(a.sorted_pairs(), b.sorted_pairs());
         }
-    }
-
-    #[test]
-    fn prepared_memo_cap_is_tunable_and_shared_across_clones() {
-        let device = presets::ibmq_7(1);
-        let qufem = QuFem::characterize(&device, fast_config()).unwrap();
-        assert_eq!(qufem.prepared_memo_cap(), DEFAULT_PREPARED_MEMO_CAP);
-        let clone = qufem.clone();
-        qufem.set_prepared_memo_cap(2);
-        assert_eq!(clone.prepared_memo_cap(), 2);
-        // Clamped: a zero cap would make the memo useless.
-        qufem.set_prepared_memo_cap(0);
-        assert_eq!(qufem.prepared_memo_cap(), 1);
-        // Cap 1: a second distinct set clears the memo, so re-preparing the
-        // first set yields a fresh (different) Arc.
-        let a: QubitSet = [0usize, 1].into_iter().collect();
-        let b: QubitSet = [2usize, 3].into_iter().collect();
-        let first = qufem.prepared(&a).unwrap();
-        assert!(Arc::ptr_eq(&first, &qufem.prepared(&a).unwrap()));
-        let _ = qufem.prepared(&b).unwrap();
-        assert!(!Arc::ptr_eq(&first, &qufem.prepared(&a).unwrap()));
     }
 
     #[test]

@@ -68,10 +68,10 @@ pub use digest::{digest_bytes, digest_hex, digest_prob_dist, digest_str, Digest6
 pub use engine::{configured_threads, EngineStats, IterationPlan};
 pub use flows::{
     build_group_matrices, build_group_matrices_with, calibrate_once, IterationParams,
-    PreparedCalibration, QuFem, DEFAULT_PREPARED_MEMO_CAP,
+    PreparedCalibration, QuFem,
 };
 pub use interaction::{HotInteraction, InteractionTable};
-pub use mitigate::{MethodOptions, MethodRegistry, Mitigator, MitigatorCache, PreparedMitigator};
+pub use mitigate::{MethodOptions, MethodRegistry, Mitigator, PreparedMitigator};
 pub use noisematrix::{group_noise_matrix, group_noise_matrix_with, GroupMatrix, MatrixTable};
 pub use partition::Grouping;
 pub use persist::{IterationData, QuFemData, RecordData};

@@ -14,11 +14,10 @@ use crate::config::QuFemConfig;
 use crate::engine::EngineStats;
 use crate::flows::QuFem;
 use crate::snapshot::BenchmarkSnapshot;
-use crate::version::VersionedSnapshot;
 use qufem_types::{Error, ProbDist, QubitSet, Result};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// The output of [`Mitigator::prepare`]: a method's calibration data
 /// pre-resolved for one measured qubit set, ready to apply to any number of
@@ -112,8 +111,7 @@ impl Mitigator for QuFem {
     }
 
     fn prepare(&self, measured: &QubitSet) -> Result<Arc<dyn PreparedMitigator>> {
-        let prepared: Arc<dyn PreparedMitigator> = self.prepared(measured)?;
-        Ok(prepared)
+        Ok(Arc::new(QuFem::prepare(self, measured)?))
     }
 
     fn n_benchmark_circuits(&self) -> u64 {
@@ -237,95 +235,6 @@ impl fmt::Debug for MethodRegistry {
     }
 }
 
-/// Key of one cached mitigator: `(device id, snapshot version, method id)`.
-type MitigatorKey = (Arc<str>, u64, String);
-
-/// Registry-backed cache of instantiated mitigators keyed by
-/// `(device, version, method)` — the fleet-scale replacement for building
-/// every method from one ambient snapshot.
-///
-/// Construction is deterministic (registry constructors are), so concurrent
-/// builds of the same key are allowed to race: the build happens **outside**
-/// the lock and the loser's instance is discarded in favor of the first one
-/// inserted, keeping every consumer on one shared `Arc` per key.
-///
-/// [`MitigatorCache::seed`] pins an exact pre-built instance under a key —
-/// the serve daemon uses it so the `"qufem"` method serves the very
-/// calibrator handed to it (bit-identity with in-process results) instead of
-/// a registry rebuild.
-pub struct MitigatorCache {
-    registry: Arc<MethodRegistry>,
-    built: Mutex<HashMap<MitigatorKey, Arc<dyn Mitigator>>>,
-}
-
-impl MitigatorCache {
-    /// An empty cache building from `registry`.
-    pub fn new(registry: Arc<MethodRegistry>) -> Self {
-        MitigatorCache { registry, built: Mutex::new(HashMap::new()) }
-    }
-
-    /// The backing registry.
-    pub fn registry(&self) -> &Arc<MethodRegistry> {
-        &self.registry
-    }
-
-    /// Pins `mitigator` as the instance served for `method` on this exact
-    /// snapshot version, replacing any raced-in registry build.
-    pub fn seed(&self, snapshot: &VersionedSnapshot, method: &str, mitigator: Arc<dyn Mitigator>) {
-        let key = (snapshot.device_id_arc(), snapshot.version(), method.to_string());
-        self.built.lock().unwrap().insert(key, mitigator);
-    }
-
-    /// Returns the mitigator for `method` on `snapshot`, building it through
-    /// the registry (with default options) on first use.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MethodRegistry::build`] failures (unknown id,
-    /// constructor errors); failures are not cached.
-    pub fn get_or_build(
-        &self,
-        snapshot: &VersionedSnapshot,
-        method: &str,
-    ) -> Result<Arc<dyn Mitigator>> {
-        let key = (snapshot.device_id_arc(), snapshot.version(), method.to_string());
-        if let Some(hit) = self.built.lock().unwrap().get(&key) {
-            return Ok(Arc::clone(hit));
-        }
-        let fresh = self.registry.build(method, snapshot.snapshot(), &MethodOptions::new())?;
-        let mut built = self.built.lock().unwrap();
-        Ok(Arc::clone(built.entry(key).or_insert(fresh)))
-    }
-
-    /// Total number of cached `(device, version, method)` instances.
-    pub fn len(&self) -> usize {
-        self.built.lock().unwrap().len()
-    }
-
-    /// Whether the cache holds no instances.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of cached instances belonging to `device_id` (any version).
-    pub fn device_occupancy(&self, device_id: &str) -> usize {
-        self.built.lock().unwrap().keys().filter(|(d, _, _)| &**d == device_id).count()
-    }
-
-    /// Drops every cached instance for `device_id` at versions strictly
-    /// below `keep_from` — lets a catalog bound memory once old versions
-    /// have drained.
-    pub fn evict_below(&self, device_id: &str, keep_from: u64) {
-        self.built.lock().unwrap().retain(|(d, v, _), _| &**d != device_id || *v >= keep_from);
-    }
-}
-
-impl fmt::Debug for MitigatorCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MitigatorCache").field("len", &self.len()).finish()
-    }
-}
-
 /// Applies numeric option overrides onto a base [`QuFemConfig`].
 fn qufem_config_with(base: &QuFemConfig, options: &MethodOptions) -> Result<QuFemConfig> {
     let mut config = base.clone();
@@ -409,45 +318,6 @@ mod tests {
             registry.build("qufem", &snapshot, &options),
             Err(Error::InvalidConfig(_))
         ));
-    }
-
-    #[test]
-    fn mitigator_cache_shares_one_instance_per_key() {
-        let device = presets::ibmq_7(1);
-        let qufem = QuFem::characterize(&device, fast_config()).unwrap();
-        let v0 =
-            crate::version::VersionedSnapshot::root("ibmq-7", qufem.iterations()[0].snapshot_arc());
-        let cache = MitigatorCache::new(Arc::new(MethodRegistry::with_qufem(fast_config())));
-        let a = cache.get_or_build(&v0, "qufem").unwrap();
-        let b = cache.get_or_build(&v0, "qufem").unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.device_occupancy("ibmq-7"), 1);
-        assert_eq!(cache.device_occupancy("other"), 0);
-        // A new version is a distinct key.
-        let v1 = v0.child(qufem.iterations()[0].snapshot_arc(), 1);
-        let c = cache.get_or_build(&v1, "qufem").unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(cache.len(), 2);
-        cache.evict_below("ibmq-7", 1);
-        assert_eq!(cache.len(), 1);
-        assert!(Arc::ptr_eq(&c, &cache.get_or_build(&v1, "qufem").unwrap()));
-    }
-
-    #[test]
-    fn mitigator_cache_seed_pins_exact_instance() {
-        let device = presets::ibmq_7(1);
-        let qufem = QuFem::characterize(&device, fast_config()).unwrap();
-        let v0 =
-            crate::version::VersionedSnapshot::root("ibmq-7", qufem.iterations()[0].snapshot_arc());
-        let cache = MitigatorCache::new(Arc::new(MethodRegistry::with_qufem(fast_config())));
-        let exact: Arc<dyn Mitigator> = Arc::new(qufem.clone());
-        cache.seed(&v0, "qufem", Arc::clone(&exact));
-        let got = cache.get_or_build(&v0, "qufem").unwrap();
-        assert!(Arc::ptr_eq(&got, &exact));
-        // Unknown method errors are not cached.
-        assert!(cache.get_or_build(&v0, "nope").is_err());
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]

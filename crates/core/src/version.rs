@@ -6,9 +6,8 @@
 //! *which device* a snapshot describes and *which recalibration* produced
 //! it. [`VersionedSnapshot`] wraps a [`BenchmarkSnapshot`] with that
 //! identity — a device id plus a monotonically increasing version number
-//! with parent lineage — so prepared mitigators can be keyed by
-//! `(device, version, method)` instead of built from one ambient snapshot
-//! (see [`crate::mitigate::MitigatorCache`]).
+//! with parent lineage — so a serving catalog can hold mitigators per
+//! `(device, version)` instead of building them from one ambient snapshot.
 //!
 //! The lineage persists alongside the calibration parameters: exports carry
 //! an optional [`SnapshotLineage`] stamp, and parameter files written before

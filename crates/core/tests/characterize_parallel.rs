@@ -158,27 +158,3 @@ fn clone_shares_snapshots_instead_of_deep_copying() {
         );
     }
 }
-
-#[test]
-fn repeat_calibrations_reuse_one_prepared_plan() {
-    let qufem = QuFem::characterize_with_threads(&presets::ibmq_7(1), fast_config(), 2).unwrap();
-    let measured = QubitSet::full(7);
-    let first = qufem.prepared(&measured).unwrap();
-    let second = qufem.prepared(&measured).unwrap();
-    assert!(Arc::ptr_eq(&first, &second), "same measured set must hit the memo");
-    // Clones share the memo too: the bench harness clones calibrators freely.
-    let third = qufem.clone().prepared(&measured).unwrap();
-    assert!(Arc::ptr_eq(&first, &third), "clones share the prepared memo");
-    // The memoized plans calibrate identically to a fresh prepare.
-    let device = presets::ibmq_7(1);
-    let mut rng = ChaCha8Rng::seed_from_u64(5);
-    let noisy = device.measure_distribution(&qufem_circuits::ghz(7), &measured, 800, &mut rng);
-    let fresh = qufem.prepare(&measured).unwrap().apply(&noisy).unwrap();
-    let memoized = qufem.calibrate(&noisy, &measured).unwrap();
-    let (a, b) = (fresh.sorted_pairs(), memoized.sorted_pairs());
-    assert_eq!(a.len(), b.len());
-    for ((ka, va), (kb, vb)) in a.iter().zip(&b) {
-        assert_eq!(ka, kb);
-        assert_eq!(va.to_bits(), vb.to_bits());
-    }
-}

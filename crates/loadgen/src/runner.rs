@@ -129,7 +129,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<Report> {
         prewarm: scenario.prewarm,
         registry: Arc::new(qufem_baselines::standard_registry(startup.config().clone())),
         device_id: scenario.devices[0].id.clone(),
-        prepared_memo_cap: scenario.server.memo_cap,
         frozen_clock: true,
         ..ServeConfig::default()
     };

@@ -106,9 +106,6 @@ pub struct ServerSpec {
     pub queue_depth: usize,
     /// Prepared-plan cache capacity per version entry.
     pub plan_cache: usize,
-    /// Optional prepared-memo cap override (see
-    /// `qufem_serve::ServeConfig::prepared_memo_cap`).
-    pub memo_cap: Option<usize>,
 }
 
 /// One hosted device: a preset characterized once at startup.
@@ -211,11 +208,27 @@ impl Scenario {
     /// # Errors
     ///
     /// A descriptive [`Error`] for syntax errors, missing/mistyped fields,
-    /// or semantically invalid combinations (unknown devices, out-of-range
-    /// rounds, sparse widths exceeding the register, …).
+    /// keys or sections the parser does not read, or semantically invalid
+    /// combinations (unknown devices, out-of-range rounds, sparse widths
+    /// exceeding the register, …).
     pub fn parse(text: &str) -> Result<Scenario> {
         let doc = toml::parse(text).map_err(Error::new)?;
+        if let Some((name, _)) =
+            doc.tables.iter().find(|(n, _)| !["budget", "server"].contains(&n.as_str()))
+        {
+            return Err(Error::new(format!("unknown table [{name}]")));
+        }
+        if let Some((name, _)) =
+            doc.arrays.iter().find(|(n, _)| !["devices", "tenants", "events"].contains(&n.as_str()))
+        {
+            return Err(Error::new(format!("unknown table array [[{name}]]")));
+        }
         let root = &doc.root;
+        reject_unknown(
+            root,
+            "scenario",
+            &["name", "seed", "rounds", "clients", "arrival", "burst", "protocol", "prewarm"],
+        )?;
         let name = need_str(root, "scenario", "name")?;
         let seed = opt_u64(root, "scenario", "seed", 0)?;
         let rounds = opt_usize(root, "scenario", "rounds", 4)?;
@@ -265,6 +278,7 @@ impl Scenario {
                 if p99_ms <= 0.0 || p99_ms.is_nan() {
                     return Err(Error::new(format!("budget: p99_ms must be > 0, got {p99_ms}")));
                 }
+                reject_unknown(t, "budget", &["p99_ms"])?;
                 Some(BudgetSpec { p99_ms })
             }
         };
@@ -273,8 +287,8 @@ impl Scenario {
             workers: opt_usize(server_table, "server", "workers", 2)?,
             queue_depth: opt_usize(server_table, "server", "queue_depth", clients + 8)?,
             plan_cache: opt_usize(server_table, "server", "plan_cache", 8)?,
-            memo_cap: opt_opt_usize(server_table, "server", "memo_cap")?,
         };
+        reject_unknown(server_table, "server", &["workers", "queue_depth", "plan_cache"])?;
         if server.queue_depth < clients {
             return Err(Error::new(format!(
                 "server.queue_depth ({}) must be >= clients ({}): lockstep connects would \
@@ -296,6 +310,7 @@ impl Scenario {
                 threshold: opt_f64(t, &ctx, "threshold", 5e-4)?,
                 seed: opt_u64(t, &ctx, "seed", 1)?,
             };
+            reject_unknown(t, &ctx, &["id", "preset", "cal_shots", "threshold", "seed"])?;
             if devices.iter().any(|d: &DeviceSpec| d.id == spec.id) {
                 return Err(Error::new(format!("{ctx}: duplicate device id {:?}", spec.id)));
             }
@@ -353,6 +368,11 @@ impl Scenario {
                 measured,
                 shots: opt_u64(t, &ctx, "shots", 400)?,
             };
+            reject_unknown(
+                t,
+                &ctx,
+                &["name", "device", "method", "weight", "measured", "sparse_k", "shots"],
+            )?;
             if tenants.iter().any(|x: &TenantSpec| x.name == spec.name) {
                 return Err(Error::new(format!("{ctx}: duplicate tenant name {:?}", spec.name)));
             }
@@ -397,6 +417,7 @@ impl Scenario {
                     )))
                 }
             };
+            reject_unknown(t, &ctx, &["round", "kind", "device", "drift_step", "clients"])?;
             events.push(EventSpec { round, kind });
         }
         events.sort_by_key(|e| e.round);
@@ -486,6 +507,15 @@ pub fn build_device(spec: &DeviceSpec) -> Result<Device> {
 // Typed field accessors
 // ---------------------------------------------------------------------------
 
+/// Rejects the first key of `t` outside `known`: a key the parser never
+/// reads (a typo, a stale knob) must not run silently with defaults.
+fn reject_unknown(t: &TomlTable, ctx: &str, known: &[&str]) -> Result<()> {
+    match t.entries.iter().find(|(key, _)| !known.contains(&key.as_str())) {
+        Some((key, _)) => Err(Error::new(format!("{ctx}: unknown key {key:?}"))),
+        None => Ok(()),
+    }
+}
+
 fn type_err(ctx: &str, key: &str, want: &str, got: &TomlValue) -> Error {
     Error::new(format!("{ctx}.{key}: expected {want}, got {}", got.kind()))
 }
@@ -516,14 +546,6 @@ fn opt_u64(t: &TomlTable, ctx: &str, key: &str, default: u64) -> Result<u64> {
 
 fn opt_usize(t: &TomlTable, ctx: &str, key: &str, default: usize) -> Result<usize> {
     opt_u64(t, ctx, key, default as u64).map(|n| n as usize)
-}
-
-fn opt_opt_usize(t: &TomlTable, ctx: &str, key: &str) -> Result<Option<usize>> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(TomlValue::Int(n)) if *n >= 0 => Ok(Some(*n as usize)),
-        Some(other) => Err(type_err(ctx, key, "non-negative integer", other)),
-    }
 }
 
 fn opt_f64(t: &TomlTable, ctx: &str, key: &str, default: f64) -> Result<f64> {
@@ -610,7 +632,6 @@ mod tests {
             [server]
             workers = 4
             plan_cache = 4
-            memo_cap = 2
 
             [[devices]]
             id = "a"
@@ -693,6 +714,25 @@ mod tests {
             ("", "[[devices]]\npreset = \"grid-3\"", "duplicate device id"),
             ("", "[[devices]]\npreset = \"warp-9\"", "unknown preset"),
             ("", "[server]\nqueue_depth = 1", "queue_depth"),
+            // Keys and sections the parser does not read are errors that
+            // name the table and the key.
+            ("seeed = 3", "", "scenario: unknown key \"seeed\""),
+            ("", "[budget]\np99_ms = 5\np90_ms = 3", "budget: unknown key \"p90_ms\""),
+            ("", "[server]\nplan_cahce = 2", "server: unknown key \"plan_cahce\""),
+            ("", "[server]\nmemo_cap = 2", "server: unknown key \"memo_cap\""),
+            (
+                "",
+                "[[devices]]\nid = \"b\"\npreset = \"grid-3\"\nshot = 9",
+                "devices[1]: unknown key \"shot\"",
+            ),
+            ("", "[[tenants]]\nname = \"x\"\nwieght = 2", "tenants[1]: unknown key \"wieght\""),
+            (
+                "",
+                "[[events]]\nround = 1\nkind = \"reconnect\"\nclient = [0]",
+                "events[0]: unknown key \"client\"",
+            ),
+            ("", "[sever]\nworkers = 2", "unknown table [sever]"),
+            ("", "[[tenant]]\nname = \"x\"", "unknown table array [[tenant]]"),
         ] {
             let text = case(root, tail);
             let err = Scenario::parse(&text).unwrap_err();

@@ -3,10 +3,12 @@
 //! The expensive part of answering a calibrate request is not the apply but
 //! re-deriving the method's calibration data for the request's measured set
 //! ([`qufem_core::Mitigator::prepare`] — for QuFEM, the per-iteration
-//! sub-noise matrices and execution plans). The server keeps the most
-//! recently used prepared objects across *all* methods in one LRU;
-//! preparation is deterministic per `(method, measured set)`, so serving
-//! from the cache cannot change any response bit.
+//! sub-noise matrices and execution plans). Each catalog version entry
+//! keeps the most recently used prepared objects across *all* methods in
+//! one LRU; preparation is deterministic per `(method, measured set)`, so
+//! serving from the cache cannot change any response bit. Nothing below
+//! the cache retains a prepared plan, so eviction frees it: the capacity
+//! bounds the entry's plan memory.
 
 use qufem_core::PreparedMitigator;
 use qufem_types::{QubitSet, Result};
@@ -216,5 +218,19 @@ mod tests {
             .get_or_build("qufem", &out_of_range, || Mitigator::prepare(&qufem, &out_of_range))
             .is_err());
         assert_eq!(cache.len(), 0);
+    }
+
+    #[test]
+    fn evicted_plans_are_freed() {
+        let qufem = qufem();
+        let cache = PlanCache::new(1);
+        let a: QubitSet = [0usize, 1].into_iter().collect();
+        let b: QubitSet = [2usize, 3].into_iter().collect();
+        let plan = cache.get_or_build("qufem", &a, || Mitigator::prepare(&qufem, &a)).unwrap();
+        let weak = Arc::downgrade(&plan);
+        drop(plan);
+        assert!(weak.upgrade().is_some(), "cached plan stays alive");
+        cache.get_or_build("qufem", &b, || Mitigator::prepare(&qufem, &b)).unwrap();
+        assert!(weak.upgrade().is_none(), "evicted plan must be freed");
     }
 }

@@ -17,23 +17,31 @@
 //! — bit-identical before, during, and after any number of admissions.
 
 use crate::cache::PlanCache;
-use qufem_core::MethodRegistry;
-use qufem_core::{MitigatorCache, QuFem, VersionedSnapshot, DEFAULT_DEVICE_ID};
+use qufem_core::{
+    MethodOptions, MethodRegistry, Mitigator, PreparedMitigator, QuFem, VersionedSnapshot,
+    DEFAULT_DEVICE_ID,
+};
 use qufem_types::{Error, QubitSet, Result};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// One published calibration of one device: the versioned snapshot plus the
-/// prepared-plan cache scoped to it.
+/// One published calibration of one device: the versioned snapshot, the
+/// method instances built from it, and the prepared-plan cache scoped to
+/// it — the only place serving state is cached.
 ///
-/// Entries are immutable once published (the plan cache fills lazily but
-/// its contents are deterministic functions of the snapshot), so an `Arc`
-/// held across a hot-swap keeps serving exactly the bits it resolved.
+/// Entries are immutable once published (the method map and plan cache
+/// fill lazily but their contents are deterministic functions of the
+/// snapshot), so an `Arc` held across a hot-swap keeps serving exactly the
+/// bits it resolved, and everything cached for a version drops with it.
 #[derive(Debug)]
 pub struct VersionEntry {
     snapshot: VersionedSnapshot,
     full_register: QubitSet,
+    registry: Arc<MethodRegistry>,
+    /// Method instances by id. Holds the served `"qufem"` instance from
+    /// construction; other ids are built from the registry on first use.
+    methods: Mutex<BTreeMap<String, Arc<dyn Mitigator>>>,
     /// Prepared plans for this `(device, version)`, keyed by
     /// `(method, measured set)`. Per-entry so a hot-swap starts cold
     /// without evicting the plans pinned clients still use.
@@ -44,11 +52,24 @@ pub struct VersionEntry {
 }
 
 impl VersionEntry {
-    fn new(snapshot: VersionedSnapshot, plan_cache_capacity: usize, iterations: usize) -> Self {
+    /// An entry serving `qufem` itself as method `"qufem"` — never a
+    /// registry rebuild — so its responses match the instance's in-process
+    /// prepare + apply bit for bit.
+    fn new(
+        snapshot: VersionedSnapshot,
+        qufem: QuFem,
+        registry: Arc<MethodRegistry>,
+        plan_cache_capacity: usize,
+    ) -> Self {
         let full_register = QubitSet::full(snapshot.n_qubits());
+        let iterations = qufem.iterations().len();
+        let mut methods: BTreeMap<String, Arc<dyn Mitigator>> = BTreeMap::new();
+        methods.insert("qufem".to_string(), Arc::new(qufem));
         VersionEntry {
             snapshot,
             full_register,
+            registry,
+            methods: Mutex::new(methods),
             cache: PlanCache::new(plan_cache_capacity),
             iterations,
         }
@@ -79,6 +100,47 @@ impl VersionEntry {
         &self.cache
     }
 
+    /// The prepared plan for `(method, measured)`: from the plan cache, or
+    /// prepared by the entry's instance of `method` (built from the
+    /// registry with default options on first use). The flag is true when
+    /// this call prepared the plan (a plan-cache miss).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidConfig`] for a method id the registry does not know
+    /// (counting no plan-cache miss), plus construction and preparation
+    /// failures. Failures are not cached.
+    pub fn prepared(
+        &self,
+        method: &str,
+        measured: &QubitSet,
+    ) -> Result<(Arc<dyn PreparedMitigator>, bool)> {
+        let mitigator = self.mitigator(method)?;
+        let mut built = false;
+        let plan = self.cache.get_or_build(method, measured, || {
+            built = true;
+            mitigator.prepare(measured)
+        })?;
+        Ok((plan, built))
+    }
+
+    /// The entry's instance of `method`. Registry construction is
+    /// deterministic, so racing first builds may both run outside the lock;
+    /// the first insert wins and every caller shares it.
+    fn mitigator(&self, method: &str) -> Result<Arc<dyn Mitigator>> {
+        if let Some(hit) = self.methods.lock().expect("method map lock").get(method) {
+            return Ok(Arc::clone(hit));
+        }
+        let fresh = self.registry.build(method, self.snapshot.snapshot(), &MethodOptions::new())?;
+        let mut methods = self.methods.lock().expect("method map lock");
+        Ok(Arc::clone(methods.entry(method.to_string()).or_insert(fresh)))
+    }
+
+    /// Number of method instances this entry holds.
+    pub fn method_count(&self) -> usize {
+        self.methods.lock().expect("method map lock").len()
+    }
+
     /// Characterization iterations in the underlying calibrator.
     pub fn iterations(&self) -> usize {
         self.iterations
@@ -105,7 +167,8 @@ pub struct DeviceSummary {
     pub versions: Vec<u64>,
     /// Prepared plans cached across this device's retained versions.
     pub plan_cache_len: usize,
-    /// Instantiated `(version, method)` mitigators for this device.
+    /// Instantiated `(version, method)` mitigators for this device, summed
+    /// over its retained versions.
     pub method_cache_len: usize,
 }
 
@@ -135,8 +198,8 @@ impl ResolveError {
     }
 }
 
-/// The serving catalog: every device's version lineage, plus one
-/// [`MitigatorCache`] of method instances keyed `(device, version, method)`.
+/// The serving catalog: every device's version lineage of
+/// [`VersionEntry`]s, each holding its own method instances and plans.
 ///
 /// Reads (request routing) take a shared lock and clone an `Arc`;
 /// admissions take the exclusive lock only to assign a version number and
@@ -146,13 +209,13 @@ impl ResolveError {
 #[derive(Debug)]
 pub struct Catalog {
     devices: RwLock<BTreeMap<Arc<str>, DeviceState>>,
-    mitigators: MitigatorCache,
+    registry: Arc<MethodRegistry>,
     default_device: Arc<str>,
     plan_cache_capacity: usize,
     /// Next global admission sequence number (the root entry takes 0).
     next_seq: AtomicU64,
-    /// Serializes admissions end-to-end (seed + publish) without blocking
-    /// readers longer than the `devices` write itself.
+    /// Serializes admissions end-to-end (version assignment + publish)
+    /// without blocking readers longer than the `devices` write itself.
     admit_lock: Mutex<()>,
 }
 
@@ -174,18 +237,16 @@ impl Catalog {
             .map(|it| it.snapshot_arc())
             .unwrap_or_else(|| Arc::new(qufem_core::BenchmarkSnapshot::new(qufem.n_qubits())));
         let root = VersionedSnapshot::root(device_id, snapshot);
-        let mitigators = MitigatorCache::new(registry);
-        let iterations = qufem.iterations().len();
-        mitigators.seed(&root, "qufem", Arc::new(qufem));
         let default_device = root.device_id_arc();
-        let entry = Arc::new(VersionEntry::new(root, plan_cache_capacity, iterations));
+        let entry =
+            Arc::new(VersionEntry::new(root, qufem, Arc::clone(&registry), plan_cache_capacity));
         let mut versions = BTreeMap::new();
         versions.insert(0, entry);
         let mut devices = BTreeMap::new();
         devices.insert(Arc::clone(&default_device), DeviceState { head: 0, versions });
         Catalog {
             devices: RwLock::new(devices),
-            mitigators,
+            registry,
             default_device,
             plan_cache_capacity,
             next_seq: AtomicU64::new(1),
@@ -196,11 +257,6 @@ impl Catalog {
     /// The device unaddressed requests resolve to.
     pub fn default_device(&self) -> Arc<str> {
         Arc::clone(&self.default_device)
-    }
-
-    /// The method-instance cache shared across the catalog.
-    pub fn mitigators(&self) -> &MitigatorCache {
-        &self.mitigators
     }
 
     /// Maximum prepared plans each version entry keeps hot.
@@ -295,12 +351,12 @@ impl Catalog {
                 VersionedSnapshot::with_lineage(&lineage, snapshot)
             }
         };
-        let iterations = qufem.iterations().len();
-        // Pin the exact admitted instance *before* the entry becomes
-        // resolvable: a racing request at the new version must never fall
-        // back to a registry rebuild of "qufem".
-        self.mitigators.seed(&versioned, "qufem", Arc::new(qufem));
-        let entry = Arc::new(VersionEntry::new(versioned, self.plan_cache_capacity, iterations));
+        let entry = Arc::new(VersionEntry::new(
+            versioned,
+            qufem,
+            Arc::clone(&self.registry),
+            self.plan_cache_capacity,
+        ));
         let mut devices = self.devices.write().expect("catalog write lock");
         let state = devices
             .entry(entry.snapshot().device_id_arc())
@@ -320,7 +376,7 @@ impl Catalog {
                 head_version: state.head,
                 versions: state.versions.keys().copied().collect(),
                 plan_cache_len: state.versions.values().map(|e| e.plan_cache().len()).sum(),
-                method_cache_len: self.mitigators.device_occupancy(id),
+                method_cache_len: state.versions.values().map(|e| e.method_count()).sum(),
             })
             .collect()
     }
@@ -354,15 +410,40 @@ mod tests {
     use super::*;
     use qufem_core::QuFemConfig;
     use qufem_device::presets;
+    use qufem_types::ProbDist;
 
-    fn characterized(seed: u64) -> QuFem {
-        let config = QuFemConfig::builder()
+    fn config(seed: u64) -> QuFemConfig {
+        QuFemConfig::builder()
             .characterization_threshold(5e-4)
             .shots(300)
             .seed(seed)
             .build()
-            .unwrap();
-        QuFem::characterize(&presets::ibmq_7(seed), config).unwrap()
+            .unwrap()
+    }
+
+    fn characterized(seed: u64) -> QuFem {
+        QuFem::characterize(&presets::ibmq_7(seed), config(seed)).unwrap()
+    }
+
+    /// A registry whose `"qufem"` and `"rebuilt"` ids rebuild QuFEM from
+    /// the snapshot, counting every construction in `builds`.
+    fn counting_registry(builds: &Arc<AtomicU64>) -> Arc<MethodRegistry> {
+        let mut registry = MethodRegistry::new();
+        for id in ["qufem", "rebuilt"] {
+            let builds = Arc::clone(builds);
+            registry.register(id, move |snapshot, _| {
+                builds.fetch_add(1, Ordering::SeqCst);
+                Ok(Arc::new(QuFem::from_snapshot(snapshot.clone(), config(1))?)
+                    as Arc<dyn Mitigator>)
+            });
+        }
+        Arc::new(registry)
+    }
+
+    fn admit_recalibration(catalog: &Catalog, seed: u64) -> Arc<VersionEntry> {
+        let recal = characterized(seed);
+        let imported = VersionedSnapshot::root("ibmq-7", recal.iterations()[0].snapshot_arc());
+        catalog.admit(recal, &imported, None).unwrap()
     }
 
     #[test]
@@ -450,14 +531,71 @@ mod tests {
     #[test]
     fn admitted_instance_is_pinned_as_the_qufem_method() {
         let catalog = Catalog::new(characterized(1), "ibmq-7", Arc::new(MethodRegistry::new()), 4);
-        let recal = characterized(2);
-        let imported = VersionedSnapshot::root("ibmq-7", recal.iterations()[0].snapshot_arc());
-        let entry = catalog.admit(recal, &imported, None).unwrap();
-        // The registry is empty, so only a seeded instance can satisfy
-        // "qufem" — get_or_build must return it rather than erroring.
-        let m = catalog.mitigators().get_or_build(entry.snapshot(), "qufem").unwrap();
-        let m2 = catalog.mitigators().get_or_build(entry.snapshot(), "qufem").unwrap();
-        assert!(Arc::ptr_eq(&m, &m2));
-        assert_eq!(catalog.mitigators().device_occupancy("ibmq-7"), 2);
+        let entry = admit_recalibration(&catalog, 2);
+        // The registry is empty, so only the entry's own instance can
+        // satisfy "qufem" — preparing must succeed rather than erroring.
+        let m = entry.mitigator("qufem").unwrap();
+        assert!(Arc::ptr_eq(&m, &entry.mitigator("qufem").unwrap()));
+        assert!(entry.prepared("qufem", entry.full_register()).is_ok());
+        assert_eq!(catalog.summaries()[0].method_cache_len, 2);
+    }
+
+    #[test]
+    fn one_method_instance_per_version_entry() {
+        let builds = Arc::new(AtomicU64::new(0));
+        let catalog = Catalog::new(characterized(1), "ibmq-7", counting_registry(&builds), 4);
+        let v0 = catalog.resolve(None, None).unwrap();
+        let a = v0.mitigator("rebuilt").unwrap();
+        assert!(Arc::ptr_eq(&a, &v0.mitigator("rebuilt").unwrap()));
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
+        assert_eq!(v0.method_count(), 2);
+        // A new version builds and holds its own instance.
+        let v1 = admit_recalibration(&catalog, 2);
+        let b = v1.mitigator("rebuilt").unwrap();
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(builds.load(Ordering::SeqCst), 2);
+        assert_eq!(catalog.summaries()[0].method_cache_len, 4);
+    }
+
+    #[test]
+    fn the_pinned_qufem_instance_is_the_one_served() {
+        let builds = Arc::new(AtomicU64::new(0));
+        let qufem = characterized(1);
+        let catalog = Catalog::new(qufem.clone(), "ibmq-7", counting_registry(&builds), 4);
+        let v0 = catalog.resolve(None, None).unwrap();
+        let full = v0.full_register().clone();
+        let (plan, built) = v0.prepared("qufem", &full).unwrap();
+        assert!(built);
+        let (again, built) = v0.prepared("qufem", &full).unwrap();
+        assert!(!built);
+        assert!(Arc::ptr_eq(&plan, &again));
+        let noisy = ProbDist::point_mass(qufem_types::BitString::zeros(7));
+        let served = plan.apply(&noisy).unwrap().sorted_pairs();
+        let in_process = qufem.prepare(&full).unwrap().apply(&noisy).unwrap().sorted_pairs();
+        assert_eq!(served.len(), in_process.len());
+        for ((ka, va), (kb, vb)) in served.iter().zip(&in_process) {
+            assert_eq!(ka, kb);
+            assert_eq!(va.to_bits(), vb.to_bits());
+        }
+        // An admitted version serves its own instance too: the registry's
+        // "qufem" constructor never runs.
+        let v1 = admit_recalibration(&catalog, 2);
+        assert!(v1.prepared("qufem", &full).is_ok());
+        assert_eq!(builds.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn failed_method_builds_are_not_cached_and_count_no_plan_cache_miss() {
+        let catalog = Catalog::new(characterized(1), "ibmq-7", Arc::new(MethodRegistry::new()), 4);
+        let entry = catalog.resolve(None, None).unwrap();
+        for _ in 0..2 {
+            assert!(matches!(
+                entry.prepared("nope", entry.full_register()),
+                Err(Error::InvalidConfig(_))
+            ));
+        }
+        assert_eq!(entry.method_count(), 1);
+        assert_eq!(entry.plan_cache().stats(), (0, 0));
+        assert_eq!(entry.plan_cache().len(), 0);
     }
 }

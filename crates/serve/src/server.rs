@@ -34,13 +34,13 @@
 //! [`ServeConfig::default_method`]). The [`QuFem`] instance handed to
 //! [`Server::start`] is always served under id `"qufem"` — exactly that
 //! instance, so wire responses match its in-process `prepare` + `apply`
-//! bit for bit. Other methods are built lazily, once, from the first
-//! benchmarking snapshot (`BP_1`) of that instance; registry constructors
-//! are deterministic functions of the snapshot, so a server-side build is
-//! bit-identical to the same build done in process. An unknown `method`
-//! (or a bad per-method option) fails only that request with an error
-//! frame — the connection survives — and is counted as `unknown_method`
-//! in the server's [`ServeMetrics`].
+//! bit for bit. Other methods are built lazily, once per catalog version,
+//! from that version's first benchmarking snapshot (`BP_1`); registry
+//! constructors are deterministic functions of the snapshot, so a
+//! server-side build is bit-identical to the same build done in process.
+//! An unknown `method` (or a bad per-method option) fails only that
+//! request with an error frame — the connection survives — and is counted
+//! as `unknown_method` in the server's [`ServeMetrics`].
 //!
 //! ## Determinism
 //!
@@ -86,7 +86,11 @@ pub struct ServeConfig {
     /// Idle time after which a connection with no request in flight is
     /// closed.
     pub read_timeout: Option<Duration>,
-    /// Prepared-plan LRU capacity (distinct measured sets kept hot).
+    /// Prepared-plan LRU capacity of each catalog version entry: the
+    /// `(method, measured set)` plans one `(device, version)` keeps hot.
+    /// Plans are the serving side's only prepared-state cache, so resident
+    /// plan memory is bounded by retained versions × this capacity × plan
+    /// size.
     pub plan_cache_capacity: usize,
     /// Build the default method's full-register preparation on a background
     /// thread at startup, so the first full-register request finds it
@@ -113,15 +117,6 @@ pub struct ServeConfig {
     /// 0 of this device; empty ⇒ `"default"`). Requests that name no
     /// device resolve here.
     pub device_id: String,
-    /// Override for the served instances' prepared-memo capacity
-    /// ([`QuFem::set_prepared_memo_cap`]); applied to the startup instance
-    /// and to every admitted one. `None` keeps
-    /// [`qufem_core::DEFAULT_PREPARED_MEMO_CAP`]. Size it roughly as
-    /// distinct measured sets per tenant × tenants sharing one instance —
-    /// the serve-side [`crate::PlanCache`] (see
-    /// [`ServeConfig::plan_cache_capacity`]) sits in front of it, so this
-    /// only matters for bypass builds and in-process sharing.
-    pub prepared_memo_cap: Option<usize>,
     /// Deterministic-clock mode for replay harnesses (`qufem-loadgen`):
     /// every recorded duration (`queue_us`, `prepare_us`, `apply_us`,
     /// `serialize_us`, `total_us`) is reported as 0, completion timestamps
@@ -147,7 +142,6 @@ impl Default for ServeConfig {
             slow_threshold: None,
             access_log: false,
             device_id: DEFAULT_DEVICE_ID.to_string(),
-            prepared_memo_cap: None,
             frozen_clock: false,
         }
     }
@@ -156,9 +150,9 @@ impl Default for ServeConfig {
 /// Shared server state.
 #[derive(Debug)]
 struct Inner {
-    /// Device catalog: every served device's version lineage, the
-    /// `(device, version, method)` mitigator cache, and per-version
-    /// prepared-plan caches. The startup [`QuFem`] is version 0 of
+    /// Device catalog: every served device's version lineage, each
+    /// version entry holding its method instances and prepared-plan
+    /// cache. The startup [`QuFem`] is version 0 of
     /// [`ServeConfig::device_id`]; `admit` publishes new versions.
     catalog: Catalog,
     /// The server's only recorder: every serve count lives here.
@@ -314,9 +308,6 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let workers = config.workers.max(1);
-        if let Some(cap) = config.prepared_memo_cap {
-            qufem.set_prepared_memo_cap(cap);
-        }
         // The startup instance becomes version 0 of the configured device,
         // pinned as method "qufem" — never a registry rebuild — so its wire
         // responses match its in-process prepare + apply bit for bit.
@@ -352,12 +343,7 @@ impl Server {
                     let _span = qufem_telemetry::span!("serve.prewarm");
                     let id = inner.config.default_method.clone();
                     let Ok(entry) = inner.catalog.resolve(None, None) else { return };
-                    let full = entry.full_register().clone();
-                    let warmed =
-                        inner.catalog.mitigators().get_or_build(entry.snapshot(), &id).and_then(
-                            |m| entry.plan_cache().get_or_build(&id, &full, || m.prepare(&full)),
-                        );
-                    if warmed.is_ok() {
+                    if entry.prepared(&id, entry.full_register()).is_ok() {
                         inner.prewarmed.store(true, Ordering::SeqCst);
                     }
                 })
@@ -1079,7 +1065,7 @@ fn calibrate(inner: &Inner, request: Request, rec: &mut RequestRecord) -> Respon
     let prepare_start = Instant::now();
     let prepared = match request.options.filter(|o| !o.is_empty()) {
         // Per-request option overrides: rebuild the method for this request
-        // alone, bypassing the mitigator cache and the plan cache
+        // alone, bypassing the entry's method instances and plan cache
         // (overridden builds must not shadow the defaults other clients
         // see).
         Some(options) => {
@@ -1090,20 +1076,10 @@ fn calibrate(inner: &Inner, request: Request, rec: &mut RequestRecord) -> Respon
                 .build(method_id, entry.snapshot().snapshot(), &options)
                 .and_then(|m| m.prepare(&measured))
         }
-        None => {
-            let mut built = false;
-            let result =
-                inner.catalog.mitigators().get_or_build(entry.snapshot(), method_id).and_then(
-                    |m| {
-                        entry.plan_cache().get_or_build(method_id, &measured, || {
-                            built = true;
-                            m.prepare(&measured)
-                        })
-                    },
-                );
+        None => entry.prepared(method_id, &measured).map(|(plan, built)| {
             rec.cache = if built { CacheOutcome::Miss } else { CacheOutcome::Hit };
-            result
-        }
+            plan
+        }),
     };
     rec.prepare_us = prepare_start.elapsed().as_micros() as u64;
     let prepared = match prepared {
@@ -1155,9 +1131,6 @@ fn admit(inner: &Inner, request: Request, rec: &mut RequestRecord) -> Response {
         Err(e) => return Response::err(format!("admit rejected: {e}")),
     };
     let (qufem, versioned) = imported;
-    if let Some(cap) = inner.config.prepared_memo_cap {
-        qufem.set_prepared_memo_cap(cap);
-    }
     match inner.catalog.admit(qufem, &versioned, request.device.as_deref()) {
         Ok(entry) => {
             inner.metrics.record_swap();

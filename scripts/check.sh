@@ -72,6 +72,8 @@ echo "==> QUFEM_THREADS matrix: catalog hot-swap must stay bit-identical"
 for t in 1 4; do
   echo "==> QUFEM_THREADS=$t catalog unit tests"
   QUFEM_THREADS="$t" cargo test -q -p qufem-serve catalog
+  QUFEM_THREADS="$t" cargo test -q -p qufem-serve cache
+  QUFEM_THREADS="$t" cargo test -q --release --test cli -- flags_a_subcommand_does_not_read
   echo "==> QUFEM_THREADS=$t hot-swap differential and concurrency tests"
   QUFEM_THREADS="$t" cargo test -q --test serve_observability -- hot_swap version_pinned unknown_devices
   echo "==> QUFEM_THREADS=$t versioned persistence robustness"

@@ -12,7 +12,7 @@
 //! qufem serve        --params params.json [--addr 127.0.0.1:0] [--workers 4]
 //!        [--queue-depth 64] [--max-request-bytes N] [--plan-cache 8] [--method qufem]
 //!        [--flight-recorder 256] [--slow-ms 50] [--access-log] [--device-id ibmq-a]
-//!        [--memo-cap 32] [--telemetry run.json]
+//!        [--telemetry run.json]
 //! qufem admit        --addr HOST:PORT --params recal.json [--device ibmq-a]
 //! qufem client       --addr HOST:PORT --input noisy.json --out calibrated.json
 //!        [--measured 0,1,2] [--method m3] [--device ibmq-a] [--version 2]
@@ -26,7 +26,8 @@
 //! length-prefixed binary frame dialect (same answers, packed encoding).
 //! `client --depth N` pipelines N copies of a calibrate request on one
 //! connection and reports the measured frame rate; `loadgen --depth N`
-//! overrides the scenario to open-loop arrival with burst N.
+//! overrides the scenario to open-loop arrival with burst N. A flag the
+//! subcommand does not read is an error (exit 2), not silently ignored.
 //!
 //! `calibrate --device` without `--params` runs the full pipeline —
 //! characterize, synthesize a noisy input (unless `--input` is given),
@@ -74,7 +75,7 @@ fn usage() -> ! {
          qufem serve --params <params.json> | --device <preset> [--addr 127.0.0.1:0] \
          [--workers N] [--queue-depth N] [--max-request-bytes N] [--plan-cache N] \
          [--method M] [--flight-recorder N] [--slow-ms MS] [--access-log] \
-         [--device-id ID] [--memo-cap N] [--telemetry <run.json>]\n  \
+         [--device-id ID] [--telemetry <run.json>]\n  \
          qufem admit --addr <host:port> --params <recal.json> [--device ID]\n  \
          qufem client --addr <host:port> --input <dist.json> --out <out.json> \
          [--measured 0,1,2] [--method M] [--device ID] [--version V] \
@@ -110,6 +111,37 @@ fn parse_flags(args: &[String]) -> (HashMap<String, String>, Vec<String>) {
         }
     }
     (flags, switches)
+}
+
+/// The characterization flags [`config_from_flags`] reads.
+const CONFIG_FLAGS: &str = "shots alpha beta iterations group-size";
+
+/// Every `--name` (valued flag or switch) `command` reads, or `None` for an
+/// unknown command.
+fn accepted_flags(command: &str) -> Option<Vec<&'static str>> {
+    let (own, config) = match command {
+        "characterize" => ("device out seed telemetry", CONFIG_FLAGS),
+        "simulate" => ("device out algorithm shots seed", ""),
+        "calibrate" => (
+            "out device params input algorithm measured method project seed telemetry",
+            CONFIG_FLAGS,
+        ),
+        "serve" => (
+            "addr workers queue-depth max-request-bytes plan-cache read-timeout-secs method \
+             flight-recorder slow-ms access-log device-id params device seed telemetry",
+            CONFIG_FLAGS,
+        ),
+        "admit" => ("addr params device", ""),
+        "client" => (
+            "addr binary shutdown status metrics text trace input out measured method device \
+             version depth",
+            "",
+        ),
+        "loadgen" => ("scenario out binary depth seed telemetry", ""),
+        "inspect" => ("params", ""),
+        _ => return None,
+    };
+    Some(own.split_whitespace().chain(config.split_whitespace()).collect())
 }
 
 fn device_by_name(name: &str, seed: u64) -> Option<Device> {
@@ -214,6 +246,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         (None, rest)
     };
     let (flags, switches) = parse_flags(rest);
+    let accepted = accepted_flags(command).unwrap_or_else(|| usage());
+    let unknown = flags.keys().chain(&switches).filter(|name| !accepted.contains(&name.as_str()));
+    if let Some(name) = unknown.min() {
+        eprintln!("{command} does not take --{name}");
+        usage();
+    }
     let get = |name: &str| flags.get(name).cloned();
     let require = |name: &str| -> String {
         get(name).unwrap_or_else(|| {
@@ -393,9 +431,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             }
             if let Some(v) = get("device-id") {
                 serve_config.device_id = v;
-            }
-            if let Some(v) = get("memo-cap") {
-                serve_config.prepared_memo_cap = Some(v.parse()?);
             }
             let qufem = match get("params") {
                 Some(params_path) => {

@@ -54,9 +54,9 @@ pub use qufem_core::{
     benchgen, build_group_matrices, calibrate_once, configured_threads, engine, partition,
     BenchmarkRecord, BenchmarkSnapshot, EngineStats, GroupMatrix, Grouping, HotInteraction,
     IdealCondition, InteractionTable, IterationData, IterationParams, IterationPlan, MethodOptions,
-    MethodRegistry, Mitigator, MitigatorCache, PreparedCalibration, PreparedMitigator, QuFem,
-    QuFemConfig, QuFemConfigBuilder, QuFemData, RecordData, SnapshotLineage, VersionedSnapshot,
-    DEFAULT_DEVICE_ID, DEFAULT_PREPARED_MEMO_CAP,
+    MethodRegistry, Mitigator, PreparedCalibration, PreparedMitigator, QuFem, QuFemConfig,
+    QuFemConfigBuilder, QuFemData, RecordData, SnapshotLineage, VersionedSnapshot,
+    DEFAULT_DEVICE_ID,
 };
 pub use qufem_types::{BitString, Error, ProbDist, QubitSet, Result, SupportIndex};
 

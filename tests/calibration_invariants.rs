@@ -110,7 +110,7 @@ fn engine_stats_account_every_product() {
     let ideal = qufem::circuits::ghz(3);
     let noisy = device.measure_distribution(&ideal, &measured, 500, &mut rng);
     let mut stats = EngineStats::default();
-    let _ = qufem.prepared(&measured).unwrap().apply_with_stats(&noisy, &mut stats).unwrap();
+    let _ = qufem.prepare(&measured).unwrap().apply_with_stats(&noisy, &mut stats).unwrap();
     assert!(stats.products > 0);
     let kept: u64 = stats.kept_per_level.iter().sum();
     assert_eq!(stats.products, stats.pruned + kept, "stats must balance");

@@ -570,8 +570,6 @@ fn admit_hot_swaps_a_recalibration_into_a_running_server() {
             "2",
             "--device-id",
             "ibmq-a",
-            "--memo-cap",
-            "16",
         ])
         .stderr(std::process::Stdio::piped())
         .spawn()
@@ -678,4 +676,23 @@ fn missing_flags_show_usage() {
     assert!(!output.status.success());
     let err = String::from_utf8_lossy(&output.stderr);
     assert!(err.contains("usage"), "stderr: {err}");
+}
+
+#[test]
+fn flags_a_subcommand_does_not_read_are_rejected() {
+    // A flag serve does not read must stop it before it starts, not be
+    // ignored.
+    let output =
+        qufem().args(["serve", "--device", "ibmq-7", "--memo-cap", "16"]).output().expect("spawn");
+    assert_eq!(output.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&output.stderr);
+    assert!(err.contains("serve does not take --memo-cap"), "stderr: {err}");
+
+    // Switches are checked too, per subcommand: `--project` is a calibrate
+    // switch, not an inspect one.
+    let output =
+        qufem().args(["inspect", "--params", "p.json", "--project"]).output().expect("spawn");
+    assert_eq!(output.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&output.stderr);
+    assert!(err.contains("inspect does not take --project"), "stderr: {err}");
 }
