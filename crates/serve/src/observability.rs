@@ -130,8 +130,9 @@ pub struct RequestRecord {
     pub measured: u32,
     /// Plan-cache interaction.
     pub cache: CacheOutcome,
-    /// Time the connection waited in the accept queue, attributed to the
-    /// connection's first request (0 for subsequent requests).
+    /// Time from the frame leaving its connection's read buffer until a
+    /// worker started it (0 for terminal error frames the event loop
+    /// answers itself).
     pub queue_us: u64,
     /// Time preparing the mitigation (cache build or bypass rebuild).
     pub prepare_us: u64,
@@ -139,7 +140,7 @@ pub struct RequestRecord {
     pub apply_us: u64,
     /// Time serializing the response line.
     pub serialize_us: u64,
-    /// End-to-end time from frame read to response written.
+    /// Time from a worker starting the request to its response encoded.
     pub total_us: u64,
     /// Bytes in the request line.
     pub request_bytes: u64,

@@ -350,7 +350,8 @@ pub struct RequestTrace {
     /// Terminal state: `"ok"`, `"error"`, `"malformed"`, `"oversized"`, or
     /// `"unknown_method"`.
     pub outcome: String,
-    /// Accept-queue wait attributed to the connection's first request, µs.
+    /// Wait from the frame leaving its connection's read buffer until a
+    /// worker started it, µs (0 for terminal error frames).
     pub queue_us: u64,
     /// Preparation time (cache build or bypass rebuild), µs.
     pub prepare_us: u64,
@@ -358,7 +359,7 @@ pub struct RequestTrace {
     pub apply_us: u64,
     /// Response serialization time, µs.
     pub serialize_us: u64,
-    /// End-to-end time from frame read to response written, µs.
+    /// Time from a worker starting the request to its response encoded, µs.
     pub total_us: u64,
     /// Bytes in the request line.
     pub request_bytes: u64,

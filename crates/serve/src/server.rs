@@ -212,7 +212,7 @@ impl Inner {
 #[derive(Debug)]
 struct LoopShared {
     /// Accepted connections waiting for the loop to adopt them.
-    registrations: Mutex<Vec<(TcpStream, Instant)>>,
+    registrations: Mutex<Vec<TcpStream>>,
     /// Finished work waiting for the loop to write it out.
     completions: Mutex<Vec<Completion>>,
     /// The event-loop thread, for `unpark` wakes.
@@ -461,7 +461,7 @@ fn accept_loop(inner: &Inner, listener: &TcpListener, shared: &LoopShared) {
             drop(stream);
         } else {
             inner.metrics.record_accept(live);
-            shared.registrations.lock().expect("registrations lock").push((stream, Instant::now()));
+            shared.registrations.lock().expect("registrations lock").push(stream);
             shared.wake();
         }
     }
@@ -508,13 +508,12 @@ struct Conn {
     read_buf: Vec<u8>,
     write_buf: Vec<u8>,
     write_pos: usize,
-    pending: VecDeque<Pending>,
+    /// Decoded units, each stamped when it left the read buffer.
+    pending: VecDeque<(Pending, Instant)>,
     /// Requests dispatched to workers and not yet completed.
     in_flight: usize,
     /// Responses written (or queued for write) on this connection.
     answered: u64,
-    /// Accept-queue wait, attributed to the connection's first request.
-    queue_us: u64,
     last_activity: Instant,
     /// No more bytes will be read (EOF, read error, or a poisoned frame).
     read_closed: bool,
@@ -553,7 +552,8 @@ struct Work {
     slot: usize,
     gen: u64,
     dialect: Dialect,
-    queue_us: u64,
+    /// When the request left its connection's read buffer.
+    read_at: Instant,
     item: Pending,
 }
 
@@ -561,6 +561,11 @@ struct Work {
 /// (per-connection decode backpressure; the bounded work channel is the
 /// global one).
 const PENDING_HIGH_WATER: usize = 128;
+/// Unwritten response bytes past which a connection starts no new request
+/// until its client drains them; its pending list then fills and
+/// [`PENDING_HIGH_WATER`] stops reading it, so a client that never reads
+/// cannot grow server memory without bound.
+const WRITE_HIGH_WATER: usize = 4 << 20;
 /// Read granularity for the shared scratch buffer.
 const READ_CHUNK: usize = 64 * 1024;
 /// Shortest idle park; doubles up to [`MAX_PARK`] while nothing happens.
@@ -582,13 +587,16 @@ fn event_loop(inner: &Arc<Inner>, shared: &Arc<LoopShared>, work_tx: SyncSender<
     let mut drain_since: Option<Instant> = None;
     let mut park = MIN_PARK;
     let mut chunk = vec![0u8; READ_CHUNK];
+    // Swapped with the shared hand-back vectors each tick, so both sides
+    // keep reusing the capacity they already hold.
+    let mut regs: Vec<TcpStream> = Vec::new();
+    let mut comps: Vec<Completion> = Vec::new();
     loop {
         let mut progress = false;
 
         // Adopt newly accepted connections.
-        let regs: Vec<(TcpStream, Instant)> =
-            std::mem::take(&mut *shared.registrations.lock().expect("registrations lock"));
-        for (stream, accepted_at) in regs {
+        std::mem::swap(&mut regs, &mut *shared.registrations.lock().expect("registrations lock"));
+        for stream in regs.drain(..) {
             progress = true;
             if stream.set_nonblocking(true).is_err() {
                 shared.live_conns.fetch_sub(1, Ordering::SeqCst);
@@ -606,7 +614,6 @@ fn event_loop(inner: &Arc<Inner>, shared: &Arc<LoopShared>, work_tx: SyncSender<
                 pending: VecDeque::new(),
                 in_flight: 0,
                 answered: 0,
-                queue_us: accepted_at.elapsed().as_micros() as u64,
                 last_activity: Instant::now(),
                 read_closed: false,
                 closing: false,
@@ -620,9 +627,8 @@ fn event_loop(inner: &Arc<Inner>, shared: &Arc<LoopShared>, work_tx: SyncSender<
         }
 
         // Fold in finished work.
-        let comps: Vec<Completion> =
-            std::mem::take(&mut *shared.completions.lock().expect("completions lock"));
-        for completion in comps {
+        std::mem::swap(&mut comps, &mut *shared.completions.lock().expect("completions lock"));
+        for completion in comps.drain(..) {
             progress = true;
             if completion.shutdown {
                 inner.begin_shutdown();
@@ -719,8 +725,10 @@ fn service_conn(
             }
         }
     }
-    if conn.write_pos > 0 && conn.writes_drained() {
-        conn.write_buf.clear();
+    // Drop written bytes once all are out, or once they are many, so a slow
+    // reader does not keep them alive.
+    if conn.writes_drained() || conn.write_pos >= WRITE_HIGH_WATER {
+        conn.write_buf.drain(..conn.write_pos);
         conn.write_pos = 0;
     }
 
@@ -768,6 +776,7 @@ fn extract_frames(inner: &Inner, conn: &mut Conn) {
             if conn.read_buf[0] == wire::MAGIC[0] { Dialect::Binary } else { Dialect::Json };
     }
     let max = inner.config.max_request_bytes;
+    let now = Instant::now();
     let mut consumed = 0usize;
     match conn.dialect {
         Dialect::Undecided => unreachable!("dialect decided above"),
@@ -775,7 +784,7 @@ fn extract_frames(inner: &Inner, conn: &mut Conn) {
             while let Some(nl) = conn.read_buf[consumed..].iter().position(|&b| b == b'\n') {
                 let bytes = &conn.read_buf[consumed..consumed + nl];
                 if bytes.len() > max {
-                    conn.pending.push_back(Pending::Oversized { id: 0 });
+                    conn.pending.push_back((Pending::Oversized { id: 0 }, now));
                     conn.read_closed = true;
                     consumed = conn.read_buf.len();
                     break;
@@ -790,11 +799,11 @@ fn extract_frames(inner: &Inner, conn: &mut Conn) {
                 if line.is_empty() {
                     continue; // tolerate blank keepalive lines
                 }
-                conn.pending.push_back(Pending::Line(line));
+                conn.pending.push_back((Pending::Line(line), now));
             }
             // A partial line past the limit can never complete validly.
             if !conn.read_closed && conn.read_buf.len() - consumed > max {
-                conn.pending.push_back(Pending::Oversized { id: 0 });
+                conn.pending.push_back((Pending::Oversized { id: 0 }, now));
                 conn.read_closed = true;
                 consumed = conn.read_buf.len();
             }
@@ -804,16 +813,16 @@ fn extract_frames(inner: &Inner, conn: &mut Conn) {
                 Ok(None) => break,
                 Ok(Some((frame, used))) => {
                     consumed += used;
-                    conn.pending.push_back(Pending::Frame(frame));
+                    conn.pending.push_back((Pending::Frame(frame), now));
                 }
                 Err(wire::WireError::Oversized { id, .. }) => {
-                    conn.pending.push_back(Pending::Oversized { id });
+                    conn.pending.push_back((Pending::Oversized { id }, now));
                     conn.read_closed = true;
                     consumed = conn.read_buf.len();
                     break;
                 }
                 Err(e) => {
-                    conn.pending.push_back(Pending::Desync { message: e.to_string() });
+                    conn.pending.push_back((Pending::Desync { message: e.to_string() }, now));
                     conn.read_closed = true;
                     consumed = conn.read_buf.len();
                     break;
@@ -837,16 +846,15 @@ fn dispatch_pending(
     work_tx: &SyncSender<Work>,
 ) -> bool {
     let mut progress = false;
-    loop {
-        match conn.pending.front() {
+    while conn.write_buf.len() - conn.write_pos < WRITE_HIGH_WATER {
+        match conn.pending.front().map(|(item, _)| item) {
             None => break,
             Some(Pending::Oversized { .. }) | Some(Pending::Desync { .. }) => {
                 if conn.in_flight > 0 {
                     break; // answer strictly after everything before it
                 }
-                let marker = conn.pending.pop_front().expect("front checked");
-                let queue_us = std::mem::take(&mut conn.queue_us);
-                let (bytes, _) = serve_request(inner, conn.dialect, queue_us, marker);
+                let (marker, _) = conn.pending.pop_front().expect("front checked");
+                let (bytes, _) = serve_request(inner, conn.dialect, 0, marker);
                 conn.write_buf.extend_from_slice(&bytes);
                 conn.answered += 1;
                 conn.closing = true;
@@ -861,17 +869,15 @@ fn dispatch_pending(
             }
             Some(Pending::Frame(_)) => {}
         }
-        let queue_us = std::mem::take(&mut conn.queue_us);
-        let item = conn.pending.pop_front().expect("front checked");
-        let work = Work { slot, gen: conn.gen, dialect: conn.dialect, queue_us, item };
+        let (item, read_at) = conn.pending.pop_front().expect("front checked");
+        let work = Work { slot, gen: conn.gen, dialect: conn.dialect, read_at, item };
         match work_tx.try_send(work) {
             Ok(()) => {
                 conn.in_flight += 1;
                 progress = true;
             }
             Err(TrySendError::Full(w)) | Err(TrySendError::Disconnected(w)) => {
-                conn.queue_us = w.queue_us;
-                conn.pending.push_front(w.item);
+                conn.pending.push_front((w.item, w.read_at));
                 break;
             }
         }
@@ -898,7 +904,8 @@ fn worker_loop(inner: &Inner, rx: &Arc<Mutex<Receiver<Work>>>, shared: &LoopShar
             guard.recv()
         };
         let Ok(work) = next else { break };
-        let (bytes, shutdown) = serve_request(inner, work.dialect, work.queue_us, work.item);
+        let queue_us = work.read_at.elapsed().as_micros() as u64;
+        let (bytes, shutdown) = serve_request(inner, work.dialect, queue_us, work.item);
         let completion = Completion { slot: work.slot, gen: work.gen, bytes, shutdown };
         shared.completions.lock().expect("completions lock").push(completion);
         shared.wake();

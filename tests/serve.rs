@@ -14,7 +14,9 @@ use qufem::serve::{Client, Request, ServeConfig, Server};
 use qufem::{EngineStats, ProbDist, QuFem, QuFemConfig, QubitSet, SupportIndex};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::time::Duration;
+use std::io::Write;
+use std::net::{Shutdown, TcpStream};
+use std::time::{Duration, Instant};
 
 fn characterized() -> (qufem::device::Device, QuFem) {
     let device = presets::ibmq_7(1);
@@ -262,12 +264,13 @@ fn full_queue_rejects_with_error_instead_of_buffering() {
     let addr = server.local_addr();
     let handle = server.handle();
 
-    // Occupy the single worker: a status round-trip proves the worker owns
-    // this connection, and keeping it open blocks the worker in read.
+    // The connection budget is workers + queue_depth = 2. A status
+    // round-trip proves the event loop adopted this connection; keeping it
+    // open holds one of the two slots.
     let mut busy = Client::connect(addr).unwrap();
     assert!(busy.request(&Request::status()).unwrap().ok);
 
-    // Fill the single queue slot.
+    // Take the second slot.
     let mut queued = Client::connect(addr).unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while handle.accepted() < 2 {
@@ -282,7 +285,7 @@ fn full_queue_rejects_with_error_instead_of_buffering() {
     assert!(response.error.as_deref().unwrap().contains("busy"), "{response:?}");
     assert_eq!(handle.rejected(), 1);
 
-    // Releasing the worker lets the queued connection be served normally.
+    // The admitted connections are served normally.
     drop(busy);
     let response = queued.request(&Request::status()).unwrap();
     assert!(response.ok);
@@ -326,8 +329,9 @@ fn graceful_shutdown_drains_accepted_requests() {
         clients.push((dist, client));
     }
 
-    // Wait until the acceptor has queued every connection, then begin the
-    // graceful shutdown: all six written requests are in flight.
+    // Wait until the event loop has been handed every connection, then
+    // begin the graceful shutdown: each written request reached the server,
+    // though only two can be executing.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while handle.accepted() < CONNECTIONS as u64 {
         assert!(std::time::Instant::now() < deadline, "connections never all accepted");
@@ -362,7 +366,8 @@ fn shutdown_command_stops_the_server() {
     let addr = server.local_addr();
     let response = qufem::serve::request_once(addr, &Request::shutdown()).unwrap();
     assert!(response.ok);
-    // join() returning proves the acceptor and all workers exited.
+    // join() returning proves the acceptor, the event loop and every worker
+    // exited.
     server.join();
 }
 
@@ -384,5 +389,52 @@ fn status_reports_cache_and_counters() {
     assert_eq!(status.plan_cache_len, 2, "LRU capacity bounds the cache");
     assert_eq!(status.plan_cache_capacity, 2);
 
+    server.shutdown_and_join();
+}
+
+/// A client that pipelines requests and never reads an answer must not grow
+/// the server's memory without bound: once a connection's unwritten output
+/// passes the write high-water mark the loop stops reading it, so the
+/// server begins only a bounded prefix of the requests.
+#[test]
+fn a_client_that_never_reads_stops_being_read() {
+    let (_, qufem) = characterized();
+    let server = Server::start(qufem, "127.0.0.1:0", test_config()).unwrap();
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let metrics_bytes = {
+        let response = qufem::serve::request_once(addr, &Request::metrics()).unwrap();
+        serde_json::to_string(&response).unwrap().len()
+    };
+
+    // N answers add up to several times what the loopback socket buffers
+    // and the write high-water mark hold together.
+    const N: usize = 50_000;
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        let _ = writer.write_all(&b"{\"cmd\":\"metrics\"}\n".repeat(N));
+    });
+
+    // Wait until the begun-request count stops moving.
+    let deadline = Instant::now() + Duration::from_secs(120);
+    let (mut seen, mut since) = (handle.requests(), Instant::now());
+    while since.elapsed() < Duration::from_millis(500) && seen < 1 + N as u64 {
+        assert!(Instant::now() < deadline, "request count never levelled off: {seen}");
+        std::thread::sleep(Duration::from_millis(20));
+        if handle.requests() != seen {
+            (seen, since) = (handle.requests(), Instant::now());
+        }
+    }
+    let begun = seen - 1;
+    assert!(
+        begun < N as u64 / 2,
+        "{begun} of {N} requests begun ({metrics_bytes}-byte answers, none read)"
+    );
+
+    // Closing with unread answers resets the connection, which frees it.
+    let _ = stream.shutdown(Shutdown::Both);
+    sender.join().unwrap();
+    drop(stream);
     server.shutdown_and_join();
 }

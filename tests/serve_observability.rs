@@ -182,6 +182,33 @@ fn flight_recorder_evicts_oldest_and_dumps_in_order() {
     stop_server(server);
 }
 
+/// `queue_us` covers every request: the time from a frame leaving the read
+/// buffer until a worker starts it. Behind one worker, pipelined requests
+/// after the first wait for the ones before them.
+#[test]
+fn queue_wait_is_recorded_for_pipelined_requests() {
+    let (device, qufem) = characterized();
+    let config = ServeConfig { workers: 1, ..test_config() };
+    let server = Server::start(qufem, "127.0.0.1:0", config).unwrap();
+    let mut client = Client::connect_binary(server.local_addr()).unwrap();
+
+    const DEPTH: u64 = 8;
+    let measured = vec![0usize, 1, 2, 3, 4, 5, 6];
+    for seed in 0..DEPTH {
+        let dist = noisy_input(&device, &measured, seed);
+        client.send(&Request::calibrate(dist, Some(measured.clone()))).unwrap();
+    }
+    for _ in 0..DEPTH {
+        assert!(client.recv().unwrap().1.ok);
+    }
+    let trace = client.request(&Request::trace()).unwrap().trace.expect("trace payload");
+    let calibrates: Vec<_> = trace.iter().filter(|t| t.cmd == "calibrate").collect();
+    assert_eq!(calibrates.len(), DEPTH as usize);
+    assert!(calibrates[1..].iter().any(|t| t.queue_us > 0), "{calibrates:?}");
+
+    stop_server(server);
+}
+
 #[test]
 fn metrics_text_format_renders_counters_and_quantiles() {
     let (device, qufem) = characterized();
