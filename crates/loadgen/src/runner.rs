@@ -344,9 +344,9 @@ fn client_loop(
     Ok(ClientResult { outcomes, monotone, latencies_us })
 }
 
-/// Sends one round's batch: request/response lockstep in closed mode, all
-/// frames written before any response is read in open mode. Returns one
-/// result per request, in order.
+/// Sends one round's batch: request/response lockstep in closed mode,
+/// pipelined on the connection in open mode. Returns one result per
+/// request, in order.
 fn exchange(
     client: Option<&mut Client>,
     scenario: &Scenario,
@@ -373,43 +373,12 @@ fn exchange(
             })
             .collect(),
         crate::scenario::Arrival::Open { .. } => {
+            // Pipeline the whole burst. On the binary dialect responses may
+            // complete out of order; the client pairs them by request id, so
+            // the report stays a pure function of the trace.
             let started = Instant::now();
-            // Write the whole burst before reading any response. On the
-            // binary dialect responses may complete out of order; pairing
-            // by request id restores issue order, so the report stays a
-            // pure function of the trace.
-            let mut ids = Vec::with_capacity(batch.len());
-            for req in batch {
-                match client.send(&wire(req)) {
-                    Ok(id) => ids.push(id),
-                    Err(e) => return batch.iter().map(|_| Err(e.to_string())).collect(),
-                }
-            }
-            let mut by_id: HashMap<u64, std::result::Result<Response, String>> = HashMap::new();
-            for _ in 0..batch.len() {
-                match client.recv() {
-                    Ok((id, response)) => {
-                        by_id.insert(id, Ok(response));
-                    }
-                    Err(e) => {
-                        // A dead read ends the burst: everything still
-                        // outstanding failed with the same transport error.
-                        let message = e.to_string();
-                        for id in &ids {
-                            by_id.entry(*id).or_insert_with(|| Err(message.clone()));
-                        }
-                        break;
-                    }
-                }
-            }
-            let out: Vec<_> = ids
-                .iter()
-                .map(|id| {
-                    by_id
-                        .remove(id)
-                        .unwrap_or_else(|| Err(format!("no response for request id {id}")))
-                })
-                .collect();
+            let requests: Vec<Request> = batch.iter().map(wire).collect();
+            let out = client.pipeline(&requests);
             // Open mode measures the pipelined burst as one exchange.
             latencies_us.push(started.elapsed().as_micros() as u64);
             out

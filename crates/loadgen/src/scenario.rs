@@ -23,8 +23,8 @@ pub enum Arrival {
     /// Closed loop: each client sends one request per round and waits for
     /// the response before the round barrier.
     Closed,
-    /// Open loop: each client writes `burst` pipelined request frames per
-    /// round before reading any response, pressuring the server queue.
+    /// Open loop: each client pipelines `burst` request frames per round on
+    /// its connection, pressuring the server queue.
     Open {
         /// Requests written back-to-back per client per round.
         burst: usize,

@@ -62,7 +62,7 @@ use crate::protocol::{
 use crate::wire;
 use qufem_core::{EngineStats, MethodRegistry, QuFem, DEFAULT_DEVICE_ID};
 use qufem_types::{Error, QubitSet};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -188,8 +188,7 @@ impl Inner {
     /// Per-device catalog summaries decorated with per-device request
     /// counts, for `status` and `metrics`.
     fn device_infos(&self) -> Vec<DeviceStatusInfo> {
-        let requests: std::collections::HashMap<String, u64> =
-            self.metrics.device_stats().into_iter().collect();
+        let requests: HashMap<String, u64> = self.metrics.device_stats().into_iter().collect();
         self.catalog
             .summaries()
             .into_iter()
@@ -524,6 +523,56 @@ struct Conn {
 }
 
 impl Conn {
+    fn new(stream: TcpStream, gen: u64) -> Conn {
+        Conn {
+            stream,
+            gen,
+            dialect: Dialect::Undecided,
+            read_buf: Vec::new(),
+            write_buf: Vec::new(),
+            write_pos: 0,
+            pending: VecDeque::new(),
+            in_flight: 0,
+            answered: 0,
+            last_activity: Instant::now(),
+            read_closed: false,
+            closing: false,
+            dead: false,
+        }
+    }
+
+    /// Writes queued response bytes until the socket would block, then
+    /// drops the written ones once all are out, or once they are many, so a
+    /// slow reader does not keep them alive. Returns whether any byte went
+    /// out; a failed socket marks the connection dead.
+    fn flush(&mut self) -> bool {
+        let mut progress = false;
+        while !self.writes_drained() {
+            match (&self.stream).write(&self.write_buf[self.write_pos..]) {
+                Ok(0) => {
+                    self.dead = true;
+                    return true;
+                }
+                Ok(n) => {
+                    self.write_pos += n;
+                    self.last_activity = Instant::now();
+                    progress = true;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.dead = true;
+                    return true;
+                }
+            }
+        }
+        if self.writes_drained() || self.write_pos >= WRITE_HIGH_WATER {
+            self.write_buf.drain(..self.write_pos);
+            self.write_pos = 0;
+        }
+        progress
+    }
+
     /// Whether every queued byte has been written to the socket.
     fn writes_drained(&self) -> bool {
         self.write_pos == self.write_buf.len()
@@ -604,21 +653,7 @@ fn event_loop(inner: &Arc<Inner>, shared: &Arc<LoopShared>, work_tx: SyncSender<
             }
             let _ = stream.set_nodelay(true);
             next_gen += 1;
-            let conn = Conn {
-                stream,
-                gen: next_gen,
-                dialect: Dialect::Undecided,
-                read_buf: Vec::new(),
-                write_buf: Vec::new(),
-                write_pos: 0,
-                pending: VecDeque::new(),
-                in_flight: 0,
-                answered: 0,
-                last_activity: Instant::now(),
-                read_closed: false,
-                closing: false,
-                dead: false,
-            };
+            let conn = Conn::new(stream, next_gen);
             let slot = free.pop().unwrap_or_else(|| {
                 conns.push(None);
                 conns.len() - 1
@@ -703,33 +738,9 @@ fn service_conn(
     work_tx: &SyncSender<Work>,
     chunk: &mut [u8],
 ) -> bool {
-    let mut progress = false;
-
-    // Flush queued response bytes.
-    while conn.write_pos < conn.write_buf.len() {
-        match (&conn.stream).write(&conn.write_buf[conn.write_pos..]) {
-            Ok(0) => {
-                conn.dead = true;
-                return true;
-            }
-            Ok(n) => {
-                conn.write_pos += n;
-                conn.last_activity = Instant::now();
-                progress = true;
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.dead = true;
-                return true;
-            }
-        }
-    }
-    // Drop written bytes once all are out, or once they are many, so a slow
-    // reader does not keep them alive.
-    if conn.writes_drained() || conn.write_pos >= WRITE_HIGH_WATER {
-        conn.write_buf.drain(..conn.write_pos);
-        conn.write_pos = 0;
+    let mut progress = conn.flush();
+    if conn.dead {
+        return true;
     }
 
     // Read what the socket has, up to the decode backpressure limits.
@@ -1233,6 +1244,12 @@ fn metrics_text(inner: &Inner) -> String {
 // Client side
 // ---------------------------------------------------------------------------
 
+/// Most requests [`Client::pipeline`] leaves unanswered at once: below the
+/// server's per-connection limit on undispatched frames, so the server never
+/// stops reading a pipelining client that is waiting for it.
+const PIPELINE_WINDOW: usize = 64;
+const _: () = assert!(PIPELINE_WINDOW < PENDING_HIGH_WATER);
+
 /// A blocking client connection speaking either wire dialect.
 ///
 /// [`Client::connect`] negotiates NDJSON (the historical protocol);
@@ -1240,7 +1257,8 @@ fn metrics_text(inner: &Inner) -> String {
 /// [`crate::wire`]. Either way, [`Client::request`] does one lockstep
 /// round-trip, and [`Client::send`] / [`Client::recv`] pipeline many
 /// requests with explicit ids — on binary connections responses may
-/// complete out of order and are paired by id.
+/// complete out of order and are paired by id. [`Client::pipeline`] runs a
+/// whole burst that way.
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
@@ -1345,6 +1363,40 @@ impl Client {
         }
     }
 
+    /// Pipelines `requests` on this connection and returns one result per
+    /// request, in request order. The client reads while it sends, keeping
+    /// at most 64 requests unanswered, so the server keeps reading it and a
+    /// burst of any size completes. A transport error fails every request
+    /// not yet answered with its message.
+    pub fn pipeline(&mut self, requests: &[Request]) -> Vec<Result<Response, String>> {
+        let mut ids = Vec::with_capacity(requests.len());
+        let mut answers = HashMap::with_capacity(requests.len());
+        let mut unsent = requests.iter();
+        let failure = loop {
+            let room = ids.len() - answers.len() < PIPELINE_WINDOW;
+            let step = match room.then(|| unsent.next()).flatten() {
+                Some(request) => self.send(request).map(|id| ids.push(id)),
+                None if answers.len() < ids.len() => {
+                    self.recv().map(|(id, response)| drop(answers.insert(id, response)))
+                }
+                None => break None,
+            };
+            if let Err(e) = step {
+                break Some(e.to_string());
+            }
+        };
+        let mut out: Vec<_> = ids
+            .iter()
+            .map(|id| {
+                answers.remove(id).ok_or_else(|| {
+                    failure.clone().unwrap_or_else(|| format!("no response for request id {id}"))
+                })
+            })
+            .collect();
+        out.resize(requests.len(), Err(failure.unwrap_or_default()));
+        out
+    }
+
     /// Sends raw bytes (tests use this for malformed/oversized frames).
     ///
     /// # Errors
@@ -1408,4 +1460,45 @@ impl Client {
 /// See [`Client::request`].
 pub fn request_once(addr: impl ToSocketAddrs, request: &Request) -> io::Result<Response> {
     Client::connect(addr)?.request(request)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A client that reads, but more slowly than the server answers, keeps
+    /// the connection's output above the write high-water mark: the written
+    /// prefix must still be dropped, or the buffer grows with every byte
+    /// the client ever reads.
+    #[test]
+    fn a_slow_reader_keeps_the_write_buffer_bounded() {
+        const RESPONSE: usize = 64 << 10;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut reader = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        reader.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(stream, 1);
+        let byte = |i: usize| (i % 251) as u8;
+        let (mut queued, mut read) = (0, 0);
+        let mut buf = vec![0u8; 16 << 10];
+        while read < 4 * WRITE_HIGH_WATER {
+            // Answer while the unwritten output is below the mark, as
+            // `dispatch_pending` does, then let the reader take 16 KiB.
+            while conn.write_buf.len() - conn.write_pos < WRITE_HIGH_WATER {
+                conn.write_buf.extend((queued..queued + RESPONSE).map(byte));
+                queued += RESPONSE;
+            }
+            conn.flush();
+            assert!(!conn.dead);
+            assert!(
+                conn.write_buf.len() < 2 * WRITE_HIGH_WATER + RESPONSE,
+                "{} bytes buffered after {read} read",
+                conn.write_buf.len()
+            );
+            let n = reader.read(&mut buf).unwrap();
+            assert!(buf[..n].iter().enumerate().all(|(k, &b)| b == byte(read + k)));
+            read += n;
+        }
+    }
 }

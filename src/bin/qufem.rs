@@ -576,19 +576,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                     qufem::serve::Client::connect(addr.as_str())?
                 };
                 let started = std::time::Instant::now();
-                let mut ids = Vec::with_capacity(depth);
-                for _ in 0..depth {
-                    ids.push(client.send(&request)?);
-                }
-                let mut responses = std::collections::HashMap::with_capacity(depth);
-                for _ in 0..depth {
-                    let (id, response) = client.recv()?;
-                    responses.insert(id, response);
-                }
+                let mut responses = client.pipeline(&vec![request; depth]).into_iter();
                 let elapsed = started.elapsed();
-                let response = responses
-                    .remove(&ids[0])
-                    .ok_or("server never answered the first request id")?;
+                let response = responses.next().expect("depth >= 1")?;
                 if !response.ok {
                     return Err(response
                         .error
@@ -596,11 +586,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                         .into());
                 }
                 let result = response.dist.ok_or("server response carried no distribution")?;
-                for id in &ids[1..] {
-                    let echo = responses
-                        .remove(id)
-                        .ok_or("server never answered a pipelined request id")?;
-                    if echo.dist.as_ref() != Some(&result) {
+                for echo in responses {
+                    if echo?.dist.as_ref() != Some(&result) {
                         return Err("pipelined responses diverged for identical requests".into());
                     }
                 }

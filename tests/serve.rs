@@ -438,3 +438,33 @@ fn a_client_that_never_reads_stops_being_read() {
     drop(stream);
     server.shutdown_and_join();
 }
+
+/// A pipelined burst whose requests and answers each outgrow the write
+/// high-water mark and the loopback socket buffers together still
+/// completes: `Client::pipeline`, which `qufem client --depth` and loadgen's
+/// open arrival use, reads while it sends. A client that wrote the whole
+/// burst first would block in its write once the server stopped reading,
+/// while the server waited for it to read its answers.
+#[test]
+fn a_pipelined_burst_larger_than_the_write_bound_completes() {
+    let (_, qufem) = characterized();
+    let config = ServeConfig { max_request_bytes: 128 << 10, ..test_config() };
+    let server = Server::start(qufem, "127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
+    // 900 trace requests padded to 64 KiB each; once the flight recorder is
+    // full, each answer carries its 256 records.
+    const N: usize = 900;
+    let padded = Request { method: Some("p".repeat(64 << 10)), ..Request::trace() };
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let answers = Client::connect(addr).unwrap().pipeline(&vec![padded; N]);
+        tx.send(answers).unwrap();
+    });
+    let answers = rx.recv_timeout(Duration::from_secs(120)).expect("burst never completed");
+    assert_eq!(answers.len(), N);
+    for answer in &answers {
+        assert!(answer.as_ref().is_ok_and(|a| a.ok), "{answer:?}");
+    }
+    assert_eq!(answers[N - 1].as_ref().unwrap().trace.as_ref().map(Vec::len), Some(256));
+    server.shutdown_and_join();
+}
