@@ -307,8 +307,9 @@ impl ExecArena {
     /// produces it): entry order fixes the float accumulation order. Every
     /// iteration's output comes out canonical and
     /// is the next iteration's input as it stands: nothing is re-sorted
-    /// between iterations, and the output's probe table is built once, at
-    /// the end. An iteration goes to the shard pool when `threads > 1` and
+    /// between iterations, and the output index is canonical too, with no
+    /// probe table (its lookups bisect; the first `intern` builds one). An
+    /// iteration goes to the shard pool when `threads > 1` and
     /// each of up to `threads` shards gets at least [`POOL_FLOOR`] input
     /// strings; otherwise its jobs run inline. Either way the bucketed
     /// sort-fold keeps every output bit and stats counter identical at any

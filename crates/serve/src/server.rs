@@ -84,7 +84,9 @@ pub struct ServeConfig {
     /// newline) or a binary frame payload.
     pub max_request_bytes: usize,
     /// Idle time after which a connection with no request in flight is
-    /// closed.
+    /// closed. A connection whose client leaves more than 4 MiB of answers
+    /// unread (so it starts no new request) is closed after the same time
+    /// without progress, even with requests still queued.
     pub read_timeout: Option<Duration>,
     /// Prepared-plan LRU capacity of each catalog version entry: the
     /// `(method, measured set)` plans one `(device, version)` keeps hot.
@@ -578,6 +580,12 @@ impl Conn {
         self.write_pos == self.write_buf.len()
     }
 
+    /// Whether the unwritten output is at [`WRITE_HIGH_WATER`], so no new
+    /// request starts until the client reads.
+    fn write_blocked(&self) -> bool {
+        self.write_buf.len() - self.write_pos >= WRITE_HIGH_WATER
+    }
+
     /// Whether no request is queued or executing and writes are drained.
     fn idle(&self) -> bool {
         self.pending.is_empty() && self.in_flight == 0 && self.writes_drained()
@@ -613,7 +621,8 @@ const PENDING_HIGH_WATER: usize = 128;
 /// Unwritten response bytes past which a connection starts no new request
 /// until its client drains them; its pending list then fills and
 /// [`PENDING_HIGH_WATER`] stops reading it, so a client that never reads
-/// cannot grow server memory without bound.
+/// cannot grow server memory without bound, and after
+/// [`ServeConfig::read_timeout`] without progress it is closed.
 const WRITE_HIGH_WATER: usize = 4 << 20;
 /// Read granularity for the shared scratch buffer.
 const READ_CHUNK: usize = 64 * 1024;
@@ -690,8 +699,12 @@ fn event_loop(inner: &Arc<Inner>, shared: &Arc<LoopShared>, work_tx: SyncSender<
             let Some(conn) = entry.as_mut() else { continue };
             progress |= service_conn(inner, conn, slot, &work_tx, &mut chunk);
             backlog += conn.pending.len() + conn.in_flight;
+            // Idle, or held above the write high-water mark by a client that
+            // does not read: either way nothing moved for the whole timeout.
             let timed_out = inner.config.read_timeout.is_some_and(|t| {
-                conn.pending.is_empty() && conn.in_flight == 0 && conn.last_activity.elapsed() >= t
+                (conn.pending.is_empty() || conn.write_blocked())
+                    && conn.in_flight == 0
+                    && conn.last_activity.elapsed() >= t
             });
             let close = conn.dead
                 || (conn.closing && conn.in_flight == 0 && conn.writes_drained())
@@ -743,8 +756,15 @@ fn service_conn(
         return true;
     }
 
-    // Read what the socket has, up to the decode backpressure limits.
+    // Frames already buffered go first. Read only once none is left and
+    // the connection has room for more, and stop at a read that completes
+    // a frame: the buffer then holds about one read of whole frames, so
+    // slicing off a capped batch never moves a large remainder. Reads that
+    // end in `WouldBlock` completed no frame, so they need no extraction.
+    extract_frames(inner, conn);
+    let mut extract = false;
     if !conn.read_closed && !conn.closing && conn.pending.len() < PENDING_HIGH_WATER {
+        extract = true;
         loop {
             if conn.read_buf.len() > inner.config.max_request_bytes + READ_CHUNK {
                 break; // oversized detection below will deal with it
@@ -759,8 +779,14 @@ fn service_conn(
                     conn.read_buf.extend_from_slice(&chunk[..n]);
                     conn.last_activity = Instant::now();
                     progress = true;
+                    if completes_frame(conn, n) {
+                        break;
+                    }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    extract = false;
+                    break;
+                }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     conn.read_closed = true;
@@ -771,15 +797,35 @@ fn service_conn(
         }
     }
 
-    extract_frames(inner, conn);
+    if extract {
+        extract_frames(inner, conn);
+    }
     progress |= dispatch_pending(inner, conn, slot, work_tx);
     progress
 }
 
+/// Whether the `fresh` bytes just read complete a frame in the read buffer,
+/// which held no whole frame before them: a newline on an NDJSON
+/// connection, the header's declared length on a binary one.
+fn completes_frame(conn: &Conn, fresh: usize) -> bool {
+    let buf = &conn.read_buf;
+    let binary = match conn.dialect {
+        Dialect::Undecided => buf[0] == wire::MAGIC[0],
+        dialect => dialect == Dialect::Binary,
+    };
+    if !binary {
+        return buf[buf.len() - fresh..].contains(&b'\n');
+    }
+    buf.len() >= wire::HEADER_LEN
+        && buf.len() - wire::HEADER_LEN
+            >= u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize
+}
+
 /// Negotiates the dialect on the first byte, then slices the read buffer
-/// into [`Pending`] units.
+/// into [`Pending`] units until the connection holds
+/// [`PENDING_HIGH_WATER`] of them; the rest stays in the read buffer.
 fn extract_frames(inner: &Inner, conn: &mut Conn) {
-    if conn.closing || conn.read_buf.is_empty() {
+    if conn.closing || conn.read_buf.is_empty() || conn.pending.len() >= PENDING_HIGH_WATER {
         return;
     }
     if conn.dialect == Dialect::Undecided {
@@ -792,7 +838,12 @@ fn extract_frames(inner: &Inner, conn: &mut Conn) {
     match conn.dialect {
         Dialect::Undecided => unreachable!("dialect decided above"),
         Dialect::Json => {
-            while let Some(nl) = conn.read_buf[consumed..].iter().position(|&b| b == b'\n') {
+            let mut partial = false;
+            while conn.pending.len() < PENDING_HIGH_WATER {
+                let Some(nl) = conn.read_buf[consumed..].iter().position(|&b| b == b'\n') else {
+                    partial = true;
+                    break;
+                };
                 let bytes = &conn.read_buf[consumed..consumed + nl];
                 if bytes.len() > max {
                     conn.pending.push_back((Pending::Oversized { id: 0 }, now));
@@ -812,34 +863,37 @@ fn extract_frames(inner: &Inner, conn: &mut Conn) {
                 }
                 conn.pending.push_back((Pending::Line(line), now));
             }
-            // A partial line past the limit can never complete validly.
-            if !conn.read_closed && conn.read_buf.len() - consumed > max {
+            // A partial line past the limit can never complete validly; a
+            // remainder left by the pending cap holds whole lines.
+            if partial && !conn.read_closed && conn.read_buf.len() - consumed > max {
                 conn.pending.push_back((Pending::Oversized { id: 0 }, now));
                 conn.read_closed = true;
                 consumed = conn.read_buf.len();
             }
         }
-        Dialect::Binary => loop {
-            match wire::try_parse_frame(&conn.read_buf[consumed..], max) {
-                Ok(None) => break,
-                Ok(Some((frame, used))) => {
-                    consumed += used;
-                    conn.pending.push_back((Pending::Frame(frame), now));
-                }
-                Err(wire::WireError::Oversized { id, .. }) => {
-                    conn.pending.push_back((Pending::Oversized { id }, now));
-                    conn.read_closed = true;
-                    consumed = conn.read_buf.len();
-                    break;
-                }
-                Err(e) => {
-                    conn.pending.push_back((Pending::Desync { message: e.to_string() }, now));
-                    conn.read_closed = true;
-                    consumed = conn.read_buf.len();
-                    break;
+        Dialect::Binary => {
+            while conn.pending.len() < PENDING_HIGH_WATER {
+                match wire::try_parse_frame(&conn.read_buf[consumed..], max) {
+                    Ok(None) => break,
+                    Ok(Some((frame, used))) => {
+                        consumed += used;
+                        conn.pending.push_back((Pending::Frame(frame), now));
+                    }
+                    Err(wire::WireError::Oversized { id, .. }) => {
+                        conn.pending.push_back((Pending::Oversized { id }, now));
+                        conn.read_closed = true;
+                        consumed = conn.read_buf.len();
+                        break;
+                    }
+                    Err(e) => {
+                        conn.pending.push_back((Pending::Desync { message: e.to_string() }, now));
+                        conn.read_closed = true;
+                        consumed = conn.read_buf.len();
+                        break;
+                    }
                 }
             }
-        },
+        }
     }
     if consumed > 0 {
         conn.read_buf.drain(..consumed);
@@ -857,7 +911,7 @@ fn dispatch_pending(
     work_tx: &SyncSender<Work>,
 ) -> bool {
     let mut progress = false;
-    while conn.write_buf.len() - conn.write_pos < WRITE_HIGH_WATER {
+    while !conn.write_blocked() {
         match conn.pending.front().map(|(item, _)| item) {
             None => break,
             Some(Pending::Oversized { .. }) | Some(Pending::Desync { .. }) => {

@@ -11,11 +11,14 @@ use std::fmt;
 /// This is the central value type of readout calibration: device measurement
 /// produces one, and calibration maps one to another. Entries are stored in
 /// the calibration engine's own flat layout, a [`SupportIndex`] (packed key
-/// words, a parallel value array, and an open-addressing probe table), so
-/// the memory footprint is proportional to the number of *stored* outcomes —
-/// essential on devices with hundreds of qubits where `2^n` dense vectors are
-/// unrepresentable — and handing a distribution to the engine or taking one
-/// back is a buffer copy ([`ProbDist::as_index`], [`SupportIndex::to_dist`]).
+/// words and a parallel value array), so the memory footprint is
+/// proportional to the number of *stored* outcomes — essential on devices
+/// with hundreds of qubits where `2^n` dense vectors are unrepresentable —
+/// and handing a distribution to the engine or taking one back is a buffer
+/// copy ([`ProbDist::as_index`], [`SupportIndex::to_dist`]). A distribution
+/// built by adding entries keeps an open-addressing probe table for its
+/// lookups; one taken back from the engine is in canonical key order and
+/// has none (lookups bisect its keys) until an entry is added.
 ///
 /// The API is order-free: equality ignores entry order, and every
 /// order-sensitive output ([`ProbDist::sorted_pairs`], serialization,
@@ -420,7 +423,8 @@ impl ProbDist {
     }
 
     /// Approximate heap usage in bytes (benchmark memory accounting): the
-    /// flat key, value, and probe-table buffers.
+    /// flat key and value buffers, plus the probe table if the distribution
+    /// holds one (see [`SupportIndex::heap_bytes`]).
     pub fn heap_bytes(&self) -> usize {
         self.index.heap_bytes()
     }

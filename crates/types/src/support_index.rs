@@ -63,17 +63,29 @@ fn table_len_for(entries: usize) -> usize {
 ///
 /// Entry `id` (a dense `u32`) has key [`SupportIndex::key_words`]`(id)` and
 /// amplitude [`SupportIndex::value`]`(id)`. Ids are assigned in interning
-/// order; [`SupportIndex::from_dist`] interns in the distribution's sorted
-/// key order, [`SupportIndex::sort`] restores that canonical order after
+/// order; [`SupportIndex::from_dist`] copies the distribution in sorted key
+/// order, [`SupportIndex::sort`] restores that canonical order after
 /// arbitrary interning, and [`SupportIndex::assign_sorted`] refills an
 /// index from entries already in canonical order.
 ///
-/// Key lookup runs over a flat open-addressing id table probing the flat key
-/// storage directly — no per-key boxing — so a cleared index
-/// ([`SupportIndex::clear`] / [`SupportIndex::reset`]) re-interns into its
-/// retained buffers **without touching the heap** until it outgrows a
-/// previous high-water mark. This is the allocation contract the engine's
-/// steady-state `apply` path is built on.
+/// An index is in one of two forms, told apart by its probe table alone:
+///
+/// - **Canonical** (no table): keys are strictly ascending, so ids are
+///   sorted ranks. [`SupportIndex::from_dist`], [`SupportIndex::sort`],
+///   [`SupportIndex::assign_sorted`] and, on a canonical index, the
+///   compaction behind [`ProbDist::truncate`] leave this form, and allocate
+///   and fill no table.
+///   [`SupportIndex::get`] bisects the flat keys and
+///   [`SupportIndex::sorted_ids`] is the identity.
+/// - **Hashed**: a flat open-addressing id table probes the flat key storage
+///   directly, with no per-key boxing. The first [`SupportIndex::intern`]
+///   builds it (ids do not change), and it then stays until the index is
+///   made canonical again.
+///
+/// A cleared index ([`SupportIndex::clear`] / [`SupportIndex::reset`])
+/// refills its retained buffers **without touching the heap** until it
+/// outgrows a previous high-water mark. This is the allocation contract the
+/// engine's steady-state `apply` path is built on.
 ///
 /// # Example
 ///
@@ -97,7 +109,9 @@ pub struct SupportIndex {
     values: Vec<f64>,
     /// Open-addressing id table: power-of-two length, [`EMPTY_SLOT`]-marked
     /// free slots, linear probing. Probes compare candidate ids' words in
-    /// `keys` against the query slice, so lookups allocate nothing.
+    /// `keys` against the query slice, so lookups allocate nothing. Empty
+    /// exactly when the index is canonical: its keys are then strictly
+    /// ascending and lookups bisect them instead.
     table: Vec<u32>,
     /// [`process_seed`], copied in at construction so probing pays no
     /// atomic load. Every index in the process holds the same value, so a
@@ -117,8 +131,9 @@ impl SupportIndex {
         Self::with_capacity(width, 0)
     }
 
-    /// Creates an empty index with room for `capacity` entries. A zero
-    /// capacity allocates nothing; the probe table is sized on first intern.
+    /// Creates an empty hashed index with room for `capacity` entries. A
+    /// zero capacity allocates nothing and leaves the index canonical; the
+    /// probe table is then sized on first intern.
     pub fn with_capacity(width: usize, capacity: usize) -> Self {
         let words_per_key = BitString::words_for_width(width);
         SupportIndex {
@@ -135,11 +150,11 @@ impl SupportIndex {
         }
     }
 
-    /// Builds an index from a distribution with keys in sorted
+    /// Builds a canonical index from a distribution, with keys in sorted
     /// ([`BitString`]) order so ids equal sorted ranks: one
     /// [`SupportIndex::sorted_copy_into`] of the distribution's flat
-    /// storage. Lossless: every stored entry is carried over bit-for-bit,
-    /// including exact zeros.
+    /// storage, with no probe table. Lossless: every stored entry is carried
+    /// over bit-for-bit, including exact zeros.
     pub fn from_dist(dist: &ProbDist) -> Self {
         let mut index = Self::new(dist.width());
         dist.as_index().sorted_copy_into(&mut index, &mut Vec::new());
@@ -155,9 +170,10 @@ impl SupportIndex {
         index
     }
 
-    /// Converts to a distribution by copying the flat buffers. Lossless
-    /// inverse of [`SupportIndex::from_dist`]: the result compares equal to
-    /// the source distribution (same support, same `f64` bits).
+    /// Converts to a distribution by copying the flat buffers (the key and
+    /// value buffers of a canonical index, which has no table to copy).
+    /// Lossless inverse of [`SupportIndex::from_dist`]: the result compares
+    /// equal to the source distribution (same support, same `f64` bits).
     pub fn to_dist(&self) -> ProbDist {
         self.clone().into_dist()
     }
@@ -231,18 +247,30 @@ impl SupportIndex {
         &self.keys
     }
 
-    /// The id of `words`, if interned.
+    /// The id of `words`, if interned: a probe of the table of a hashed
+    /// index, a bisection of the sorted keys of a canonical one.
     #[inline]
     pub fn get(&self, words: &[u64]) -> Option<u32> {
-        if self.table.is_empty() {
-            return None;
+        if !self.table.is_empty() {
+            return probe(self.seed, &self.table, &self.keys, self.words_per_key, words).1;
         }
-        probe(self.seed, &self.table, &self.keys, self.words_per_key, words).1
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.key_words(mid as u32).cmp(words) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(mid as u32),
+            }
+        }
+        None
     }
 
     /// Interns `words`, returning its id. New entries start at amplitude
-    /// `0.0`; the key is copied only on first insertion. Allocation-free
-    /// while the entry count stays within retained capacity.
+    /// `0.0`; the key is copied only on first insertion. The first intern
+    /// into a canonical index builds its probe table in the retained table
+    /// buffer; existing ids do not change. Allocation-free while the entry
+    /// count stays within retained capacity.
     ///
     /// # Panics
     ///
@@ -250,8 +278,11 @@ impl SupportIndex {
     pub fn intern(&mut self, words: &[u64]) -> u32 {
         assert_eq!(words.len(), self.words_per_key, "key word count mismatch");
         // Keep the load factor below 7/8 so probe chains stay short and the
-        // insert probe below always finds an empty slot.
-        if (self.values.len() + 1) * 8 > self.table.len() * 7 {
+        // insert probe below always finds an empty slot (a rebuilt table
+        // has room for at least one more entry).
+        if self.table.is_empty() {
+            self.rebuild_table();
+        } else if (self.values.len() + 1) * 8 > self.table.len() * 7 {
             self.grow_table();
         }
         let (slot, found) = probe(self.seed, &self.table, &self.keys, self.words_per_key, words);
@@ -279,10 +310,10 @@ impl SupportIndex {
     }
 
     /// Reorders entries into canonical [`BitString`] order (width-equal keys
-    /// compare as word slices), reassigning ids to sorted ranks. Amplitudes
-    /// travel with their keys unchanged. After sorting, the index is
-    /// id-for-id identical to [`SupportIndex::from_dist`] of
-    /// [`SupportIndex::to_dist`].
+    /// compare as word slices), reassigning ids to sorted ranks and dropping
+    /// the probe table. Amplitudes travel with their keys unchanged. After
+    /// sorting, the index is id-for-id identical to
+    /// [`SupportIndex::from_dist`] of [`SupportIndex::to_dist`].
     pub fn sort(&mut self) {
         let mut sorted = SupportIndex::new(self.width);
         self.sorted_copy_into(&mut sorted, &mut Vec::new());
@@ -302,14 +333,18 @@ impl SupportIndex {
             dest.keys.extend_from_slice(self.key_words(id));
             dest.values.push(self.values[id as usize]);
         }
-        dest.rebuild_table();
+        dest.table.clear();
     }
 
     /// Fills `order` with every id in canonical key order ([`BitString`]
-    /// order, compared as word slices), reusing its buffer.
+    /// order, compared as word slices), reusing its buffer. On a canonical
+    /// index that is the identity, with no sort.
     pub fn sorted_ids(&self, order: &mut Vec<u32>) {
         order.clear();
         order.extend(0..self.len() as u32);
+        if self.table.is_empty() {
+            return;
+        }
         // Interned keys are distinct, so the comparator never returns
         // `Equal` and the unstable sort yields the one canonical permutation.
         order.sort_unstable_by(|&a, &b| self.key_words(a).cmp(self.key_words(b)));
@@ -317,16 +352,17 @@ impl SupportIndex {
 
     /// Replaces the contents with `width`-bit entries supplied in strictly
     /// ascending canonical key order, as consecutive runs of flat key words
-    /// (as [`SupportIndex::flat_keys`] stores them) and values. Ids come out
-    /// as sorted ranks with no sort and no per-entry hashing; the probe
-    /// table is rebuilt once, at the end. Allocation-free once retained
-    /// capacity covers the result.
+    /// (as [`SupportIndex::flat_keys`] stores them) and values. The result
+    /// is canonical: ids come out as sorted ranks with no sort, no hashing
+    /// and no probe table. Allocation-free once retained capacity covers
+    /// the result.
     ///
     /// # Panics
     ///
-    /// Panics if a run's key word count does not match its value count or
-    /// the support would exceed `u32` ids. Debug builds also panic if the
-    /// keys are not strictly ascending.
+    /// Panics if a run's key word count does not match its value count, the
+    /// support would exceed `u32` ids, or the keys are not strictly
+    /// ascending (one adjacent-key compare per entry, in every build: a
+    /// canonical index's lookups depend on the order).
     pub fn assign_sorted<'a>(
         &mut self,
         width: usize,
@@ -340,17 +376,16 @@ impl SupportIndex {
                 self.values.len() + values.len() < EMPTY_SLOT as usize,
                 "support exceeds u32 ids"
             );
-            if cfg!(debug_assertions) && wpk > 0 {
-                let mut prev = self.keys.len().checked_sub(wpk).map(|start| &self.keys[start..]);
-                for key in words.chunks_exact(wpk) {
-                    assert!(prev.is_none_or(|p| p < key), "sorted keys must be strictly ascending");
-                    prev = Some(key);
-                }
+            let mut prev = (!self.is_empty()).then(|| &self.keys[self.keys.len() - wpk..]);
+            for i in 0..values.len() {
+                let key = &words[i * wpk..(i + 1) * wpk];
+                assert!(prev.is_none_or(|p| p < key), "sorted keys must be strictly ascending");
+                prev = Some(key);
             }
             self.keys.extend_from_slice(words);
             self.values.extend_from_slice(values);
         }
-        self.rebuild_table();
+        self.table.clear();
     }
 
     /// Mutable amplitudes, indexed by id.
@@ -359,8 +394,9 @@ impl SupportIndex {
     }
 
     /// Keeps the entries whose amplitude satisfies `keep`, compacting the
-    /// survivors in id order and rebuilding the probe table. Returns the
-    /// number of removed entries.
+    /// survivors in id order. A canonical index stays canonical (the order
+    /// survives compaction); a hashed one rebuilds its probe table. Returns
+    /// the number of removed entries.
     pub(crate) fn retain(&mut self, mut keep: impl FnMut(f64) -> bool) -> usize {
         let (before, wpk) = (self.len(), self.words_per_key);
         let mut kept = 0;
@@ -374,7 +410,7 @@ impl SupportIndex {
         }
         self.keys.truncate(kept * wpk);
         self.values.truncate(kept);
-        if kept < before {
+        if kept < before && !self.table.is_empty() {
             self.rebuild_table();
         }
         before - kept
@@ -398,8 +434,8 @@ impl SupportIndex {
     }
 
     /// Makes `self` an id-for-id copy of `other` (keys, amplitudes, and the
-    /// probe table), reusing retained buffers — allocation-free once `self`'s
-    /// capacity covers `other`.
+    /// probe table if `other` has one), reusing retained buffers —
+    /// allocation-free once `self`'s capacity covers `other`.
     pub fn copy_from(&mut self, other: &SupportIndex) {
         self.width = other.width;
         self.words_per_key = other.words_per_key;
@@ -413,8 +449,8 @@ impl SupportIndex {
 
     /// Rebuilds the probe table for the current `keys`/`values`, reusing the
     /// existing table buffer when its **capacity** still covers the need —
-    /// the current length may be smaller (e.g. after [`SupportIndex::copy_from`]
-    /// of a smaller index) without forcing a reallocation.
+    /// the current length may be smaller (e.g. a canonical index's cleared
+    /// table) without forcing a reallocation.
     fn rebuild_table(&mut self) {
         let needed = table_len_for(self.values.len());
         if self.table.capacity() < needed {
@@ -458,7 +494,9 @@ impl SupportIndex {
         (0..self.len() as u32).map(|id| (id, self.key_words(id), self.values[id as usize]))
     }
 
-    /// Approximate heap usage in bytes (benchmark memory accounting).
+    /// Approximate heap usage in bytes (benchmark memory accounting): the
+    /// key and value buffers plus whatever probe-table buffer the index
+    /// holds. A canonical index that was never hashed holds none.
     pub fn heap_bytes(&self) -> usize {
         self.keys.capacity() * std::mem::size_of::<u64>()
             + self.values.capacity() * std::mem::size_of::<f64>()
@@ -590,6 +628,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "strictly ascending")]
+    fn assign_sorted_rejects_a_repeated_zero_width_key() {
+        SupportIndex::new(0).assign_sorted(0, [(&[][..], &[0.5, 0.5][..])]);
+    }
+
+    #[test]
     fn assign_sorted_assigns_ranks_and_rebuilds_lookup() {
         let mut idx = SupportIndex::new(1);
         add(&mut idx, "1", 9.0); // a previous width and support are discarded
@@ -609,7 +653,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
     #[should_panic(expected = "strictly ascending")]
     fn assign_sorted_rejects_out_of_order_keys() {
         let mut idx = SupportIndex::new(2);
@@ -763,5 +806,158 @@ mod tests {
         assert_eq!(idx.words_per_key(), 3);
         assert_eq!(idx.key(0), key);
         assert_eq!(idx.to_dist(), p);
+    }
+
+    #[test]
+    fn canonical_builds_carry_no_table_and_intern_builds_it() {
+        let p = ProbDist::from_pairs(3, [(bs("110"), 0.5), (bs("001"), 0.25), (bs("011"), 0.25)])
+            .unwrap();
+        let mut idx = SupportIndex::from_dist(&p);
+        assert!(idx.table.is_empty() && idx.table.capacity() == 0, "from_dist builds no table");
+        assert_eq!(idx.to_dist().as_index().table.capacity(), 0, "to_dist copies no table");
+        let mut order = Vec::new();
+        idx.sorted_ids(&mut order);
+        assert_eq!(order, [0, 1, 2], "a canonical index is its own sort order");
+
+        // Interning a present key keeps its id; a new key is appended.
+        let before: Vec<_> = idx.iter().map(|(id, words, _)| (id, words.to_vec())).collect();
+        for (id, words) in &before {
+            assert_eq!(idx.intern(words), *id);
+        }
+        assert!(!idx.table.is_empty(), "the first intern builds the table");
+        assert_eq!(idx.intern(bs("000").as_words()), 3);
+        assert_eq!(idx.key(3), bs("000"));
+        for (id, words) in &before {
+            assert_eq!(idx.get(words), Some(*id));
+        }
+        assert_eq!(idx.get(bs("000").as_words()), Some(3));
+        idx.accumulate_id(3, 0.0);
+        assert_ne!(idx.to_dist(), p, "the appended key is an entry");
+
+        // Sorting makes it canonical again; `ProbDist ==` ignores the form.
+        idx.sort();
+        assert!(idx.table.is_empty());
+        assert_eq!(idx.get(bs("000").as_words()), Some(0));
+        let mut hashed = p.clone();
+        hashed.set(bs("000"), 0.0);
+        assert_eq!(idx.to_dist(), hashed);
+        assert_eq!(hashed, idx.to_dist());
+    }
+
+    #[test]
+    fn a_cleared_table_is_reused_by_the_next_intern() {
+        let mut idx = SupportIndex::new(10);
+        for i in 0..100 {
+            add(&mut idx, &format!("{i:010b}"), 1.0);
+        }
+        idx.sort();
+        let (words, values) = (idx.flat_keys().to_vec(), idx.values().to_vec());
+        idx.intern(&words[..1]);
+        let capacity = idx.table.capacity();
+        assert!(capacity > 0);
+        idx.assign_sorted(10, [(&words[..], &values[..])]);
+        assert!(idx.table.is_empty());
+        assert_eq!(idx.table.capacity(), capacity, "the canonical form keeps the buffer");
+        idx.intern(&words[..1]);
+        assert_eq!(idx.table.capacity(), capacity, "and the next intern reuses it");
+    }
+
+    mod canonical_lookup {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        /// Widths covering the empty key, one bit, a word's edges, and
+        /// multi-word keys with a partial tail.
+        const WIDTHS: [usize; 6] = [0, 1, 63, 64, 65, 130];
+
+        /// `seed` spread over a `width`-bit key's words, masked to the
+        /// width. Seeds below 64 differ in one low bit so small keys
+        /// collide often.
+        fn key_words(width: usize, seed: u64) -> Vec<u64> {
+            (0..BitString::words_for_width(width))
+                .map(|w| {
+                    let word = if seed < 64 { seed >> (w * 3) } else { mix64(seed ^ w as u64) };
+                    let bits = (width - w * 64).min(64);
+                    if bits == 64 {
+                        word
+                    } else {
+                        word & ((1u64 << bits) - 1)
+                    }
+                })
+                .collect()
+        }
+
+        /// A hashed index with `canonical`'s ids: every key interned in id
+        /// order.
+        fn hashed_copy(canonical: &SupportIndex) -> SupportIndex {
+            let mut hashed = SupportIndex::new(canonical.width());
+            for (id, words, value) in canonical.iter() {
+                assert_eq!(hashed.intern(words), id);
+                hashed.accumulate_id(id, value);
+            }
+            hashed
+        }
+
+        /// `canonical` has no table, and it and its hashed copy agree on
+        /// every present key, on every probe, and as distributions.
+        fn assert_agrees_with_hashed(canonical: &SupportIndex, probes: &[Vec<u64>]) {
+            assert!(canonical.table.is_empty(), "a canonical build leaves no table");
+            let hashed = hashed_copy(canonical);
+            assert!(canonical.is_empty() || !hashed.table.is_empty());
+            for (id, words, _) in canonical.iter() {
+                assert_eq!(canonical.get(words), Some(id));
+                assert_eq!(hashed.get(words), Some(id));
+            }
+            for words in probes {
+                assert_eq!(canonical.get(words), hashed.get(words), "{words:?}");
+            }
+            assert_eq!(canonical.to_dist(), hashed.to_dist());
+            assert_eq!(hashed.to_dist(), canonical.to_dist());
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn canonical_and_hashed_lookups_agree(
+                w in 0..WIDTHS.len(),
+                entries in collection::vec((0u64..200, -1.0f64..1.0), 0..80),
+                probes in collection::vec(0u64..200, 0..40),
+                cut in 0usize..80,
+                threshold in -1.0f64..1.0,
+            ) {
+                let width = WIDTHS[w];
+                let mut dist = SupportIndex::new(width);
+                for &(seed, value) in &entries {
+                    let id = dist.intern(&key_words(width, seed));
+                    dist.accumulate_id(id, value);
+                }
+                let dist = dist.into_dist();
+                let probes: Vec<_> = probes.iter().map(|&s| key_words(width, s)).collect();
+
+                let canonical = SupportIndex::from_dist(&dist);
+                assert_agrees_with_hashed(&canonical, &probes);
+                prop_assert!(canonical.to_dist() == dist);
+
+                // `assign_sorted` from two runs, into a previously hashed
+                // index whose table buffer it keeps.
+                let (keys, values, wpk) =
+                    (canonical.flat_keys(), canonical.values(), canonical.words_per_key());
+                let cut = cut.min(values.len());
+                let mut assigned = hashed_copy(&canonical);
+                assigned.assign_sorted(
+                    width,
+                    [(&keys[..cut * wpk], &values[..cut]), (&keys[cut * wpk..], &values[cut..])],
+                );
+                assert_agrees_with_hashed(&assigned, &probes);
+
+                let mut retained = canonical.clone();
+                retained.retain(|v| v > threshold);
+                assert_agrees_with_hashed(&retained, &probes);
+                for (_, words, value) in canonical.iter() {
+                    prop_assert_eq!(retained.get(words).is_some(), value > threshold);
+                }
+            }
+        }
     }
 }

@@ -14,7 +14,7 @@ use qufem::serve::{Client, Request, ServeConfig, Server};
 use qufem::{EngineStats, ProbDist, QuFem, QuFemConfig, QubitSet, SupportIndex};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -395,11 +395,21 @@ fn status_reports_cache_and_counters() {
 /// A client that pipelines requests and never reads an answer must not grow
 /// the server's memory without bound: once a connection's unwritten output
 /// passes the write high-water mark the loop stops reading it, so the
-/// server begins only a bounded prefix of the requests.
+/// server begins only a bounded prefix of the requests. After the read
+/// timeout without progress the connection is closed and its slot freed,
+/// though requests are still queued and the client keeps its socket open.
 #[test]
 fn a_client_that_never_reads_stops_being_read() {
     let (_, qufem) = characterized();
-    let server = Server::start(qufem, "127.0.0.1:0", test_config()).unwrap();
+    // One worker and one queued connection: a budget of two connections,
+    // so one more than the never-reader is refused while it holds its slot.
+    let config = ServeConfig {
+        workers: 1,
+        queue_depth: 1,
+        read_timeout: Some(Duration::from_millis(500)),
+        ..test_config()
+    };
+    let server = Server::start(qufem, "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
     let handle = server.handle();
     let metrics_bytes = {
@@ -432,10 +442,75 @@ fn a_client_that_never_reads_stops_being_read() {
         "{begun} of {N} requests begun ({metrics_bytes}-byte answers, none read)"
     );
 
-    // Closing with unread answers resets the connection, which frees it.
+    // Two more connections at once fit the budget only once the server has
+    // closed the never-reader, whose socket is still open on this side.
+    // A refused connection's request is never begun, so `served` counts
+    // every request the probes began.
+    let mut served = 0;
+    let mut both_served = || {
+        let (mut a, mut b) = (Client::connect(addr).unwrap(), Client::connect(addr).unwrap());
+        let mut ok = |c: &mut Client| {
+            let ok = c.request(&Request::status()).is_ok_and(|r| r.ok);
+            served += u64::from(ok);
+            ok
+        };
+        ok(&mut a) & ok(&mut b)
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !both_served() {
+        assert!(Instant::now() < deadline, "the never-reader's slot was never freed");
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    assert_eq!(handle.requests(), seen + served, "the never-reader began nothing more");
+
     let _ = stream.shutdown(Shutdown::Both);
     sender.join().unwrap();
     drop(stream);
+    server.shutdown_and_join();
+}
+
+/// A burst of small pipelined NDJSON requests is sliced into at most
+/// 128 queued frames at a time (the rest waits, unparsed, in the read
+/// buffer), and every request is still answered, in order.
+#[test]
+fn a_pipelined_ndjson_burst_is_queued_128_frames_at_a_time() {
+    let (_, qufem) = characterized();
+    let server = Server::start(qufem, "127.0.0.1:0", test_config()).unwrap();
+    let handle = server.handle();
+    const N: usize = 100_000;
+    const LINE: &[u8] = b"{\"cmd\":\"metrics\"}\n";
+    assert_eq!(LINE.len(), 18);
+
+    let first = handle.requests() + 1;
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let sender = std::thread::spawn(move || writer.write_all(&LINE.repeat(N)).unwrap());
+    // Read nothing at first: the server stops at the write high-water mark
+    // and the rest of the burst piles up in the socket buffers, so the
+    // first read sweep after the pause finds tens of thousands of lines.
+    std::thread::sleep(Duration::from_secs(1));
+
+    // Each answer reports its own request id (`requests`, one per begun
+    // request) and the frames queued or executing across connections as
+    // of the latest event-loop sweep (`queue_depth`).
+    let number_after = |line: &str, key: &str| -> u64 {
+        let at = line.find(key).unwrap_or_else(|| panic!("no {key} in {line}")) + key.len();
+        let digits = line[at..].bytes().take_while(u8::is_ascii_digit).count();
+        line[at..at + digits].parse().unwrap()
+    };
+    let mut reader = BufReader::new(stream);
+    let (mut line, mut peak) = (String::new(), 0);
+    for i in 0..N as u64 {
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.starts_with("{\"ok\":true"), "answer {i}: {line}");
+        assert_eq!(number_after(&line, "\"requests\":"), first + i, "answer {i} out of order");
+        peak = peak.max(number_after(&line, "\"queue_depth\":"));
+    }
+    sender.join().unwrap();
+    // 128 queued frames plus the one executing.
+    assert!(peak <= 129, "{peak} frames queued or executing");
     server.shutdown_and_join();
 }
 
