@@ -14,7 +14,7 @@
 //! let device = presets::ibmq_7(1);
 //! let qufem = QuFem::characterize(&device, QuFemConfig::default())?;
 //!
-//! // Persist (any serde format works; JSON shown).
+//! // Persist as JSON.
 //! let data = qufem.export();
 //! let json = serde_json::to_string(&data).unwrap();
 //!

@@ -152,7 +152,7 @@ pub struct Report {
 }
 
 impl Report {
-    /// The deterministic portion of the report as an ordered value tree
+    /// The deterministic portion of the report as an ordered document
     /// (everything except `wall_secs` and the digest of this very value).
     pub fn deterministic_value(&self) -> Value {
         let tenants = self
@@ -259,10 +259,10 @@ impl Report {
         digest::digest_hex(digest::digest_str(&self.canonical_json()))
     }
 
-    /// The complete report tree: the deterministic fields, then
+    /// The complete report document: the deterministic fields, then
     /// `determinism_digest`, then `wall_secs` (last, so stripping the one
     /// nondeterministic field is a one-line diff).
-    pub fn to_value(&self) -> Value {
+    pub fn to_document(&self) -> Value {
         let Value::Map(mut fields) = self.deterministic_value() else {
             unreachable!("deterministic_value returns a map")
         };
@@ -274,7 +274,7 @@ impl Report {
     /// Pretty JSON of the complete report (the `bench_summary.json`-style
     /// artifact `qufem loadgen` writes).
     pub fn to_json_pretty(&self) -> String {
-        let mut out = serde_json::to_string_pretty(&self.to_value()).expect("value serializes");
+        let mut out = serde_json::to_string_pretty(&self.to_document()).expect("value serializes");
         out.push('\n');
         out
     }

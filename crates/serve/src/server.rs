@@ -507,6 +507,12 @@ struct Conn {
     gen: u64,
     dialect: Dialect,
     read_buf: Vec<u8>,
+    /// Leading bytes of `read_buf` known to hold no newline (NDJSON), so a
+    /// line arriving over many reads is searched once, not once per read.
+    newline_free: usize,
+    /// Bytes the NDJSON newline search has examined.
+    #[cfg(test)]
+    searched: usize,
     write_buf: Vec<u8>,
     write_pos: usize,
     /// Decoded units, each stamped when it left the read buffer.
@@ -531,6 +537,9 @@ impl Conn {
             gen,
             dialect: Dialect::Undecided,
             read_buf: Vec::new(),
+            newline_free: 0,
+            #[cfg(test)]
+            searched: 0,
             write_buf: Vec::new(),
             write_pos: 0,
             pending: VecDeque::new(),
@@ -571,6 +580,7 @@ impl Conn {
         if self.writes_drained() || self.write_pos >= WRITE_HIGH_WATER {
             self.write_buf.drain(..self.write_pos);
             self.write_pos = 0;
+            release_if_grown(&mut self.write_buf);
         }
         progress
     }
@@ -626,6 +636,10 @@ const PENDING_HIGH_WATER: usize = 128;
 const WRITE_HIGH_WATER: usize = 4 << 20;
 /// Read granularity for the shared scratch buffer.
 const READ_CHUNK: usize = 64 * 1024;
+/// A connection buffer that grew past this many [`READ_CHUNK`]s (for one
+/// large request or answer) shrinks back to one chunk once it drains, so
+/// the growth is not kept for the life of the connection.
+const RELEASE_CHUNKS: usize = 4;
 /// Shortest idle park; doubles up to [`MAX_PARK`] while nothing happens.
 const MIN_PARK: Duration = Duration::from_micros(20);
 /// Longest idle park (wakes still arrive instantly via `unpark`).
@@ -761,7 +775,7 @@ fn service_conn(
     // a frame: the buffer then holds about one read of whole frames, so
     // slicing off a capped batch never moves a large remainder. Reads that
     // end in `WouldBlock` completed no frame, so they need no extraction.
-    extract_frames(inner, conn);
+    extract_frames(inner.config.max_request_bytes, conn);
     let mut extract = false;
     if !conn.read_closed && !conn.closing && conn.pending.len() < PENDING_HIGH_WATER {
         extract = true;
@@ -798,10 +812,17 @@ fn service_conn(
     }
 
     if extract {
-        extract_frames(inner, conn);
+        extract_frames(inner.config.max_request_bytes, conn);
     }
     progress |= dispatch_pending(inner, conn, slot, work_tx);
     progress
+}
+
+/// Gives back a drained buffer's capacity past [`RELEASE_CHUNKS`] chunks.
+fn release_if_grown(buf: &mut Vec<u8>) {
+    if buf.is_empty() && buf.capacity() > RELEASE_CHUNKS * READ_CHUNK {
+        buf.shrink_to(READ_CHUNK);
+    }
 }
 
 /// Whether the `fresh` bytes just read complete a frame in the read buffer,
@@ -824,7 +845,8 @@ fn completes_frame(conn: &Conn, fresh: usize) -> bool {
 /// Negotiates the dialect on the first byte, then slices the read buffer
 /// into [`Pending`] units until the connection holds
 /// [`PENDING_HIGH_WATER`] of them; the rest stays in the read buffer.
-fn extract_frames(inner: &Inner, conn: &mut Conn) {
+/// Frames over `max` bytes are answered as oversized.
+fn extract_frames(max: usize, conn: &mut Conn) {
     if conn.closing || conn.read_buf.is_empty() || conn.pending.len() >= PENDING_HIGH_WATER {
         return;
     }
@@ -832,7 +854,6 @@ fn extract_frames(inner: &Inner, conn: &mut Conn) {
         conn.dialect =
             if conn.read_buf[0] == wire::MAGIC[0] { Dialect::Binary } else { Dialect::Json };
     }
-    let max = inner.config.max_request_bytes;
     let now = Instant::now();
     let mut consumed = 0usize;
     match conn.dialect {
@@ -840,10 +861,19 @@ fn extract_frames(inner: &Inner, conn: &mut Conn) {
         Dialect::Json => {
             let mut partial = false;
             while conn.pending.len() < PENDING_HIGH_WATER {
-                let Some(nl) = conn.read_buf[consumed..].iter().position(|&b| b == b'\n') else {
+                let from = consumed + conn.newline_free;
+                let hit = conn.read_buf[from..].iter().position(|&b| b == b'\n');
+                #[cfg(test)]
+                {
+                    conn.searched += hit.map_or(conn.read_buf.len() - from, |i| i + 1);
+                }
+                let Some(found) = hit else {
+                    conn.newline_free = conn.read_buf.len() - consumed;
                     partial = true;
                     break;
                 };
+                conn.newline_free = 0;
+                let nl = from - consumed + found;
                 let bytes = &conn.read_buf[consumed..consumed + nl];
                 if bytes.len() > max {
                     conn.pending.push_back((Pending::Oversized { id: 0 }, now));
@@ -869,6 +899,7 @@ fn extract_frames(inner: &Inner, conn: &mut Conn) {
                 conn.pending.push_back((Pending::Oversized { id: 0 }, now));
                 conn.read_closed = true;
                 consumed = conn.read_buf.len();
+                conn.newline_free = 0;
             }
         }
         Dialect::Binary => {
@@ -897,6 +928,7 @@ fn extract_frames(inner: &Inner, conn: &mut Conn) {
     }
     if consumed > 0 {
         conn.read_buf.drain(..consumed);
+        release_if_grown(&mut conn.read_buf);
     }
 }
 
@@ -1520,6 +1552,83 @@ pub fn request_once(addr: impl ToSocketAddrs, request: &Request) -> io::Result<R
 mod tests {
     use super::*;
 
+    /// The server end of a loopback connection, and its client end.
+    fn conn_pair() -> (Conn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_nonblocking(true).unwrap();
+        (Conn::new(stream, 1), client)
+    }
+
+    /// One NDJSON line arriving in many small reads: every extraction
+    /// resumes its newline search where the previous one stopped, so each
+    /// byte is searched once, and exactly the line comes out. A partial
+    /// line that passes the limit is still rejected as oversized.
+    #[test]
+    fn a_line_arriving_in_small_chunks_is_scanned_once() {
+        const CHUNK: usize = 7;
+        let line: Vec<u8> = (0..10_000).map(|i| b'a' + (i % 26) as u8).collect();
+        let (mut conn, _client) = conn_pair();
+        let mut stream = line.clone();
+        stream.push(b'\n');
+        for chunk in stream.chunks(CHUNK) {
+            conn.read_buf.extend_from_slice(chunk);
+            extract_frames(1 << 20, &mut conn);
+            if conn.pending.is_empty() {
+                assert_eq!(conn.newline_free, conn.read_buf.len());
+            }
+        }
+        assert_eq!(conn.searched, stream.len(), "every byte searched once");
+        assert!(conn.read_buf.is_empty() && conn.newline_free == 0);
+        assert_eq!(conn.pending.len(), 1);
+        match &conn.pending[0].0 {
+            Pending::Line(got) => assert!(got.as_bytes() == line.as_slice()),
+            other => panic!("expected one line, got {other:?}"),
+        }
+
+        // Over the limit: rejected once the partial line passes it.
+        let (mut conn, _client) = conn_pair();
+        let max = 1000;
+        for chunk in line.chunks(CHUNK) {
+            conn.read_buf.extend_from_slice(chunk);
+            extract_frames(max, &mut conn);
+            if conn.read_closed {
+                break;
+            }
+            assert!(conn.pending.is_empty());
+        }
+        assert!(matches!(conn.pending.front(), Some((Pending::Oversized { id: 0 }, _))));
+        assert_eq!(conn.pending.len(), 1);
+        assert!(conn.read_buf.is_empty() && conn.newline_free == 0);
+    }
+
+    /// A connection that carried one large request and one large answer
+    /// gives both buffers' growth back once they drain.
+    #[test]
+    fn drained_buffers_give_back_their_growth() {
+        const BIG: usize = 16 * READ_CHUNK;
+        let (mut conn, mut client) = conn_pair();
+        conn.read_buf.resize(BIG, b' ');
+        conn.read_buf.extend_from_slice(b"{}\n");
+        extract_frames(BIG * 2, &mut conn);
+        assert_eq!(conn.pending.len(), 1);
+        assert!(conn.read_buf.capacity() <= READ_CHUNK, "{}", conn.read_buf.capacity());
+
+        conn.write_buf.resize(BIG, b'x');
+        let mut sink = vec![0u8; READ_CHUNK];
+        let mut read = 0;
+        while read < BIG {
+            conn.flush();
+            assert!(!conn.dead);
+            read += client.read(&mut sink).unwrap();
+        }
+        conn.flush();
+        assert!(conn.writes_drained());
+        assert!(conn.write_buf.capacity() <= READ_CHUNK, "{}", conn.write_buf.capacity());
+    }
+
     /// A client that reads, but more slowly than the server answers, keeps
     /// the connection's output above the write high-water mark: the written
     /// prefix must still be dropped, or the buffer grows with every byte
@@ -1527,12 +1636,7 @@ mod tests {
     #[test]
     fn a_slow_reader_keeps_the_write_buffer_bounded() {
         const RESPONSE: usize = 64 << 10;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut reader = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        reader.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let (stream, _) = listener.accept().unwrap();
-        stream.set_nonblocking(true).unwrap();
-        let mut conn = Conn::new(stream, 1);
+        let (mut conn, mut reader) = conn_pair();
         let byte = |i: usize| (i % 251) as u8;
         let (mut queued, mut read) = (0, 0);
         let mut buf = vec![0u8; 16 << 10];

@@ -2,6 +2,8 @@
 
 use crate::{BitString, Error, QubitSet, Result, SupportIndex};
 use rand::Rng;
+use serde::de::Deserializer;
+use serde::ser::Serializer;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -461,53 +463,93 @@ impl fmt::Debug for ProbDist {
     }
 }
 
-/// The serialized form of a [`BitString`] (its derived `{width, words}`
-/// map), built from packed words without materializing the string.
-fn bitstring_value(width: usize, words: &[u64]) -> serde::Value {
-    serde::Value::Map(vec![
-        ("width".to_string(), width.to_value()),
-        ("words".to_string(), words.to_value()),
-    ])
-}
-
 impl Serialize for ProbDist {
     /// Serializes as `[width, [bitstring, value], …]` with entries in sorted
-    /// order, so the representation is deterministic.
-    fn to_value(&self) -> serde::Value {
-        let order = self.sorted_ids();
-        let mut seq = Vec::with_capacity(order.len() + 1);
-        seq.push(self.width().to_value());
-        for id in order {
-            let key = bitstring_value(self.width(), self.index.key_words(id));
-            seq.push(serde::Value::Seq(vec![key, self.index.value(id).to_value()]));
+    /// order, so the representation is deterministic. Each key is written
+    /// as a [`BitString`]'s derived `{"width", "words"}` object straight
+    /// from the packed words.
+    fn serialize(&self, s: &mut Serializer) -> std::result::Result<(), serde::Error> {
+        let width = self.width();
+        s.begin_seq();
+        s.element(&width)?;
+        for id in self.sorted_ids() {
+            s.item();
+            s.begin_seq();
+            s.item();
+            s.begin_map();
+            s.field("width", &width)?;
+            s.field("words", self.index.key_words(id))?;
+            s.end_map();
+            s.element(&self.index.value(id))?;
+            s.end_seq();
         }
-        serde::Value::Seq(seq)
+        s.end_seq();
+        Ok(())
     }
 }
 
 impl Deserialize for ProbDist {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let seq = v.as_seq().ok_or_else(|| {
-            serde::de::Error::custom(
+    /// Reads what [`ProbDist::serialize`] writes. Each key's words are read
+    /// into one reused buffer, with a [`BitString`]'s field rules: unknown
+    /// keys are skipped and the first of a repeated key wins.
+    fn deserialize(de: &mut Deserializer<'_>) -> std::result::Result<Self, serde::Error> {
+        let Some(mut seq) = de.seq()? else {
+            return Err(de.reject(serde::Error::custom(
                 "expected a sequence starting with the width followed by (bitstring, value) pairs",
-            )
-        })?;
-        let width = match seq.first() {
-            Some(first) => usize::from_value(first)?,
-            None => return Err(serde::de::Error::custom("missing width")),
+            )));
         };
+        if !seq.has_next(de)? {
+            return Err(serde::Error::custom("missing width"));
+        }
+        let width = usize::deserialize(de)?;
         let mut dist = ProbDist::new(width);
-        for item in &seq[1..] {
-            let (key, value) = <(BitString, f64)>::from_value(item)?;
-            if key.width() != width {
-                return Err(serde::de::Error::custom("bit-string width mismatch"));
+        let mut words = Vec::new();
+        while seq.has_next(de)? {
+            let mut pair = de.tuple(2)?;
+            pair.next(de)?;
+            let key_width = read_key_words(de, &mut words)?;
+            let value: f64 = pair.element(de)?;
+            pair.end(de)?;
+            if key_width != width {
+                return Err(serde::Error::custom("bit-string width mismatch"));
             }
-            BitString::check_words(width, key.as_words())
-                .map_err(|e| serde::de::Error::custom(format!("bad bit string: {e}")))?;
-            dist.add_words(key.as_words(), value);
+            BitString::check_words(width, &words)
+                .map_err(|e| serde::Error::custom(format!("bad bit string: {e}")))?;
+            dist.add_words(&words, value);
         }
         Ok(dist)
     }
+}
+
+/// Reads one serialized [`BitString`] (`{"width", "words"}`) into `words`,
+/// returning its width.
+fn read_key_words(
+    de: &mut Deserializer<'_>,
+    words: &mut Vec<u64>,
+) -> std::result::Result<usize, serde::Error> {
+    const TY: &str = "BitString";
+    let Some(mut map) = de.map()? else {
+        return Err(de.invalid_type("map for struct BitString"));
+    };
+    let (mut width, mut have_words) = (None, false);
+    while let Some(key) = map.next_key(de)? {
+        match &*key {
+            "width" if width.is_none() => width = Some(serde::de::field(de, TY, "width")?),
+            "words" if !have_words => {
+                have_words = true;
+                words.clear();
+                serde::de::field_with(de, TY, "words", |de| serde::de::extend_seq(de, words))?;
+            }
+            _ => {
+                de.skip()?;
+            }
+        }
+    }
+    let width = width.ok_or_else(|| serde::de::missing_field("width", TY))?;
+    if !have_words {
+        return Err(serde::de::missing_field("words", TY));
+    }
+    Ok(width)
 }
 
 impl FromIterator<(BitString, f64)> for ProbDist {
@@ -747,10 +789,9 @@ mod tests {
     #[test]
     fn deserialize_rejects_malformed_key_words() {
         // A bit set above the width, and a word count that does not match.
-        for words in [vec![0b1000u64], vec![0, 0]] {
-            let entry = serde::Value::Seq(vec![bitstring_value(3, &words), 0.5f64.to_value()]);
-            let value = serde::Value::Seq(vec![3usize.to_value(), entry]);
-            assert!(ProbDist::from_value(&value).is_err(), "{words:?}");
+        for words in ["[8]", "[0,0]"] {
+            let text = format!(r#"[3,[{{"width":3,"words":{words}}},0.5]]"#);
+            assert!(serde_json::from_str::<ProbDist>(&text).is_err(), "{words}");
         }
     }
 

@@ -28,6 +28,20 @@ for t in 1 4; do
   esac
 done
 
+echo "==> perfbench serve correctness gates (serve-binary-27q 2 s, serve-churn-27q 10 s, seed 7)"
+# The serve workloads send their traffic through the JSON codec (the
+# binary dialect's embedded JSON, the NDJSON dialect and an admit).
+for gate in "serve-binary-27q 2" "serve-churn-27q 10"; do
+  read -r workload seconds <<< "$gate"
+  last="$(cargo run --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 7 --seconds "$seconds" --trace 0 | tail -n 1)"
+  echo "    $workload: $last"
+  case "$last" in
+    *'"correct": true'*) ;;
+    *) echo "perfbench correctness gate failed on $workload" >&2; exit 1 ;;
+  esac
+done
+
 echo "==> RUSTDOCFLAGS='-D warnings' cargo doc --no-deps --workspace"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 

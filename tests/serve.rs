@@ -10,7 +10,7 @@
 //! sequential in-process path (`apply_arena` on one thread).
 
 use qufem::device::presets;
-use qufem::serve::{Client, Request, ServeConfig, Server};
+use qufem::serve::{wire, Client, Request, ServeConfig, Server};
 use qufem::{EngineStats, ProbDist, QuFem, QuFemConfig, QubitSet, SupportIndex};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -145,6 +145,58 @@ fn malformed_frame_fails_the_request_not_the_connection() {
     let response = client.request(&Request::calibrate(dist, Some(vec![0, 1, 2]))).unwrap();
     assert!(response.ok, "{response:?}");
     assert!(response.dist.is_some());
+
+    server.shutdown_and_join();
+}
+
+/// JSON nested far past the reader's depth limit fails its own request
+/// with an error frame, on either dialect, instead of overflowing a
+/// worker's stack (which aborts the whole process), and the server keeps
+/// answering correctly.
+#[test]
+fn deeply_nested_json_fails_the_request_not_the_server() {
+    const DEPTH_ERROR: &str = "recursion limit exceeded";
+    let (device, qufem) = characterized();
+    let server = Server::start(qufem.clone(), "127.0.0.1:0", test_config()).unwrap();
+    let nested = vec![b'['; 1 << 20];
+
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut line = nested.clone();
+    line.push(b'\n');
+    client.send_raw(&line).unwrap();
+    let response = client.read_response().unwrap();
+    assert!(!response.ok);
+    assert!(response.error.as_deref().unwrap().contains(DEPTH_ERROR), "{response:?}");
+
+    // A binary calibrate whose method-options JSON blob is nested as deep.
+    let measured = vec![0, 1, 2];
+    let dist = noisy_input(&device, &measured, 9);
+    let mut payload = vec![1 << 2]; // flags: options present
+    wire::encode_dist_into(&mut payload, &dist);
+    payload.extend_from_slice(&(nested.len() as u32).to_le_bytes());
+    payload.extend_from_slice(&nested);
+    let mut binary = Client::connect_binary(server.local_addr()).unwrap();
+    binary.send_raw(&wire::encode_frame(7, wire::CODE_CALIBRATE, &payload)).unwrap();
+    let response = binary.read_response().unwrap();
+    assert!(!response.ok);
+    let error = response.error.as_deref().unwrap();
+    assert!(error.contains("bad method options") && error.contains(DEPTH_ERROR), "{error}");
+
+    let mut fresh = Client::connect(server.local_addr()).unwrap();
+    let response =
+        fresh.request(&Request::calibrate(dist.clone(), Some(measured.clone()))).unwrap();
+    assert!(response.ok, "{response:?}");
+    let prepared = qufem.prepare(&measured.iter().copied().collect()).unwrap();
+    let expected = prepared
+        .apply_arena(
+            &SupportIndex::from_dist(&dist),
+            1,
+            &mut EngineStats::default(),
+            &mut prepared.new_arena(),
+        )
+        .unwrap()
+        .to_dist();
+    assert_bit_identical(&expected, response.dist.as_ref().unwrap(), "after nested frames");
 
     server.shutdown_and_join();
 }
