@@ -5,20 +5,28 @@
 //! Each experiment runs under a fresh telemetry collector; its run
 //! manifest lands in `results/telemetry/<stem>.json` and an aggregate
 //! `results/telemetry/bench_summary.json` records per-experiment
-//! wall-clock seconds, peak accounted bytes, and engine/plan-build
-//! time from the telemetry spans. A run replaces only the summary rows of
-//! the experiments it ran; the other rows stay while `--quick` and
-//! `--seed` match the summary's.
+//! wall-clock seconds, peak heap bytes above the heap live when the
+//! experiment started, and engine/plan-build time from the telemetry
+//! spans. A run replaces only the summary rows of the experiments it ran;
+//! the other rows stay while `--quick` and `--seed` match the summary's.
+//! A bad command line exits 2 with an error naming the argument.
 
 use qufem_bench::report::{merge_summary, Table};
 use qufem_bench::{experiments, RunOptions};
 use serde::Value;
 
-// Counting global allocator so the ext_apply_alloc experiment can attribute
-// heap traffic per apply call; counting is a few relaxed atomic ops per
-// allocation, negligible against the workloads measured here.
+// Counting global allocator so each experiment's peak heap bytes can be
+// read; counting is a few relaxed atomic ops per allocation, negligible
+// against the workloads measured here.
 #[global_allocator]
 static ALLOC: qufem_testsupport::CountingAlloc = qufem_testsupport::CountingAlloc;
+
+/// Reports a bad command line and exits with the usage status.
+fn fail(message: &str) -> ! {
+    eprintln!("error: {message}");
+    eprintln!("usage: exp_all [--quick] [--seed N] [--out DIR] [--only STEM-SUBSTRING]...");
+    std::process::exit(2);
+}
 
 /// An experiment entry point.
 type Runner = fn(&RunOptions) -> Vec<Table>;
@@ -31,7 +39,7 @@ fn emit_all(tables: &[Table], stem: &str, opts: &RunOptions) {
 }
 
 fn main() {
-    let opts = RunOptions::from_args();
+    let opts = RunOptions::from_args().unwrap_or_else(|e| fail(&e));
     let start = std::time::Instant::now();
     let telemetry_dir = opts.out_dir.join("telemetry");
 
@@ -52,11 +60,13 @@ fn main() {
         ("ext_projection_ablation", experiments::ext_projection::run),
         ("ext_adaption_ablation", experiments::ext_adaption::run),
         ("ext_correlated_noise", experiments::ext_correlated::run),
-        ("ext_serve_throughput", experiments::ext_serve::run),
-        ("ext_apply_alloc", experiments::ext_apply::run),
-        ("ext_loadgen", experiments::ext_loadgen::run),
         ("ext_parallel_scaling", experiments::ext_parallel::run),
     ];
+    if let Some(filter) =
+        opts.only.iter().find(|f| !steps.iter().any(|(stem, _)| stem.contains(f.as_str())))
+    {
+        fail(&format!("--only {filter:?} matches no experiment"));
+    }
 
     let mut summary: Vec<(String, Value)> = Vec::new();
     for (stem, runner) in steps {
@@ -71,17 +81,18 @@ fn main() {
         qufem_telemetry::set_meta("seed", Value::UInt(opts.seed));
         qufem_telemetry::set_meta("quick", Value::Bool(opts.quick));
         let step_start = std::time::Instant::now();
+        let heap_base = qufem_testsupport::reset_peak_bytes();
         let tables = runner(&opts);
+        let peak_bytes = qufem_testsupport::peak_bytes().saturating_sub(heap_base);
         emit_all(&tables, stem, &opts);
         let wall_secs = step_start.elapsed().as_secs_f64();
 
         let manifest_path = telemetry_dir.join(format!("{stem}.json"));
         qufem_telemetry::write_manifest(&manifest_path, &[]).expect("write telemetry manifest");
         let snapshot = qufem_telemetry::snapshot();
-        let peak_bytes = snapshot.gauge("memwatch.peak_bytes").unwrap_or(0.0);
         let mut fields = vec![
             ("wall_secs".to_string(), Value::Float(wall_secs)),
-            ("peak_bytes".to_string(), Value::Float(peak_bytes)),
+            ("peak_bytes".to_string(), Value::Float(peak_bytes as f64)),
             // Time inside the calibration engine proper ("engine" phase
             // spans) and in plan construction, separated from benchmark
             // generation and partitioning.
@@ -114,22 +125,11 @@ fn main() {
             }
         }
         // Per-method apply latency from the registry sweeps (table4,
-        // `method_apply.secs.<id>` gauges), serve-layer latency
-        // quantiles from the throughput sweep (ext_serve,
-        // `serve.w<workers>.*_secs` gauges), catalog/hot-swap
-        // counters (`serve.catalog.*`), and the wire-dialect shoot-out
-        // (`serve.binary.*`). Sorted for a stable summary.
+        // `method_apply.secs.<id>` gauges), sorted for a stable summary.
         let mut extra: Vec<(String, f64)> = snapshot
             .gauges
             .iter()
-            .filter(|(name, _)| {
-                name.starts_with("method_apply.")
-                    || name.starts_with("apply_alloc.")
-                    || name.starts_with("serve.catalog.")
-                    || name.starts_with("serve.binary.")
-                    || (name.starts_with("serve.") && name.ends_with("_secs"))
-                    || name.starts_with("loadgen.")
-            })
+            .filter(|(name, _)| name.starts_with("method_apply."))
             .map(|(name, &value)| (name.clone(), value))
             .collect();
         extra.sort_by(|a, b| a.0.cmp(&b.0));

@@ -5,12 +5,9 @@
 //! archives the tables under `results/`.
 
 pub mod ext_adaption;
-pub mod ext_apply;
 pub mod ext_correlated;
-pub mod ext_loadgen;
 pub mod ext_parallel;
 pub mod ext_projection;
-pub mod ext_serve;
 pub mod fig10;
 pub mod fig11;
 pub mod fig12;

@@ -20,15 +20,20 @@
 //! | Figure 12 | [`experiments::fig12`] | `fig12_thresholds` |
 //! | Figure 13 | [`experiments::fig13`] | `fig13_ablations` |
 //!
+//! Four extension experiments go beyond the paper:
+//! `ext_projection_ablation`, `ext_adaption_ablation`,
+//! `ext_correlated_noise` and `ext_parallel_scaling`. The serving layer and
+//! the apply hot path are measured by perfbench (`perfbench/`), not here.
+//!
 //! `exp_all` runs everything (or the `--only` selection) and writes text +
-//! JSON artifacts to `results/`; `--quick` runs reduced sizes.
+//! JSON artifacts to `results/`; `--quick` runs reduced sizes. Each run's
+//! `bench_summary.json` row records the step's peak heap bytes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod fit;
-pub mod memwatch;
 pub mod report;
 pub mod workloads;
 
@@ -62,32 +67,28 @@ impl RunOptions {
         self.only.is_empty() || self.only.iter().any(|f| stem.contains(f.as_str()))
     }
 
-    /// Parses the common CLI arguments (`--quick`, `--seed N`, `--out DIR`,
-    /// `--only SUBSTR` repeatable).
-    pub fn from_args() -> Self {
+    /// Parses the driver's arguments (`--quick`, `--seed N`, `--out DIR`,
+    /// `--only SUBSTR` repeatable). An unknown argument, a missing value or
+    /// an unparseable seed is an error that names the argument.
+    pub fn from_args() -> Result<Self, String> {
         let mut opts = RunOptions::default();
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
+            if arg == "--quick" {
+                opts.quick = true;
+                continue;
+            }
+            let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
             match arg.as_str() {
-                "--quick" => opts.quick = true,
                 "--seed" => {
-                    if let Some(v) = args.next() {
-                        opts.seed = v.parse().unwrap_or(opts.seed);
-                    }
+                    let v = value()?;
+                    opts.seed = v.parse().map_err(|_| format!("--seed {v:?} is not an integer"))?;
                 }
-                "--out" => {
-                    if let Some(v) = args.next() {
-                        opts.out_dir = v.into();
-                    }
-                }
-                "--only" => {
-                    if let Some(v) = args.next() {
-                        opts.only.push(v);
-                    }
-                }
-                other => eprintln!("ignoring unknown argument {other:?}"),
+                "--out" => opts.out_dir = value()?.into(),
+                "--only" => opts.only.push(value()?),
+                other => return Err(format!("unknown argument {other:?}")),
             }
         }
-        opts
+        Ok(opts)
     }
 }

@@ -4,7 +4,6 @@
 //! and server start — must share the stored `BP_i` allocations and matrix
 //! tables instead of deep-copying them.
 
-use qufem_bench::memwatch::MemoryAccount;
 use qufem_core::{BenchmarkSnapshot, MatrixTable, QuFem, QuFemConfig};
 use qufem_device::presets;
 use qufem_types::QubitSet;
@@ -22,9 +21,8 @@ fn cloned_calibrators_account_a_single_snapshot_set() {
     let qufem = characterized();
     let clones: Vec<QuFem> = (0..8).map(|_| qufem.clone()).collect();
 
-    // Account every *distinct* snapshot allocation across the original and
+    // Sum every *distinct* snapshot allocation across the original and
     // all clones, deduplicated by Arc pointer identity.
-    let mut account = MemoryAccount::new();
     let mut seen: HashSet<*const BenchmarkSnapshot> = HashSet::new();
     let mut distinct_bytes = 0usize;
     for calibrator in std::iter::once(&qufem).chain(&clones) {
@@ -35,15 +33,13 @@ fn cloned_calibrators_account_a_single_snapshot_set() {
             }
         }
     }
-    account.set("distinct-snapshots", distinct_bytes);
 
     let single_instance: usize = qufem.iterations().iter().map(|p| p.snapshot().heap_bytes()).sum();
     assert!(single_instance > 0, "the 7-qubit characterization stores nonempty snapshots");
     assert_eq!(seen.len(), qufem.iterations().len(), "one allocation per iteration, not per clone");
     assert_eq!(
-        account.peak(),
-        single_instance,
-        "9 calibrators (original + 8 clones) must account the snapshot bytes of exactly one"
+        distinct_bytes, single_instance,
+        "9 calibrators (original + 8 clones) must hold the snapshot bytes of exactly one"
     );
 }
 
@@ -61,7 +57,6 @@ fn cloned_calibrators_share_one_matrix_table_per_iteration() {
     clones[3].prepare(&QubitSet::full(7)).unwrap();
     assert!(qufem.iterations().iter().all(|p| !p.matrix_table().is_empty()));
 
-    let mut account = MemoryAccount::new();
     let mut seen: HashSet<*const MatrixTable> = HashSet::new();
     let mut distinct_bytes = 0usize;
     for calibrator in std::iter::once(&qufem).chain(&clones) {
@@ -71,11 +66,10 @@ fn cloned_calibrators_share_one_matrix_table_per_iteration() {
             }
         }
     }
-    account.set("distinct-matrix-tables", distinct_bytes);
 
     let tables = table_bytes(&qufem);
     assert_eq!(seen.len(), qufem.iterations().len(), "one table per iteration, not per clone");
-    assert_eq!(account.peak(), tables, "9 calibrators account the tables of exactly one");
+    assert_eq!(distinct_bytes, tables, "9 calibrators hold the tables of exactly one");
     assert!(tables > tables_before);
     assert_eq!(
         qufem.heap_bytes() - bytes_before,

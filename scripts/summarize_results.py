@@ -71,24 +71,9 @@ def summarize_bench_summary(path, data):
             f"    {stem:<36} {entry['wall_secs']:>8.1f} s   "
             f"peak {fmt_bytes(entry.get('peak_bytes', 0.0))}"
         )
-        # Gauges carried from the sweeps: per-method apply seconds
-        # (table4), serve-layer quantiles (ext_serve), catalog hot-swap
-        # counters (serve.catalog.*), and traffic-replay measurements
-        # (loadgen.*, ext_loadgen). Names ending in `_secs` (or the
-        # method_apply latencies) are durations; the rest are counts and
-        # rates — devices, versions, swaps, requests/s, cache-hit ratio.
-        gauges = {
-            name: value
-            for name, value in entry.items()
-            if name.startswith("method_apply.")
-            or name.startswith("serve.")
-            or name.startswith("loadgen.")
-        }
-        for name in sorted(gauges):
-            if name.endswith("_secs") or name.startswith("method_apply."):
-                print(f"        {name:<38} {gauges[name]:.3e} s")
-            else:
-                print(f"        {name:<38} {gauges[name]:g}")
+        # Per-method apply seconds carried from the table4 sweep.
+        for name in sorted(n for n in entry if n.startswith("method_apply.")):
+            print(f"        {name:<38} {entry[name]:.3e} s")
     if "total_secs" in data:
         print(f"    total {data['total_secs']:.1f} s")
     print()

