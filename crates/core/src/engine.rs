@@ -33,6 +33,23 @@
 //! keeps `NZ_i` "typically below the number of shots" across iterations
 //! (paper §3.1).
 //!
+//! ## Diagonal runs
+//!
+//! Most nodes of the walk keep only their diagonal product: `M⁻¹` columns
+//! are diagonal-dominant, and an off-diagonal factor times the running
+//! product soon falls under `β` or the floor. The plan stores, per group
+//! column `x`, the largest off-diagonal magnitude `off_max[x]`. A node
+//! whose bound `vmax = |value| · off_max[x]` is below `β`, or whose
+//! `|p(x)| · vmax` is below the floor, computes only the diagonal product:
+//! round-to-nearest multiplication is monotone, so every off-diagonal
+//! product is at most `vmax` in magnitude (and at most `|p(x)| · vmax`
+//! once scaled) and the full keep test would prune each of them. The
+//! diagonal outcome is the input's own bits, so a run of such levels
+//! writes no outcome and restores the bits with one mask when it ends; the
+//! counters add what the full gather would have counted. Output bits and
+//! [`EngineStats`] are those of the full walk, which
+//! [`reference::apply_iteration`] still runs.
+//!
 //! ## Plan / execute split
 //!
 //! Everything that depends only on the iteration — group-local bit
@@ -82,9 +99,12 @@ const ABS_FLOOR_RATIO: f64 = 1e-1;
 /// per-request engine work over the wire.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct EngineStats {
-    /// Partial products evaluated (kept + pruned).
+    /// Partial products considered (kept + pruned): one per (node,
+    /// outcome) pair of the walk, whether the engine multiplied it or a
+    /// diagonal run's bound proved it pruned without multiplying.
     pub products: u64,
-    /// Partial products abandoned because `|value| < β`.
+    /// Partial products abandoned because `|value| < β` or the scaled
+    /// value fell under the floor, counted like `products`.
     pub pruned: u64,
     /// Completed products accumulated into the output.
     pub accumulated: u64,
@@ -173,6 +193,10 @@ struct GroupPlan {
     /// All `M⁻¹` columns, flat row-major: column `M⁻¹|x⟩` occupies
     /// `[x · dim, (x + 1) · dim)`.
     columns: Vec<f64>,
+    /// Per column `x`, the largest off-diagonal magnitude
+    /// `max_{z ≠ x} |M⁻¹[z][x]|` (NaN if any of them is NaN): the bound
+    /// behind [`chain`]'s diagonal run.
+    off_max: Vec<f64>,
 }
 
 impl GroupPlan {
@@ -210,14 +234,23 @@ impl GroupPlan {
                 }
             }
         }
-        GroupPlan {
-            dim,
-            extract,
-            touched,
-            clear,
-            set_masks,
-            columns: gm.inverse_columns().to_vec(),
-        }
+        let columns = gm.inverse_columns().to_vec();
+        let off_max = columns
+            .chunks_exact(dim)
+            .enumerate()
+            .map(|(x, column)| {
+                column.iter().enumerate().filter(|&(z, _)| z != x).fold(0.0f64, |m, (_, f)| {
+                    // `f64::max` would drop a NaN; keep it, so the bound
+                    // test compares false and the level takes the gather.
+                    if m.is_nan() || f.is_nan() {
+                        f64::NAN
+                    } else {
+                        m.max(f.abs())
+                    }
+                })
+            })
+            .collect();
+        GroupPlan { dim, extract, touched, clear, set_masks, columns, off_max }
     }
 
     /// Reads this group's sub-index `x_j` out of a packed key.
@@ -243,7 +276,7 @@ impl GroupPlan {
             + self.touched.capacity() * std::mem::size_of::<u32>()
             + self.clear.capacity() * std::mem::size_of::<u64>()
             + self.set_masks.capacity() * std::mem::size_of::<u64>()
-            + self.columns.capacity() * std::mem::size_of::<f64>()
+            + (self.columns.capacity() + self.off_max.capacity()) * std::mem::size_of::<f64>()
     }
 }
 
@@ -259,6 +292,10 @@ pub struct IterationPlan {
     beta: f64,
     scaled_floor: f64,
     groups: Vec<GroupPlan>,
+    /// Flat `n_groups × words` table: row `l` masks the key bits of groups
+    /// `l..`, which a diagonal run starting at level `l` restores from the
+    /// input key.
+    suffix_masks: Vec<u64>,
 }
 
 impl IterationPlan {
@@ -276,14 +313,38 @@ impl IterationPlan {
         beta: f64,
     ) -> Self {
         let _span = qufem_telemetry::span!("plan-build");
-        IterationPlan {
-            width: measured_positions.len(),
-            beta,
-            scaled_floor: beta * ABS_FLOOR_RATIO,
-            groups: groups
-                .iter()
-                .map(|gm| GroupPlan::from_matrix(gm.borrow(), measured_positions))
-                .collect(),
+        let width = measured_positions.len();
+        let groups: Vec<GroupPlan> = groups
+            .iter()
+            .map(|gm| GroupPlan::from_matrix(gm.borrow(), measured_positions))
+            .collect();
+        let wpk = BitString::words_for_width(width);
+        let mut suffix_masks = vec![0u64; groups.len() * wpk];
+        let mut below = vec![0u64; wpk];
+        for (level, group) in groups.iter().enumerate().rev() {
+            for &(w, shift) in &group.extract {
+                below[w as usize] |= 1u64 << shift;
+            }
+            suffix_masks[level * wpk..(level + 1) * wpk].copy_from_slice(&below);
+        }
+        IterationPlan { width, beta, scaled_floor: beta * ABS_FLOOR_RATIO, groups, suffix_masks }
+    }
+
+    /// The engine's keep test for a partial product `v` of an input string
+    /// with probability `input_prob`.
+    #[inline]
+    fn keeps(&self, v: f64, input_prob: f64) -> bool {
+        !(v == 0.0 || v.abs() < self.beta || (input_prob * v).abs() < self.scaled_floor)
+    }
+
+    /// Copies the key bits of groups `level..` from the input key `words`
+    /// into `scratch`: the outcomes a diagonal run from `level` kept.
+    #[inline]
+    fn restore_suffix(&self, level: usize, words: &[u64], scratch: &mut [u64]) {
+        let wpk = scratch.len();
+        let masks = &self.suffix_masks[level * wpk..(level + 1) * wpk];
+        for ((s, &w), &m) in scratch.iter_mut().zip(words).zip(masks) {
+            *s = (*s & !m) | (w & m);
         }
     }
 
@@ -306,6 +367,7 @@ impl IterationPlan {
     pub fn heap_bytes(&self) -> usize {
         self.groups.iter().map(GroupPlan::heap_bytes).sum::<usize>()
             + self.groups.capacity() * std::mem::size_of::<GroupPlan>()
+            + self.suffix_masks.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -631,44 +693,95 @@ fn fold_sorted<S: std::borrow::Borrow<RecordSink>>(
 /// (`k ≤ 3`); the cold spill path keeps correctness for wider groups.
 const CHAIN_GATHER: usize = 8;
 
+/// The read-only per-string inputs of one chain walk, resolved once per
+/// input string by [`run_entries`].
+struct Entry<'a> {
+    /// The input key: the outcome bits every diagonal step keeps.
+    words: &'a [u64],
+    /// `p(x)`, which scales the floor test and the emitted values.
+    prob: f64,
+    /// Per level, the input's group sub-index `x_j`.
+    sub_indices: &'a [usize],
+    /// Per level, the diagonal factor `M⁻¹[x_j][x_j]`.
+    diag: &'a [f64],
+    /// Per level, the off-diagonal bound `max_{z ≠ x_j} |M⁻¹[z][x_j]|`.
+    off: &'a [f64],
+}
+
 /// Walks one group level; returns the sum of the (unscaled) products that
 /// reached the leaves, so the caller can compensate for pruned mass.
 ///
-/// Each node runs a branch-light *gather* pass over the column first —
+/// **Diagonal run.** A level whose off-diagonal products are all provably
+/// pruned computes only the diagonal one. The bound is
+/// `vmax = |value| · off[level]`: round-to-nearest multiplication is
+/// monotone, so every off-diagonal factor `f` gives
+/// `|value · f| = fl(|value| · |f|) ≤ vmax` and
+/// `|p · (value · f)| ≤ fl(|p| · vmax)`; when `vmax < β` or
+/// `|p| · vmax < floor`, each of them fails the keep test, exactly as the
+/// full gather would find. A NaN bound compares false and takes the gather.
+/// The diagonal outcome `z = x` writes the input's own bits, so a run of
+/// such levels writes no outcome; when the run ends the walk copies those
+/// levels' bits back from the input key with one suffix mask. The counters
+/// count every product the gather would have made, so [`EngineStats`] do
+/// not change.
+///
+/// Every other node runs a branch-light *gather* pass over the column —
 /// products and prune decisions only, no recursion, so `value`, the
 /// thresholds, and the counters stay in registers — then descends into the
 /// survivors in the same ascending-`z` order. Emission order, float
 /// operations, and counter totals are identical to the naive interleaved
 /// walk.
-#[allow(clippy::too_many_arguments)]
 fn chain(
     plan: &IterationPlan,
     mut level: usize,
     mut value: f64,
-    input_prob: f64,
+    entry: &Entry,
     scratch: &mut [u64],
-    sub_indices: &[usize],
     stats: &mut EngineStats,
     sink: &mut RecordSink,
 ) -> f64 {
-    let beta = plan.beta;
-    let scaled_floor = plan.scaled_floor;
+    let (beta, scaled_floor, input_prob) = (plan.beta, plan.scaled_floor, entry.prob);
     let mut vals = [0.0f64; CHAIN_GATHER];
+    // First level of the diagonal run in progress, whose outcome bits are
+    // not yet written.
+    let mut run_start = None;
     // Single-survivor levels (the diagonal-dominant common case) continue
     // this loop in place instead of recursing: `0.0 + x` is bit-exact `x`
     // for every reachable subtree sum, so dropping the one-term fold is
     // float-neutral while eliminating the call overhead along the chain.
     loop {
         if level == plan.groups.len() {
+            if let Some(start) = run_start {
+                plan.restore_suffix(start, entry.words, scratch);
+            }
             sink.emit(scratch, input_prob * value);
             stats.accumulated += 1;
             return value;
         }
         let group = &plan.groups[level];
-        if group.dim > CHAIN_GATHER {
-            return chain_spill(plan, level, value, input_prob, scratch, sub_indices, stats, sink);
+        let dim = group.dim as u64;
+        let vmax = value.abs() * entry.off[level];
+        if vmax < beta || input_prob.abs() * vmax < scaled_floor {
+            stats.products += dim;
+            let v = value * entry.diag[level];
+            if !plan.keeps(v, input_prob) {
+                stats.pruned += dim;
+                return 0.0;
+            }
+            stats.pruned += dim - 1;
+            stats.kept_per_level[level] += 1;
+            run_start.get_or_insert(level);
+            value = v;
+            level += 1;
+            continue;
         }
-        let x = sub_indices[level];
+        if let Some(start) = run_start.take() {
+            plan.restore_suffix(start, entry.words, scratch);
+        }
+        if group.dim > CHAIN_GATHER {
+            return chain_spill(plan, level, value, entry, scratch, stats, sink);
+        }
+        let x = entry.sub_indices[level];
         let column = &group.columns[x * group.dim..(x + 1) * group.dim];
         // Survivors as a bitmask: stores are unconditional and the prune
         // outcome feeds a mask instead of a branch or a compaction cursor,
@@ -676,13 +789,12 @@ fn chain(
         let mut mask = 0u32;
         for (z, &factor) in column.iter().enumerate() {
             let v = value * factor;
-            let keep = !(v == 0.0 || v.abs() < beta || (input_prob * v).abs() < scaled_floor);
             vals[z] = v;
-            mask |= (keep as u32) << z;
+            mask |= (plan.keeps(v, input_prob) as u32) << z;
         }
         let n_kept = mask.count_ones() as usize;
-        stats.products += column.len() as u64;
-        stats.pruned += (column.len() - n_kept) as u64;
+        stats.products += dim;
+        stats.pruned += dim - n_kept as u64;
         stats.kept_per_level[level] += n_kept as u64;
         match n_kept {
             0 => return 0.0,
@@ -698,16 +810,7 @@ fn chain(
                     let z = mask.trailing_zeros() as usize;
                     mask &= mask - 1;
                     group.write_outcome(z, scratch);
-                    kept_sum += chain(
-                        plan,
-                        level + 1,
-                        vals[z],
-                        input_prob,
-                        scratch,
-                        sub_indices,
-                        stats,
-                        sink,
-                    );
+                    kept_sum += chain(plan, level + 1, vals[z], entry, scratch, stats, sink);
                 }
                 return kept_sum;
             }
@@ -715,8 +818,9 @@ fn chain(
     }
 }
 
-/// [`chain`] for groups wider than [`CHAIN_GATHER`] outcomes. Same order,
-/// same floats, same counters.
+/// [`chain`]'s gather for groups wider than [`CHAIN_GATHER`] outcomes, at a
+/// level the diagonal-run bound did not settle. Same order, same floats,
+/// same counters.
 ///
 /// The `M⁻¹` column is walked in [`CHAIN_GATHER`]-wide slabs — eight `f64`
 /// factors, one 64-byte cache line. Each slab runs the same branch-light
@@ -728,22 +832,18 @@ fn chain(
 /// would drop in here per slab, but portable SIMD is nightly-only and this
 /// crate builds on stable — revisit if that changes.
 #[cold]
-#[allow(clippy::too_many_arguments)]
 fn chain_spill(
     plan: &IterationPlan,
     level: usize,
     value: f64,
-    input_prob: f64,
+    entry: &Entry,
     scratch: &mut [u64],
-    sub_indices: &[usize],
     stats: &mut EngineStats,
     sink: &mut RecordSink,
 ) -> f64 {
     let group = &plan.groups[level];
-    let x = sub_indices[level];
+    let x = entry.sub_indices[level];
     let column = &group.columns[x * group.dim..(x + 1) * group.dim];
-    let beta = plan.beta;
-    let scaled_floor = plan.scaled_floor;
     let mut vals = [0.0f64; CHAIN_GATHER];
     let mut kept_sum = 0.0;
     for (slab, factors) in column.chunks(CHAIN_GATHER).enumerate() {
@@ -751,9 +851,8 @@ fn chain_spill(
         let mut mask = 0u32;
         for (k, &factor) in factors.iter().enumerate() {
             let v = value * factor;
-            let keep = !(v == 0.0 || v.abs() < beta || (input_prob * v).abs() < scaled_floor);
             vals[k] = v;
-            mask |= (keep as u32) << k;
+            mask |= (plan.keeps(v, entry.prob) as u32) << k;
         }
         let n_kept = mask.count_ones() as usize;
         stats.products += factors.len() as u64;
@@ -763,8 +862,7 @@ fn chain_spill(
             let k = mask.trailing_zeros() as usize;
             mask &= mask - 1;
             group.write_outcome(base + k, scratch);
-            kept_sum +=
-                chain(plan, level + 1, vals[k], input_prob, scratch, sub_indices, stats, sink);
+            kept_sum += chain(plan, level + 1, vals[k], entry, scratch, stats, sink);
         }
     }
     kept_sum
@@ -787,32 +885,45 @@ pub(crate) fn record<'a>(
     if stats.kept_per_level.len() < plan.groups.len() {
         stats.kept_per_level.resize(plan.groups.len(), 0);
     }
-    // The key-scratch and sub-index buffers live in a thread-local arena:
-    // caller threads and pool workers alike pay the allocation once per
-    // thread (and once more per growth to a wider plan), never per call.
+    // The per-string buffers live in a thread-local arena: caller threads
+    // and pool workers alike pay the allocation once per thread (and once
+    // more per growth to a wider plan), never per call.
     SCRATCH.with(|cell| {
-        let ScratchBuf { scratch, sub_indices } = &mut *cell.borrow_mut();
-        scratch.clear();
-        scratch.resize(sink.words_per_key, 0);
-        sub_indices.clear();
-        sub_indices.resize(plan.groups.len(), 0);
+        let buf = &mut *cell.borrow_mut();
+        buf.scratch.clear();
+        buf.scratch.resize(sink.words_per_key, 0);
+        for per_level in [&mut buf.diag, &mut buf.off] {
+            per_level.clear();
+            per_level.resize(plan.groups.len(), 0.0);
+        }
+        buf.sub_indices.clear();
+        buf.sub_indices.resize(plan.groups.len(), 0);
         for (keys, values) in input {
-            run_entries(plan, keys, values, stats, sink, scratch, sub_indices);
+            run_entries(plan, keys, values, stats, sink, buf);
         }
     });
     sink.bucket();
 }
 
 /// Per-thread reusable buffers for [`record`]: the packed-key scratch the
-/// chain walk scatters outcomes into, and the per-group input sub-indices.
+/// chain walk scatters outcomes into, and the per-level sub-indices,
+/// diagonal factors and off-diagonal bounds of the string being walked.
 struct ScratchBuf {
     scratch: Vec<u64>,
     sub_indices: Vec<usize>,
+    diag: Vec<f64>,
+    off: Vec<f64>,
 }
 
 thread_local! {
-    static SCRATCH: std::cell::RefCell<ScratchBuf> =
-        const { std::cell::RefCell::new(ScratchBuf { scratch: Vec::new(), sub_indices: Vec::new() }) };
+    static SCRATCH: std::cell::RefCell<ScratchBuf> = const {
+        std::cell::RefCell::new(ScratchBuf {
+            scratch: Vec::new(),
+            sub_indices: Vec::new(),
+            diag: Vec::new(),
+            off: Vec::new(),
+        })
+    };
 }
 
 fn run_entries(
@@ -821,9 +932,9 @@ fn run_entries(
     values: &[f64],
     stats: &mut EngineStats,
     sink: &mut RecordSink,
-    scratch: &mut [u64],
-    sub_indices: &mut [usize],
+    buf: &mut ScratchBuf,
 ) {
+    let ScratchBuf { scratch, sub_indices, diag, off } = buf;
     let wpk = scratch.len();
     for (i, &p) in values.iter().enumerate() {
         if p == 0.0 {
@@ -842,10 +953,14 @@ fn run_entries(
             continue;
         }
         for (j, group) in plan.groups.iter().enumerate() {
-            sub_indices[j] = group.sub_index(words);
+            let x = group.sub_index(words);
+            sub_indices[j] = x;
+            diag[j] = group.columns[x * group.dim + x];
+            off[j] = group.off_max[x];
         }
         scratch.copy_from_slice(words);
-        let kept = chain(plan, 0, 1.0, p, scratch, sub_indices, stats, sink);
+        let entry = Entry { words, prob: p, sub_indices, diag, off };
+        let kept = chain(plan, 0, 1.0, &entry, scratch, stats, sink);
         // Mass compensation: every column of M⁻¹ sums to exactly 1, so the
         // pruned branches of this string carried `1 − kept` of its mass.
         // Return the deficit to the string's own image, keeping calibration
@@ -859,10 +974,10 @@ fn run_entries(
 
 pub use crate::parallel::configured_threads;
 
-/// The pre-plan/execute engine, retained verbatim: the differential
-/// property tests pin [`crate::ExecArena::run_chain`] to this
-/// implementation bit-for-bit, and the `kernels` benchmarks measure the
-/// speedup against it. Not part of the supported API surface.
+/// The pre-plan/execute engine, retained verbatim: it multiplies every
+/// product, with no diagonal runs, and the differential property tests pin
+/// [`crate::ExecArena::run_chain`] to it bit for bit and counter for
+/// counter. Not part of the supported API surface.
 pub mod reference {
     use super::{EngineStats, ABS_FLOOR_RATIO};
     use crate::noisematrix::GroupMatrix;

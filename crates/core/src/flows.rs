@@ -164,7 +164,7 @@ impl QuFem {
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         let (snapshot, report) =
             benchgen::generate_with_threads(device, &config, &mut rng, threads)?;
-        let mut qufem = Self::from_snapshot_with_threads(snapshot, config, threads)?;
+        let mut qufem = Self::self_calibrate(snapshot, config, threads)?;
         qufem.benchgen_report = Some(report);
         Ok(qufem)
     }
@@ -191,10 +191,25 @@ impl QuFem {
     /// the exported JSON are **bit-identical at any `threads`**, including
     /// the sequential path.
     ///
+    /// Runs under one `characterize` telemetry span, as
+    /// [`QuFem::characterize_with_threads`] does (whose span also covers
+    /// benchmark generation, with no second one nested inside).
+    ///
     /// # Errors
     ///
     /// Propagates configuration validation and matrix-generation failures.
     pub fn from_snapshot_with_threads(
+        snapshot: BenchmarkSnapshot,
+        config: QuFemConfig,
+        threads: usize,
+    ) -> Result<Self> {
+        let _span = qufem_telemetry::span!("characterize");
+        Self::self_calibrate(snapshot, config, threads)
+    }
+
+    /// [`QuFem::from_snapshot_with_threads`] without its span: the body
+    /// both characterization entry points share.
+    fn self_calibrate(
         snapshot: BenchmarkSnapshot,
         config: QuFemConfig,
         threads: usize,

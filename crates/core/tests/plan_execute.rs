@@ -475,3 +475,116 @@ fn negative_zero_first_emission_folds_from_positive_zero_at_any_thread_count() {
         assert_eq!(arena.out().value(id).to_bits(), positive_zero, "run_chain, {threads} threads");
     }
 }
+
+/// Snapshot with dense, realistic matrices for wide groups: record `r`
+/// prepares pattern `r mod 2^g` on each `g`-qubit group of `grouping`, so
+/// every column of every group is observed, and reads each qubit where
+/// `noisy` holds with its own flip rate in `0.002..0.05`, drawn per qubit
+/// and record, so the columns differ (crosstalk the tensor product form
+/// cannot fold away). Each record keeps its exact no-flip and single-flip
+/// outcomes, renormalized; the other qubits read out perfectly.
+fn wide_group_snapshot(
+    n: usize,
+    grouping: &[QubitSet],
+    noisy: impl Fn(usize) -> bool,
+    rng: &mut ChaCha8Rng,
+) -> BenchmarkSnapshot {
+    let widest = grouping.iter().map(QubitSet::len).max().unwrap_or(0);
+    let mut snap = BenchmarkSnapshot::new(n);
+    for r in 0..2usize << widest {
+        let mut prep = BitString::zeros(n);
+        for group in grouping {
+            for (k, q) in group.iter().enumerate() {
+                prep.set(q, (r >> k) & 1 == 1);
+            }
+        }
+        let eps: Vec<(usize, f64)> =
+            (0..n).filter(|&q| noisy(q)).map(|q| (q, rng.gen_range(0.002..0.05))).collect();
+        let clean: f64 = eps.iter().map(|(_, e)| 1.0 - e).product();
+        let mut dist = ProbDist::new(n);
+        dist.add(prep.clone(), clean);
+        for &(q, e) in &eps {
+            let mut out = prep.clone();
+            out.set(q, !prep.get(q));
+            dist.add(out, clean / (1.0 - e) * e);
+        }
+        dist.normalize().unwrap();
+        snap.push(BenchmarkRecord::new(BenchmarkCircuit::all_prepared(&prep), dist));
+    }
+    snap
+}
+
+/// Quasi-distribution whose values span `1e-7..1` (both signs, log-uniform)
+/// and crowd the two pruning thresholds: values at and one ulp either side
+/// of `beta` (the passthrough edge), and values in `beta..20·beta`, where
+/// the scaled floor `beta / 10` cuts products near the largest
+/// off-diagonal factors, so the diagonal-run bound decides close calls.
+/// Keys start from `fixed` and draw the bits where `free` holds.
+fn threshold_dist(
+    n: usize,
+    support: usize,
+    beta: f64,
+    fixed: &BitString,
+    free: impl Fn(usize) -> bool,
+    rng: &mut ChaCha8Rng,
+) -> ProbDist {
+    let mut dist = ProbDist::new(n);
+    for _ in 0..support {
+        let mut key = fixed.clone();
+        for b in (0..n).filter(|&b| free(b)) {
+            key.set(b, rng.gen_bool(0.5));
+        }
+        let log_uniform = 10f64.powf(rng.gen_range(-7.0..0.0));
+        let value = match rng.gen_range(0..8) {
+            0..=2 => log_uniform,
+            3 => -log_uniform,
+            4 | 5 => beta * rng.gen_range(1.0..20.0),
+            6 => -beta * rng.gen_range(1.0..20.0),
+            _ => f64::from_bits(beta.to_bits() + rng.gen_range(0u64..3) - 1),
+        };
+        dist.set(key, value);
+    }
+    dist
+}
+
+#[test]
+fn wide_groups_match_reference_inline_pooled_and_on_multiword_keys() {
+    // Groups of 4 and 5 qubits have 16 and 32 outcomes, more than the
+    // gather width, so their levels take the spill walk whenever the
+    // diagonal-run bound does not settle them; with flip rates up to 0.05
+    // their off-diagonal products often survive. 14-bit keys, all noisy;
+    // then 70-bit keys whose noisy groups straddle the word boundary, the
+    // other 56 qubits perfect (one-qubit identity groups, so every one of
+    // their levels is a diagonal run).
+    let cases: [(usize, Vec<Vec<usize>>); 2] = [
+        (14, vec![vec![3, 7, 0, 12, 9], vec![1, 13, 5, 10], vec![2, 4, 6, 8, 11]]),
+        (70, vec![vec![61, 62, 63, 64, 65], vec![0, 1, 2, 3], vec![66, 67, 68, 69, 60]]),
+    ];
+    for (n, noisy_groups) in cases {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5B111 ^ n as u64);
+        let noisy: Vec<usize> = noisy_groups.iter().flatten().copied().collect();
+        let mut grouping: Vec<QubitSet> =
+            noisy_groups.iter().map(|g| g.iter().copied().collect()).collect();
+        grouping.extend((0..n).filter(|q| !noisy.contains(q)).map(|q| QubitSet::from_iter([q])));
+        let snap = wide_group_snapshot(n, &grouping, |q| noisy.contains(&q), &mut rng);
+        let gms = matrices(&snap, &grouping, n);
+        let positions: Vec<usize> = (0..n).collect();
+        let mut fixed = BitString::zeros(n);
+        for b in 0..n {
+            fixed.set(b, rng.gen_bool(0.5));
+        }
+        for beta in [1e-5, 1e-3] {
+            let context = format!("{n}-qubit keys, β {beta}");
+            let dist = threshold_dist(n, 300, beta, &fixed, |b| noisy.contains(&b), &mut rng);
+            let input = SupportIndex::from_dist(&dist);
+            let chain = [Arc::new(IterationPlan::build(&positions, &gms, beta))];
+            let mut s_ref = EngineStats::default();
+            let reference = reference::apply_iteration(&dist, &positions, &gms, beta, &mut s_ref);
+            let (inline, s_inline) = inline_chain(&chain, &input);
+            assert!(s_ref.pruned > 0 && s_ref.accumulated > input.len() as u64, "{context}");
+            assert_eq!(s_inline, s_ref, "stats diverge from reference: {context}");
+            assert_dist_bits_equal(&inline.to_dist(), &reference, &context);
+            assert_pooled_matches_inline(&mut ExecArena::with_shards(1), &chain, &input, &context);
+        }
+    }
+}

@@ -492,6 +492,11 @@ impl Deserialize for ProbDist {
     /// Reads what [`ProbDist::serialize`] writes. Each key's words are read
     /// into one reused buffer, with a [`BitString`]'s field rules: unknown
     /// keys are skipped and the first of a repeated key wins.
+    ///
+    /// Entries are added as [`ProbDist::add`] would, in input order. While
+    /// the keys arrive strictly ascending, as serialized, they are appended
+    /// to a canonical index with no probe table; the first key out of order
+    /// or repeated builds the table and the rest are interned.
     fn deserialize(de: &mut Deserializer<'_>) -> std::result::Result<Self, serde::Error> {
         let Some(mut seq) = de.seq()? else {
             return Err(de.reject(serde::Error::custom(
@@ -515,7 +520,10 @@ impl Deserialize for ProbDist {
             }
             BitString::check_words(width, &words)
                 .map_err(|e| serde::Error::custom(format!("bad bit string: {e}")))?;
-            dist.add_words(&words, value);
+            // A new entry stores `0.0 + value`, as `add_words` does.
+            if !dist.index.push_sorted(&words, 0.0 + value) {
+                dist.add_words(&words, value);
+            }
         }
         Ok(dist)
     }
@@ -573,6 +581,7 @@ impl FromIterator<(BitString, f64)> for ProbDist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -792,6 +801,78 @@ mod tests {
         for words in ["[8]", "[0,0]"] {
             let text = format!(r#"[3,[{{"width":3,"words":{words}}},0.5]]"#);
             assert!(serde_json::from_str::<ProbDist>(&text).is_err(), "{words}");
+        }
+    }
+
+    /// `[width, [key, value], …]` with the entries in the given order.
+    fn serialized(width: usize, entries: &[(BitString, f64)]) -> String {
+        let mut text = width.to_string();
+        for (key, value) in entries {
+            let words: Vec<String> = key.as_words().iter().map(u64::to_string).collect();
+            text += &format!(r#",[{{"width":{width},"words":[{}]}},{value:?}]"#, words.join(","));
+        }
+        format!("[{text}]")
+    }
+
+    #[test]
+    fn deserialize_matches_adding_in_input_order() {
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        for width in [0usize, 3, 70] {
+            let mut keys: Vec<BitString> = (0..40)
+                .map(|_| {
+                    let mut key = BitString::zeros(width);
+                    for b in 0..width {
+                        key.set(b, rng.gen_bool(0.5));
+                    }
+                    key
+                })
+                .collect();
+            keys.sort();
+            keys.dedup();
+            let ascending: Vec<(BitString, f64)> =
+                keys.iter().map(|k| (k.clone(), rng.gen_range(-0.5..1.0))).collect();
+            let mut shuffled = ascending.clone();
+            shuffled.shuffle(&mut rng);
+            // A repeat of the last key, then of an earlier one.
+            let mut repeated = ascending.clone();
+            repeated.push(ascending[ascending.len() - 1].clone());
+            repeated.push((ascending[0].0.clone(), 0.125));
+            // `-0.0` as a first entry reads back as `+0.0`; as a repeat it
+            // leaves the sum as it is.
+            let mut negative_zero = ascending.clone();
+            negative_zero[0].1 = -0.0;
+            negative_zero.push((ascending[0].0.clone(), -0.0));
+            let last = negative_zero.len() - 2;
+            negative_zero[last].1 = -0.0;
+            for (case, entries) in [
+                ("ascending", &ascending),
+                ("shuffled", &shuffled),
+                ("repeated", &repeated),
+                ("negative zero", &negative_zero),
+            ] {
+                let read: ProbDist = serde_json::from_str(&serialized(width, entries)).unwrap();
+                let mut added = ProbDist::new(width);
+                for (key, value) in entries {
+                    added.add(key.clone(), *value);
+                }
+                let context = format!("{case}, width {width}");
+                assert_eq!(read.support_len(), added.support_len(), "{context}");
+                for ((rk, rv), (ak, av)) in read.iter().zip(added.iter()) {
+                    assert_eq!(rk, ak, "id order: {context}");
+                    assert_eq!(rv.to_bits(), av.to_bits(), "value of {rk}: {context}");
+                }
+                for key in &keys {
+                    assert_eq!(read.prob(key).to_bits(), added.prob(key).to_bits(), "{context}");
+                }
+            }
+            assert_eq!(
+                serde_json::from_str::<ProbDist>(&serialized(width, &negative_zero))
+                    .unwrap()
+                    .prob(&keys[0])
+                    .to_bits(),
+                0.0f64.to_bits(),
+                "width {width}"
+            );
         }
     }
 

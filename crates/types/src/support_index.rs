@@ -388,6 +388,27 @@ impl SupportIndex {
         self.table.clear();
     }
 
+    /// Appends `words` at amplitude `value` and returns `true` when the
+    /// index is canonical and `words` sorts after every key, so it stays
+    /// canonical with no table; otherwise changes nothing and returns
+    /// `false`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len()` differs from [`SupportIndex::words_per_key`]
+    /// or the support would exceed `u32` ids.
+    pub(crate) fn push_sorted(&mut self, words: &[u64], value: f64) -> bool {
+        assert_eq!(words.len(), self.words_per_key, "key word count mismatch");
+        let ascends = || self.is_empty() || &self.keys[self.keys.len() - words.len()..] < words;
+        if !self.table.is_empty() || !ascends() {
+            return false;
+        }
+        assert!(self.values.len() + 1 < EMPTY_SLOT as usize, "support exceeds u32 ids");
+        self.keys.extend_from_slice(words);
+        self.values.push(value);
+        true
+    }
+
     /// Mutable amplitudes, indexed by id.
     pub(crate) fn values_mut(&mut self) -> &mut [f64] {
         &mut self.values
@@ -842,6 +863,28 @@ mod tests {
         hashed.set(bs("000"), 0.0);
         assert_eq!(idx.to_dist(), hashed);
         assert_eq!(hashed, idx.to_dist());
+    }
+
+    #[test]
+    fn deserializing_ascending_keys_builds_no_table() {
+        let text = |words: [u64; 3]| {
+            let entry = |w: u64| format!(r#"[{{"width":3,"words":[{w}]}},0.25]"#);
+            format!("[3,{},{},{}]", entry(words[0]), entry(words[1]), entry(words[2]))
+        };
+        let read: ProbDist = serde_json::from_str(&text([1, 4, 6])).unwrap();
+        let index = read.as_index();
+        assert_eq!(index.table.capacity(), 0, "keys that ascend build no table");
+        for (id, w) in [1u64, 4, 6].into_iter().enumerate() {
+            assert_eq!(index.get(&[w]), Some(id as u32), "lookups bisect");
+        }
+
+        // The first key out of order builds the table; ids keep input order.
+        let read: ProbDist = serde_json::from_str(&text([1, 6, 4])).unwrap();
+        let index = read.as_index();
+        assert!(!index.table.is_empty());
+        for (id, w) in [1u64, 6, 4].into_iter().enumerate() {
+            assert_eq!(index.get(&[w]), Some(id as u32));
+        }
     }
 
     #[test]

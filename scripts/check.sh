@@ -15,6 +15,9 @@ cargo build --release --workspace
 echo "==> cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml"
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
 
+echo "==> cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml"
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> perfbench correctness gates (offline-27q, seed 7, 1 s, QUFEM_THREADS 1 then 4)"
 # The second run's exact-count check compares its output digest and engine
 # counts with the record the first (inline) run left.
