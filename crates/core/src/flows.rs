@@ -16,7 +16,7 @@ use crate::mitigate::PreparedMitigator;
 use crate::noisematrix::{group_noise_matrix_with, GroupMatrix, MatrixTable};
 use crate::parallel;
 use crate::partition::{self, grouped_pairs, Grouping};
-use crate::snapshot::BenchmarkSnapshot;
+use crate::snapshot::{BenchmarkRecord, BenchmarkSnapshot};
 use qufem_device::Device;
 use qufem_linalg::Matrix;
 use qufem_types::{BitString, Error, ProbDist, QubitSet, Result, SupportIndex};
@@ -296,11 +296,13 @@ impl QuFem {
             };
 
             // One arena per contiguous chunk of records, reused record over
-            // record: a worker keeps one emission stream and one fold run.
+            // record: a worker keeps one emission stream and one fold run,
+            // and builds each next-iteration record (its marginals
+            // included) itself, so the merge below only moves them.
             let records = current.records();
             let chunk = records.len().div_ceil(threads).max(1);
             let chunks: Vec<_> = records.chunks(chunk).collect();
-            let record_results: Vec<Vec<(ProbDist, EngineStats, u64)>> =
+            let record_results: Vec<Vec<(BenchmarkRecord, EngineStats, u64)>> =
                 parallel::map_in_order(&chunks, threads, |c, chunk_records| {
                     let mut arena = ExecArena::with_shards(1);
                     let mut results = Vec::with_capacity(chunk_records.len());
@@ -312,20 +314,25 @@ impl QuFem {
                         // `to_dist` copies into exactly sized buffers: the
                         // next snapshot keeps every record's output, so
                         // growth slack would stay resident.
-                        results.push((arena.out().to_dist(), local, phase_micros(start)));
+                        let updated = arena.out().to_dist();
+                        let us = phase_micros(start);
+                        results.push((
+                            BenchmarkRecord::new(record.circuit().clone(), updated),
+                            local,
+                            us,
+                        ));
                     }
                     results
                 });
             qufem_telemetry::counter_add("characterize.records", records.len() as u64);
             let mut next = BenchmarkSnapshot::new(n);
             let mut engine_us = 0u64;
-            for ((updated, local, us), record) in record_results.into_iter().flatten().zip(records)
-            {
+            for (updated, local, us) in record_results.into_iter().flatten() {
                 // Record-order merge: EngineStats::merge sums integer
                 // counters, so this equals the sequential accumulation.
                 iter_stats.merge(&local);
                 engine_us += us;
-                next.push(crate::snapshot::BenchmarkRecord::new(record.circuit().clone(), updated));
+                next.push(updated);
             }
             phases.add_micros("engine", engine_us, next.len() as u64);
 

@@ -1,7 +1,6 @@
 //! Quantifying qubit interactions from benchmarking data (paper Eq. 8–9, 12).
 
 use crate::snapshot::{BenchmarkSnapshot, IdealCondition};
-use std::collections::HashMap;
 
 /// Accumulator of readout-error statistics conditioned on one qubit's state.
 #[derive(Debug, Clone, Copy, Default)]
@@ -49,13 +48,38 @@ pub struct HotInteraction {
 /// (paper Eq. 8) together with `num`, the number of benchmarking circuits
 /// that observed the combination, from which `θ = interact / num` (Eq. 12)
 /// and the pairwise graph weights (Eq. 9) are derived.
+///
+/// The accumulators are two dense arrays: `6·n²` conditional ones indexed by
+/// `(target, target_state, source, source_state)` and `2·n` base ones
+/// indexed by `(target, state)`. A combination is observed when its
+/// accumulator holds at least one record. Every lookup is one array read,
+/// and every scan (such as [`InteractionTable::average_interact`]'s sum)
+/// runs in index order.
 #[derive(Debug, Clone)]
 pub struct InteractionTable {
     n_qubits: usize,
-    /// `P(q.ef = 1 | q.ideal = y)` accumulators, keyed by `(q, y)`.
-    base: HashMap<(usize, bool), ErrorStat>,
-    /// Conditional accumulators keyed by `(source, source_state, target, target_state)`.
-    cond: HashMap<(usize, IdealCondition, usize, bool), ErrorStat>,
+    /// `P(q.ef = 1 | q.ideal = y)` accumulators at `base_slot(q, y)`.
+    base: Vec<ErrorStat>,
+    /// Conditional accumulators; see `InteractionTable::cond_stat`.
+    cond: Vec<ErrorStat>,
+}
+
+/// The three source conditions, in the order of the accumulator index and
+/// of [`InteractionTable::hot_interactions`]' scan.
+const STATES: [IdealCondition; 3] =
+    [IdealCondition::Zero, IdealCondition::One, IdealCondition::Unmeasured];
+
+fn state_index(x: IdealCondition) -> usize {
+    match x {
+        IdealCondition::Zero => 0,
+        IdealCondition::One => 1,
+        IdealCondition::Unmeasured => 2,
+    }
+}
+
+/// Index of the `(target, y)` base accumulator.
+fn base_slot(target: usize, y: bool) -> usize {
+    target * 2 + y as usize
 }
 
 impl InteractionTable {
@@ -64,7 +88,27 @@ impl InteractionTable {
     /// benchmark generator relies on this to avoid rescanning the whole
     /// snapshot every round.
     pub fn new(n_qubits: usize) -> Self {
-        InteractionTable { n_qubits, base: HashMap::new(), cond: HashMap::new() }
+        InteractionTable {
+            n_qubits,
+            base: vec![ErrorStat::default(); 2 * n_qubits],
+            cond: vec![ErrorStat::default(); 6 * n_qubits * n_qubits],
+        }
+    }
+
+    /// The `(source, x, target, y)` conditional accumulator, or `None` when
+    /// a qubit is out of range (never observed). The sources of one
+    /// `(target, y)` are contiguous, which is the order
+    /// [`InteractionTable::add_record`] writes them in.
+    fn cond_stat(
+        &self,
+        source: usize,
+        x: IdealCondition,
+        target: usize,
+        y: bool,
+    ) -> Option<&ErrorStat> {
+        let n = self.n_qubits;
+        (source < n && target < n)
+            .then(|| &self.cond[(base_slot(target, y) * n + source) * 3 + state_index(x)])
     }
 
     /// Builds the table by scanning every record in the snapshot once.
@@ -73,10 +117,9 @@ impl InteractionTable {
         for record in snapshot.records() {
             table.add_record(record);
         }
-        qufem_telemetry::gauge_max(
-            "interaction.table_entries",
-            (table.base.len() + table.cond.len()) as f64,
-        );
+        // Observed combinations only: accumulators holding a record.
+        let observed = table.base.iter().chain(&table.cond).filter(|s| s.count > 0).count();
+        qufem_telemetry::gauge_max("interaction.table_entries", observed as f64);
         table
     }
 
@@ -88,29 +131,30 @@ impl InteractionTable {
     pub fn add_record(&mut self, record: &crate::snapshot::BenchmarkRecord) {
         let n = self.n_qubits;
         assert_eq!(record.circuit().width(), n, "record width must match the table");
-        // Per-record source conditions, computed once.
-        let source_states: Vec<IdealCondition> = (0..n)
+        // Per-record source condition indexes, computed once.
+        let source_states: Vec<usize> = (0..n)
             .map(|q| {
                 let op = record.circuit().op(q);
-                if op.is_measured() {
+                state_index(if op.is_measured() {
                     IdealCondition::measured(op.ideal_bit())
                 } else {
                     IdealCondition::Unmeasured
-                }
+                })
             })
             .collect();
 
         for &target in record.positions() {
             let ef = record.error_prob_of(target).expect("positions() only lists measured qubits");
-            let y = record.circuit().op(target).ideal_bit();
-            let b = self.base.entry((target, y)).or_default();
+            let slot = base_slot(target, record.circuit().op(target).ideal_bit());
+            let b = &mut self.base[slot];
             b.sum += ef;
             b.count += 1;
+            let row = &mut self.cond[slot * n * 3..(slot + 1) * n * 3];
             for (source, &x) in source_states.iter().enumerate() {
                 if source == target {
                     continue;
                 }
-                let c = self.cond.entry((source, x, target, y)).or_default();
+                let c = &mut row[source * 3 + x];
                 c.sum += ef;
                 c.count += 1;
             }
@@ -131,8 +175,8 @@ impl InteractionTable {
         target: usize,
         target_state: bool,
     ) -> Option<f64> {
-        let cond = self.cond.get(&(source, source_state, target, target_state))?.mean()?;
-        let base = self.base.get(&(target, target_state))?.mean()?;
+        let cond = self.cond_stat(source, source_state, target, target_state)?.mean()?;
+        let base = self.base[base_slot(target, target_state)].mean()?;
         Some((cond - base).abs())
     }
 
@@ -144,14 +188,12 @@ impl InteractionTable {
         target: usize,
         target_state: bool,
     ) -> usize {
-        self.cond.get(&(source, source_state, target, target_state)).map_or(0, |s| s.count)
+        self.cond_stat(source, source_state, target, target_state).map_or(0, |s| s.count)
     }
 
     /// The pairwise graph weight of paper Eq. 9: the sum of all interaction
     /// strengths in both directions over `x ∈ {0, 1, ∅}`, `y ∈ {0, 1}`.
     pub fn weight(&self, a: usize, b: usize) -> f64 {
-        const STATES: [IdealCondition; 3] =
-            [IdealCondition::Zero, IdealCondition::One, IdealCondition::Unmeasured];
         let mut w = 0.0;
         for &(src, dst) in &[(a, b), (b, a)] {
             for &x in &STATES {
@@ -171,8 +213,6 @@ impl InteractionTable {
     /// with `θ = ∞` so they are always sampled first.
     pub fn hot_interactions(&self, alpha: f64) -> Vec<HotInteraction> {
         let mut hot = Vec::new();
-        const STATES: [IdealCondition; 3] =
-            [IdealCondition::Zero, IdealCondition::One, IdealCondition::Unmeasured];
         for source in 0..self.n_qubits {
             for target in 0..self.n_qubits {
                 if source == target {
@@ -213,13 +253,13 @@ impl InteractionTable {
 
     /// Average interaction strength across all observed combinations — the
     /// `interact` scale parameter of the paper's complexity analysis (§5).
+    /// Sums in accumulator-index order, so equal tables give equal bits.
     pub fn average_interact(&self) -> f64 {
+        let n3 = self.n_qubits * 3;
         let mut sum = 0.0;
         let mut count = 0usize;
-        for (&(_, _, target, y), stat) in &self.cond {
-            if let (Some(c), Some(b)) =
-                (stat.mean(), self.base.get(&(target, y)).and_then(|s| s.mean()))
-            {
+        for (slot, stat) in self.cond.iter().enumerate() {
+            if let (Some(c), Some(b)) = (stat.mean(), self.base[slot / n3].mean()) {
                 sum += (c - b).abs();
                 count += 1;
             }
@@ -330,9 +370,26 @@ mod tests {
     }
 
     #[test]
+    fn tables_built_from_one_snapshot_agree_bit_for_bit() {
+        use rand::SeedableRng;
+        let device = qufem_device::presets::for_qubits(27, 5);
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
+        let snap = crate::benchgen::generate_random_budget(&device, 60, 400, &mut rng);
+        let (a, b) = (InteractionTable::build(&snap), InteractionTable::build(&snap));
+        assert!(a.average_interact() > 0.0);
+        assert_eq!(a.average_interact().to_bits(), b.average_interact().to_bits());
+        for (p, q) in [(0, 1), (3, 17), (26, 4)] {
+            assert_eq!(a.weight(p, q).to_bits(), b.weight(p, q).to_bits());
+        }
+    }
+
+    #[test]
     fn empty_snapshot_gives_empty_table() {
         let table = InteractionTable::build(&BenchmarkSnapshot::new(3));
         assert_eq!(table.interact(0, IdealCondition::One, 1, false), None);
+        // Qubits outside the device were never observed either.
+        assert_eq!(table.interact(3, IdealCondition::One, 0, false), None);
+        assert_eq!(table.num(0, IdealCondition::Zero, 7, true), 0);
         assert_eq!(table.weight(0, 1), 0.0);
         assert_eq!(table.average_interact(), 0.0);
     }

@@ -61,15 +61,17 @@ pub fn partition_weighted<W: Fn(usize, usize) -> f64>(
     if n == 0 {
         return Vec::new();
     }
-    let effective = |a: usize, b: usize| -> f64 {
-        let w = weight(a, b);
-        let key = (a.min(b), a.max(b));
-        if penalized_pairs.contains(&key) {
-            w * penalty
-        } else {
-            w
+    // Every ordered pair's effective weight, evaluated once: the local
+    // search below reads each pair many times.
+    let mut effective_table = vec![0.0; n * n];
+    for a in 0..n {
+        for b in (0..n).filter(|&b| b != a) {
+            let w = weight(a, b);
+            effective_table[a * n + b] =
+                if penalized_pairs.contains(&(a.min(b), a.max(b))) { w * penalty } else { w };
         }
-    };
+    }
+    let effective = |a: usize, b: usize| -> f64 { effective_table[a * n + b] };
 
     // --- Greedy agglomeration --------------------------------------------
     let mut group_of: Vec<usize> = (0..n).collect();

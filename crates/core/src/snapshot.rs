@@ -173,13 +173,22 @@ impl BenchmarkRecord {
 }
 
 fn compute_marginals(dist: &ProbDist) -> Vec<f64> {
-    let m = dist.width();
-    let mut acc = vec![0.0; m];
-    // Sorted order: hash-map iteration would make the float sums (and hence
-    // downstream partitioning decisions) nondeterministic at the ULP level.
-    for (key, v) in dist.sorted_pairs() {
-        for k in key.iter_ones() {
-            acc[k] += v;
+    let index = dist.as_index();
+    let mut acc = vec![0.0; index.width()];
+    // Canonical key order (the identity on a canonical index): hash-map
+    // order would make the float sums (and hence downstream partitioning
+    // decisions) nondeterministic at the ULP level. Each key adds its value
+    // to the accumulator of every set bit, read straight from its words.
+    let mut order = Vec::new();
+    index.sorted_ids(&mut order);
+    for id in order {
+        let v = index.value(id);
+        for (w, &word) in index.key_words(id).iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                acc[w * 64 + bits.trailing_zeros() as usize] += v;
+                bits &= bits - 1;
+            }
         }
     }
     for a in acc.iter_mut() {

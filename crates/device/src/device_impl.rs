@@ -2,7 +2,7 @@
 
 use crate::{BenchmarkCircuit, CrosstalkShifts, QubitNoise, ReadoutNoiseModel, Topology};
 use qufem_linalg::Matrix;
-use qufem_types::{BitString, Error, ProbDist, QubitSet, Result};
+use qufem_types::{BitString, Error, ProbDist, QubitSet, Result, SupportIndex};
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -18,6 +18,33 @@ fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// Calls `event(shot)` for every shot, in ascending order, at which an
+/// event of probability `p` fires over `shots` shots, drawing the gaps by
+/// geometric skipping: one RNG draw per event, plus the draw that ends the
+/// loop unless the last event falls on the last shot. Draws nothing when
+/// `p <= 0`.
+fn for_each_event<R: Rng + ?Sized>(p: f64, shots: u64, rng: &mut R, mut event: impl FnMut(u64)) {
+    if p <= 0.0 {
+        return;
+    }
+    let log1mp = (1.0 - p).ln();
+    let mut shot = 0u64;
+    loop {
+        // Geometric skip: number of non-flip shots before the next flip.
+        let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+        let skip = ((1.0 - u).ln() / log1mp).floor();
+        if !skip.is_finite() || skip >= (shots - shot) as f64 {
+            break;
+        }
+        shot += skip as u64;
+        event(shot);
+        shot += 1;
+        if shot >= shots {
+            break;
+        }
+    }
 }
 
 /// FNV-1a over a byte string (seeds the drift wave from the device name).
@@ -160,11 +187,20 @@ impl Device {
     /// counting it as a hardware circuit (used internally and by workload
     /// generators).
     ///
-    /// Flip events are sampled with geometric skipping: for each qubit the
-    /// shots at which it flips are drawn directly (expected work is the
-    /// number of *flips*, not `shots × qubits`), which keeps thousand-shot
-    /// sampling on 500-qubit devices cheap. Statistically identical to
-    /// per-cell Bernoulli draws.
+    /// Flip events are sampled with geometric skipping: for each qubit, and
+    /// then for each correlated pair with both qubits measured, the shots at
+    /// which it flips are drawn directly (one RNG draw per event plus one
+    /// that ends the qubit's loop, so the expected number of draws is the
+    /// number of *flips*, not `shots × qubits`). Statistically identical to
+    /// per-cell Bernoulli draws. Each shot keeps its outcome as packed
+    /// words — the ideal bits XOR every event that hit it, so two events on
+    /// one bit cancel — and the outcomes are counted by sorting the shots,
+    /// which yields the distribution in canonical key order (no probe
+    /// table). Memory is `shots × ⌈m/64⌉` words plus one index per shot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shots == 0`.
     pub fn sample_readout<R: Rng + ?Sized>(
         &self,
         ideal_full: &BitString,
@@ -172,74 +208,41 @@ impl Device {
         shots: u64,
         rng: &mut R,
     ) -> ProbDist {
+        assert!(shots > 0, "shots must be positive");
         let flip_probs = self.model.flip_probabilities(ideal_full, measured);
-        let ideal_sub = ideal_full.extract(&measured.iter().collect::<Vec<_>>());
+        let ideal_sub = ideal_full.extract(measured.as_slice());
         let m = measured.len();
-        // flips[shot] = list of local qubit indices flipped in that shot.
-        let mut flips: std::collections::HashMap<u64, Vec<usize>> =
-            std::collections::HashMap::new();
+        let wpk = ideal_sub.as_words().len();
+        // Shot `s`'s outcome occupies `outcomes[s * wpk..(s + 1) * wpk]`.
+        let mut outcomes = ideal_sub.as_words().repeat(shots as usize);
+        let mut flip =
+            |shot: u64, k: usize| outcomes[shot as usize * wpk + k / 64] ^= 1 << (k % 64);
         for (k, &p) in flip_probs.iter().enumerate().take(m) {
-            if p <= 0.0 {
-                continue;
-            }
-            let log1mp = (1.0 - p).ln();
-            let mut shot = 0u64;
-            loop {
-                // Geometric skip: number of non-flip shots before the next flip.
-                let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-                let skip = ((1.0 - u).ln() / log1mp).floor();
-                if !skip.is_finite() || skip >= (shots - shot) as f64 {
-                    break;
-                }
-                shot += skip as u64;
-                flips.entry(shot).or_default().push(k);
-                shot += 1;
-                if shot >= shots {
-                    break;
-                }
-            }
+            for_each_event(p, shots, rng, |shot| flip(shot, k));
         }
-        // Correlated pair flips (both qubits measured): same geometric-skip
-        // sampling, flipping both local bits of the affected shots.
+        // Correlated pair flips (both qubits measured) flip both local bits
+        // of the affected shots.
         for term in self.model.correlated_flips() {
             let (a, b) = term.qubits;
             let (Some(ka), Some(kb)) = (measured.position(a), measured.position(b)) else {
                 continue;
             };
-            if term.prob <= 0.0 {
-                continue;
-            }
-            let log1mp = (1.0 - term.prob).ln();
-            let mut shot = 0u64;
-            loop {
-                let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-                let skip = ((1.0 - u).ln() / log1mp).floor();
-                if !skip.is_finite() || skip >= (shots - shot) as f64 {
-                    break;
-                }
-                shot += skip as u64;
-                let entry = flips.entry(shot).or_default();
-                entry.push(ka);
-                entry.push(kb);
-                shot += 1;
-                if shot >= shots {
-                    break;
-                }
-            }
+            for_each_event(term.prob, shots, rng, |shot| {
+                flip(shot, ka);
+                flip(shot, kb);
+            });
         }
-        let mut counts = std::collections::HashMap::new();
-        let faithful_shots = shots - flips.len() as u64;
-        if faithful_shots > 0 {
-            counts.insert(ideal_sub.clone(), faithful_shots);
+        let key = |shot: usize| &outcomes[shot * wpk..(shot + 1) * wpk];
+        let mut order: Vec<usize> = (0..shots as usize).collect();
+        order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+        let (mut keys, mut values) = (Vec::new(), Vec::new());
+        for run in order.chunk_by(|&a, &b| key(a) == key(b)) {
+            keys.extend_from_slice(key(run[0]));
+            values.push(run.len() as f64 / shots as f64);
         }
-        for flipped in flips.into_values() {
-            let mut outcome = ideal_sub.clone();
-            for k in flipped {
-                outcome.flip(k);
-            }
-            *counts.entry(outcome).or_insert(0u64) += 1;
-        }
-        ProbDist::from_counts(m, &counts, shots).expect("shots > 0")
+        let mut index = SupportIndex::new(m);
+        index.assign_sorted(m, [(&keys[..], &values[..])]);
+        index.into_dist()
     }
 
     /// The *exact* readout distribution of a fixed ideal state: enumerates
@@ -749,5 +752,122 @@ mod tests {
         // Dominant outcome unchanged.
         let zero = BitString::zeros(3);
         assert!((pruned.prob(&zero) - full.prob(&zero)).abs() < 1e-12);
+    }
+
+    /// The sampler before outcomes were kept as per-shot words: a `HashMap`
+    /// from shot to its flipped local qubits and one cloned `BitString` per
+    /// flipped shot. Returns the distribution and the number of shots whose
+    /// events all cancelled.
+    fn hashmap_sample_readout<R: Rng + ?Sized>(
+        device: &Device,
+        ideal_full: &BitString,
+        measured: &QubitSet,
+        shots: u64,
+        rng: &mut R,
+    ) -> (ProbDist, u64) {
+        let model = device.ground_truth();
+        let flip_probs = model.flip_probabilities(ideal_full, measured);
+        let ideal_sub = ideal_full.extract(&measured.iter().collect::<Vec<_>>());
+        let m = measured.len();
+        let mut flips: std::collections::HashMap<u64, Vec<usize>> =
+            std::collections::HashMap::new();
+        let mut sample = |p: f64, rng: &mut R, locals: &[usize]| {
+            if p <= 0.0 {
+                return;
+            }
+            let log1mp = (1.0 - p).ln();
+            let mut shot = 0u64;
+            loop {
+                let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
+                let skip = ((1.0 - u).ln() / log1mp).floor();
+                if !skip.is_finite() || skip >= (shots - shot) as f64 {
+                    break;
+                }
+                shot += skip as u64;
+                flips.entry(shot).or_default().extend_from_slice(locals);
+                shot += 1;
+                if shot >= shots {
+                    break;
+                }
+            }
+        };
+        for (k, &p) in flip_probs.iter().enumerate().take(m) {
+            sample(p, rng, &[k]);
+        }
+        for term in model.correlated_flips() {
+            let (a, b) = term.qubits;
+            if let (Some(ka), Some(kb)) = (measured.position(a), measured.position(b)) {
+                sample(term.prob, rng, &[ka, kb]);
+            }
+        }
+        let mut counts = std::collections::HashMap::new();
+        let faithful_shots = shots - flips.len() as u64;
+        if faithful_shots > 0 {
+            counts.insert(ideal_sub.clone(), faithful_shots);
+        }
+        let mut cancelled = 0;
+        for flipped in flips.into_values() {
+            let mut outcome = ideal_sub.clone();
+            for k in flipped {
+                outcome.flip(k);
+            }
+            cancelled += u64::from(outcome == ideal_sub);
+            *counts.entry(outcome).or_insert(0u64) += 1;
+        }
+        (ProbDist::from_counts(m, &counts, shots).unwrap(), cancelled)
+    }
+
+    /// A `width`-qubit measured set on a `width + 2`-qubit device whose
+    /// qubits 0–2 flip often and in overlapping correlated pairs (so the
+    /// events of one shot can cancel bit by bit and as a whole), with more
+    /// pairs straddling the 64-bit word boundary and reaching the two
+    /// unmeasured qubits.
+    fn correlated_device(width: usize, rng: &mut ChaCha8Rng) -> (Device, QubitSet) {
+        let n = width + 2;
+        let qubits = (0..n)
+            .map(|q| {
+                let (lo, hi) = if q < 3 { (0.2, 0.45) } else { (0.0005, 0.02) };
+                QubitNoise::new(rng.gen_range(lo..hi), rng.gen_range(lo..hi)).unwrap()
+            })
+            .collect();
+        let mut model = ReadoutNoiseModel::new(qubits);
+        for (a, b, p) in [(0, 1, 0.4), (1, 2, 0.3), (0, 2, 0.3), (63, 64, 0.2), (64, 129, 0.2)] {
+            if b < n {
+                model.add_correlated_flip(a, b, p).unwrap();
+            }
+        }
+        // Pairs with one end outside the measured set are never sampled.
+        model.add_correlated_flip(n - 2, n - 1, 0.4).unwrap();
+        model.add_correlated_flip(0, n - 1, 0.4).unwrap();
+        let device = Device::new("correlated", Topology::linear(n), model).unwrap();
+        (device, QubitSet::full(width))
+    }
+
+    #[test]
+    fn sample_readout_matches_the_hashmap_sampler() {
+        let mut setup = ChaCha8Rng::seed_from_u64(26);
+        let mut cancelled = 0;
+        for width in [1, 27, 64, 65, 130] {
+            let (device, measured) = correlated_device(width, &mut setup);
+            for shots in [1, 2, 3, 5, 17, 64, 255, 1000, 2000] {
+                let mut ideal = BitString::zeros(width + 2);
+                for q in 0..width + 2 {
+                    ideal.set(q, setup.gen::<bool>());
+                }
+                let seed = setup.gen::<u64>();
+                let (mut new_rng, mut old_rng) =
+                    (ChaCha8Rng::seed_from_u64(seed), ChaCha8Rng::seed_from_u64(seed));
+                let sampled = device.sample_readout(&ideal, &measured, shots, &mut new_rng);
+                let (expected, c) =
+                    hashmap_sample_readout(&device, &ideal, &measured, shots, &mut old_rng);
+                cancelled += c;
+                let bits = |d: &ProbDist| -> Vec<(BitString, u64)> {
+                    d.sorted_pairs().into_iter().map(|(k, v)| (k, v.to_bits())).collect()
+                };
+                assert_eq!(bits(&sampled), bits(&expected), "width {width}, {shots} shots");
+                assert_eq!(new_rng.gen::<u64>(), old_rng.gen::<u64>(), "width {width}, {shots}");
+            }
+        }
+        assert!(cancelled > 0, "no shot had all its events cancel");
     }
 }

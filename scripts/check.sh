@@ -31,14 +31,17 @@ for t in 1 4; do
   esac
 done
 
-echo "==> perfbench serve correctness gates (serve-binary-27q 2 s, serve-churn-27q 10 s, seed 7)"
+echo "==> perfbench serve correctness gates (serve-binary-27q 2 s; serve-churn-27q 10 s, QUFEM_THREADS 1 then 4; seed 7)"
 # The serve workloads send their traffic through the JSON codec (the
-# binary dialect's embedded JSON, the NDJSON dialect and an admit).
-for gate in "serve-binary-27q 2" "serve-churn-27q 10"; do
-  read -r workload seconds <<< "$gate"
-  last="$(cargo run --release --offline --locked --manifest-path perfbench/Cargo.toml -- \
+# binary dialect's embedded JSON, the NDJSON dialect and an admit). The
+# second serve-churn-27q run's exact-count check compares its records,
+# characterization included, with the ones the first (1-thread) run left.
+for gate in "serve-binary-27q 2" "serve-churn-27q 10 1" "serve-churn-27q 10 4"; do
+  read -r workload seconds threads <<< "$gate"
+  last="$(env ${threads:+QUFEM_THREADS=$threads} cargo run --release --offline --locked \
+    --manifest-path perfbench/Cargo.toml -- \
     --workload "$workload" --seed 7 --seconds "$seconds" --trace 0 | tail -n 1)"
-  echo "    $workload: $last"
+  echo "    $workload${threads:+ at QUFEM_THREADS=$threads}: $last"
   case "$last" in
     *'"correct": true'*) ;;
     *) echo "perfbench correctness gate failed on $workload" >&2; exit 1 ;;
