@@ -77,12 +77,6 @@ impl M3 {
         }
     }
 
-    /// The reduced-subspace matrix dimension M3 would use for a
-    /// distribution (its memory footprint is the square of this).
-    pub fn subspace_dim(dist: &ProbDist) -> usize {
-        dist.as_index().values().iter().filter(|&&p| p > 0.0).count()
-    }
-
     /// The reduced-subspace GMRES solve itself, for one measured set.
     fn apply_to(&self, dist: &ProbDist, measured: &QubitSet) -> Result<ProbDist> {
         let positions: Vec<usize> = measured.iter().collect();

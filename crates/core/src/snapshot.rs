@@ -240,11 +240,6 @@ impl BenchmarkSnapshot {
         &self.records
     }
 
-    /// Mutable access for the per-iteration calibration update.
-    pub fn records_mut(&mut self) -> &mut [BenchmarkRecord] {
-        &mut self.records
-    }
-
     /// Estimates `P(q.measured = 1 | conditions)` by averaging the marginal
     /// of `q` over records whose circuits satisfy `conditions` and measure
     /// `q`. Returns `None` when no record qualifies.

@@ -61,14 +61,3 @@ impl std::error::Error for Error {}
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, Error>;
-
-/// Loads a scenario file and replays it, returning the report.
-///
-/// # Errors
-///
-/// File read/parse/validation failures and run failures (see
-/// [`run_scenario`]).
-pub fn run_file(path: &std::path::Path) -> Result<Report> {
-    let scenario = Scenario::load(path)?;
-    run_scenario(&scenario)
-}

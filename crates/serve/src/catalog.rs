@@ -17,6 +17,7 @@
 //! — bit-identical before, during, and after any number of admissions.
 
 use crate::cache::PlanCache;
+use crate::protocol::DeviceStatusInfo;
 use qufem_core::{
     MethodOptions, MethodRegistry, Mitigator, PreparedMitigator, QuFem, VersionedSnapshot,
     DEFAULT_DEVICE_ID,
@@ -49,6 +50,8 @@ pub struct VersionEntry {
     /// Characterization iterations in the underlying calibrator (surfaced
     /// by the `status` command).
     iterations: usize,
+    /// Calibrate requests that resolved to this entry.
+    requests: AtomicU64,
 }
 
 impl VersionEntry {
@@ -72,6 +75,7 @@ impl VersionEntry {
             methods: Mutex::new(methods),
             cache: PlanCache::new(plan_cache_capacity),
             iterations,
+            requests: AtomicU64::new(0),
         }
     }
 
@@ -145,6 +149,16 @@ impl VersionEntry {
     pub fn iterations(&self) -> usize {
         self.iterations
     }
+
+    /// Counts one calibrate request resolved to this entry.
+    pub fn count_request(&self) {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Calibrate requests resolved to this entry so far.
+    pub fn requests(&self) -> u64 {
+        self.requests.load(Ordering::Relaxed)
+    }
 }
 
 /// One device's lineage: the head (what unpinned requests resolve to) plus
@@ -153,23 +167,6 @@ impl VersionEntry {
 struct DeviceState {
     head: u64,
     versions: BTreeMap<u64, Arc<VersionEntry>>,
-}
-
-/// A point-in-time description of one device in the catalog (the transport
-/// layer decorates it into `DeviceStatusInfo`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeviceSummary {
-    /// Device id.
-    pub device: String,
-    /// Version new unpinned requests resolve to.
-    pub head_version: u64,
-    /// Retained (pinnable) versions, ascending.
-    pub versions: Vec<u64>,
-    /// Prepared plans cached across this device's retained versions.
-    pub plan_cache_len: usize,
-    /// Instantiated `(version, method)` mitigators for this device, summed
-    /// over its retained versions.
-    pub method_cache_len: usize,
 }
 
 /// Why a `(device, version)` coordinate failed to resolve.
@@ -366,17 +363,20 @@ impl Catalog {
         Ok(entry)
     }
 
-    /// Per-device summaries, sorted by device id.
-    pub fn summaries(&self) -> Vec<DeviceSummary> {
+    /// Per-device state for `status` and `metrics`, sorted by device id;
+    /// plan, method and request counts are summed over the device's
+    /// retained versions.
+    pub fn summaries(&self) -> Vec<DeviceStatusInfo> {
         let devices = self.devices.read().expect("catalog read lock");
         devices
             .iter()
-            .map(|(id, state)| DeviceSummary {
+            .map(|(id, state)| DeviceStatusInfo {
                 device: id.to_string(),
                 head_version: state.head,
                 versions: state.versions.keys().copied().collect(),
                 plan_cache_len: state.versions.values().map(|e| e.plan_cache().len()).sum(),
                 method_cache_len: state.versions.values().map(|e| e.method_count()).sum(),
+                requests: state.versions.values().map(|e| e.requests()).sum(),
             })
             .collect()
     }
@@ -597,5 +597,27 @@ mod tests {
         assert_eq!(entry.method_count(), 1);
         assert_eq!(entry.plan_cache().stats(), (0, 0));
         assert_eq!(entry.plan_cache().len(), 0);
+    }
+
+    #[test]
+    fn device_requests_sum_over_retained_versions() {
+        let catalog = Catalog::new(characterized(1), "ibmq-7", Arc::new(MethodRegistry::new()), 4);
+        let v0 = catalog.resolve(None, None).unwrap();
+        v0.count_request();
+        v0.count_request();
+        let v1 = admit_recalibration(&catalog, 2);
+        v1.count_request();
+        let other = characterized(3);
+        let imported = VersionedSnapshot::root("ibmq-7-b", other.iterations()[0].snapshot_arc());
+        let b = catalog.admit(other, &imported, None).unwrap();
+        for _ in 0..4 {
+            b.count_request();
+        }
+        // Pinning the superseded version still counts toward its device.
+        catalog.resolve(Some("ibmq-7"), Some(0)).unwrap().count_request();
+        assert_eq!((v0.requests(), v1.requests(), b.requests()), (3, 1, 4));
+        let requests: Vec<(String, u64)> =
+            catalog.summaries().into_iter().map(|d| (d.device, d.requests)).collect();
+        assert_eq!(requests, vec![("ibmq-7".to_string(), 4), ("ibmq-7-b".to_string(), 4)]);
     }
 }

@@ -40,9 +40,10 @@
 //! quantile histograms served by `metrics` (as JSON or a Prometheus-like
 //! text format), a bounded flight recorder served by `trace`, and
 //! slow-request accounting with an optional stderr access log — at zero
-//! heap allocations per request in steady state. [`ServeMetrics`] is the
-//! only place the serve layer counts anything; when the collector is
-//! enabled, [`Server::join`] exports the final totals into it once.
+//! heap allocations per request in steady state. Each count has one owner
+//! ([`ServeMetrics`] for requests, the [`Catalog`] for per-device requests),
+//! and one list of names feeds the text format and, when the collector is
+//! enabled, the final totals [`Server::join`] exports into it once.
 //!
 //! Responses are **bit-identical** to calling the selected method's
 //! [`qufem_core::Mitigator::prepare`] + apply in-process on the same input
@@ -77,7 +78,7 @@ mod server;
 pub mod wire;
 
 pub use cache::PlanCache;
-pub use catalog::{Catalog, DeviceSummary, ResolveError, VersionEntry};
+pub use catalog::{Catalog, ResolveError, VersionEntry};
 pub use observability::{
     CacheOutcome, FlightRecorder, RequestCmd, RequestOutcome, RequestRecord, ServeMetrics,
 };

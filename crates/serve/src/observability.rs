@@ -1,18 +1,19 @@
 //! Always-on request observability: per-request records, per-method quantile
 //! histograms, a bounded flight recorder, and the slow-request access log.
 //!
-//! [`ServeMetrics`] is the serve layer's **only** recorder: every counter,
-//! gauge and histogram a server keeps lives here, is live for every server
-//! (so the `metrics` and `trace` wire commands answer without restarting the
-//! process), and reaches the opt-in global collector in `qufem-telemetry`
-//! exactly once, through [`ServeMetrics::publish`] when the server is
-//! joined. The steady-state cost per request is a handful of atomic
-//! operations plus one short mutex-protected fold into preallocated
-//! histograms and ring slots — **no heap allocation**, collector on or off
-//! (pinned by the crate's counting-allocator test). Method names are
-//! interned once as `Arc<str>` inside the per-method table; only resolved
-//! method ids are interned, so garbage ids from untrusted clients cannot
-//! grow it.
+//! [`ServeMetrics`] records every request-level count and histogram a
+//! server keeps; the catalog counts requests per device version and the
+//! event loop owns the live-connection count. All of it is live for every
+//! server (so the `metrics` and `trace` wire commands answer without
+//! restarting the process) and reaches the opt-in global collector in
+//! `qufem-telemetry` exactly once, when [`crate::Server::join`] exports what
+//! the `metrics` command composes. The steady-state cost per request is a
+//! handful of atomic operations plus one short mutex-protected fold into
+//! preallocated histograms and ring slots — **no heap allocation**,
+//! collector on or off (pinned by the crate's counting-allocator test).
+//! Method names are interned once as `Arc<str>` inside the per-method
+//! table; only resolved method ids are interned, so garbage ids from
+//! untrusted clients cannot grow it.
 //!
 //! The slow-request access log (off by default) emits one JSON line per
 //! request over the threshold on stderr, with exactly the same schema as the
@@ -103,6 +104,9 @@ pub enum RequestOutcome {
 }
 
 impl RequestOutcome {
+    /// Number of variants (the discriminants are `0..COUNT`).
+    const COUNT: usize = 6;
+
     /// Stable name used in traces and access-log lines.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -151,7 +155,7 @@ pub struct RequestRecord {
     /// Completion time, microseconds since the server started.
     pub ts_us: u64,
     /// Resolved device id (calibrate/admit only; `None` when resolution
-    /// failed). Interned via [`ServeMetrics::device_key`].
+    /// failed): the lineage's shared id, so recording it never allocates.
     pub device: Option<Arc<str>>,
     /// Resolved snapshot version (0 when not device-routed).
     pub version: u64,
@@ -267,9 +271,8 @@ impl FlightRecorder {
 /// telemetry collector).
 #[derive(Debug, Default)]
 pub struct MethodStats {
-    /// Calibrate requests routed to this method.
-    pub requests: u64,
-    /// Apply latency, seconds.
+    /// Apply latency, seconds; its count is the calibrate requests this
+    /// method served.
     pub apply: QuantileHistogram,
     /// Prepare latency, seconds (cache misses and bypasses only).
     pub prepare: QuantileHistogram,
@@ -281,8 +284,6 @@ struct MetricsState {
     request: QuantileHistogram,
     /// Keyed by interned method id; the keys double as the interner.
     per_method: HashMap<Arc<str>, MethodStats>,
-    /// Calibrate requests per device, keyed by interned device id.
-    per_device: HashMap<Arc<str>, u64>,
     flight: FlightRecorder,
 }
 
@@ -295,17 +296,13 @@ pub struct ServeMetrics {
     next_id: AtomicU64,
     accepted: AtomicU64,
     rejected: AtomicU64,
-    /// Live connections the acceptor counted at its latest accept, and the
-    /// high-water mark of that value.
-    live_conns: AtomicU64,
-    live_conns_peak: AtomicU64,
+    /// Most connections live at once, as the acceptor counted them.
+    connections_peak: AtomicU64,
     /// Frames queued or executing across connections, as of the event
     /// loop's latest sweep.
     backlog: AtomicU64,
-    malformed: AtomicU64,
-    oversized: AtomicU64,
-    unknown_method: AtomicU64,
-    unknown_device: AtomicU64,
+    /// Finished requests per [`RequestOutcome`], indexed by discriminant.
+    outcomes: [AtomicU64; RequestOutcome::COUNT],
     swaps: AtomicU64,
     binary_requests: AtomicU64,
     slow: AtomicU64,
@@ -330,13 +327,9 @@ impl ServeMetrics {
             next_id: AtomicU64::new(1),
             accepted: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            live_conns: AtomicU64::new(0),
-            live_conns_peak: AtomicU64::new(0),
+            connections_peak: AtomicU64::new(0),
             backlog: AtomicU64::new(0),
-            malformed: AtomicU64::new(0),
-            oversized: AtomicU64::new(0),
-            unknown_method: AtomicU64::new(0),
-            unknown_device: AtomicU64::new(0),
+            outcomes: Default::default(),
             swaps: AtomicU64::new(0),
             binary_requests: AtomicU64::new(0),
             slow: AtomicU64::new(0),
@@ -346,7 +339,6 @@ impl ServeMetrics {
             state: Mutex::new(MetricsState {
                 request: QuantileHistogram::default(),
                 per_method: HashMap::new(),
-                per_device: HashMap::new(),
                 flight: FlightRecorder::new(flight_capacity),
             }),
         }
@@ -376,16 +368,20 @@ impl ServeMetrics {
     }
 
     /// Counts one accepted connection; `live` is the number of live
-    /// connections including it.
+    /// connections including it, folded into the high-water mark.
     pub fn record_accept(&self, live: usize) {
         self.accepted.fetch_add(1, Ordering::Relaxed);
-        self.live_conns.store(live as u64, Ordering::Relaxed);
-        self.live_conns_peak.fetch_max(live as u64, Ordering::Relaxed);
+        self.connections_peak.fetch_max(live as u64, Ordering::Relaxed);
     }
 
     /// Connections accepted so far.
     pub fn accepted(&self) -> u64 {
         self.accepted.load(Ordering::Relaxed)
+    }
+
+    /// Most connections that were live at once so far.
+    pub fn connections_peak(&self) -> u64 {
+        self.connections_peak.load(Ordering::Relaxed)
     }
 
     /// Counts one connection shed by backpressure.
@@ -430,19 +426,6 @@ impl ServeMetrics {
         key
     }
 
-    /// Interns a *resolved* device id, returning the shared key used in
-    /// [`RequestRecord::device`]. Allocates only the first time a device is
-    /// seen; callers must not intern unvalidated client input.
-    pub fn device_key(&self, id: &str) -> Arc<str> {
-        let mut state = self.state.lock().expect("serve metrics lock");
-        if let Some((key, _)) = state.per_device.get_key_value(id) {
-            return Arc::clone(key);
-        }
-        let key: Arc<str> = Arc::from(id);
-        state.per_device.insert(Arc::clone(&key), 0);
-        key
-    }
-
     /// Counts one admitted snapshot (hot-swap).
     pub fn record_swap(&self) {
         self.swaps.fetch_add(1, Ordering::Relaxed);
@@ -453,10 +436,14 @@ impl ServeMetrics {
         self.swaps.load(Ordering::Relaxed)
     }
 
-    /// Calibrate requests that named an unknown device or unretained
-    /// version.
-    pub fn unknown_device_count(&self) -> u64 {
-        self.unknown_device.load(Ordering::Relaxed)
+    /// Finished requests whose terminal state was `outcome`.
+    pub fn outcomes(&self, outcome: RequestOutcome) -> u64 {
+        self.outcomes[outcome as usize].load(Ordering::Relaxed)
+    }
+
+    /// Requests at or over the slow threshold.
+    pub fn slow(&self) -> u64 {
+        self.slow.load(Ordering::Relaxed)
     }
 
     /// Counts one request that arrived over the binary frame dialect.
@@ -483,21 +470,7 @@ impl ServeMetrics {
         } else {
             record.ts_us = self.uptime_us();
         }
-        match record.outcome {
-            RequestOutcome::Malformed => {
-                self.malformed.fetch_add(1, Ordering::Relaxed);
-            }
-            RequestOutcome::Oversized => {
-                self.oversized.fetch_add(1, Ordering::Relaxed);
-            }
-            RequestOutcome::UnknownMethod => {
-                self.unknown_method.fetch_add(1, Ordering::Relaxed);
-            }
-            RequestOutcome::UnknownDevice => {
-                self.unknown_device.fetch_add(1, Ordering::Relaxed);
-            }
-            RequestOutcome::Ok | RequestOutcome::Error => {}
-        }
+        self.outcomes[record.outcome as usize].fetch_add(1, Ordering::Relaxed);
         let slow = record.total_us >= self.slow_threshold_us;
         if slow {
             self.slow.fetch_add(1, Ordering::Relaxed);
@@ -508,16 +481,10 @@ impl ServeMetrics {
             if record.cmd == RequestCmd::Calibrate {
                 if let Some(method) = &record.method {
                     if let Some(stats) = state.per_method.get_mut(method.as_ref()) {
-                        stats.requests += 1;
                         stats.apply.record(record.apply_us as f64 / 1e6);
                         if record.cache != CacheOutcome::Hit {
                             stats.prepare.record(record.prepare_us as f64 / 1e6);
                         }
-                    }
-                }
-                if let Some(device) = &record.device {
-                    if let Some(count) = state.per_device.get_mut(device.as_ref()) {
-                        *count += 1;
                     }
                 }
             }
@@ -531,37 +498,20 @@ impl ServeMetrics {
         }
     }
 
-    /// Counter snapshot: `(malformed, oversized, unknown_method, slow)`.
-    pub fn counters(&self) -> (u64, u64, u64, u64) {
-        (
-            self.malformed.load(Ordering::Relaxed),
-            self.oversized.load(Ordering::Relaxed),
-            self.unknown_method.load(Ordering::Relaxed),
-            self.slow.load(Ordering::Relaxed),
-        )
-    }
-
     /// Copy of the end-to-end request histogram.
     pub fn request_histogram(&self) -> QuantileHistogram {
         self.state.lock().expect("serve metrics lock").request.clone()
     }
 
-    /// Per-method stats sorted by method id (deterministic output order).
-    pub fn method_stats(&self) -> Vec<(String, u64, QuantileHistogram, QuantileHistogram)> {
+    /// Per-method `(id, apply, prepare)` histograms sorted by method id
+    /// (deterministic output order).
+    pub fn method_stats(&self) -> Vec<(String, QuantileHistogram, QuantileHistogram)> {
         let state = self.state.lock().expect("serve metrics lock");
         let mut out: Vec<_> = state
             .per_method
             .iter()
-            .map(|(k, v)| (k.to_string(), v.requests, v.apply.clone(), v.prepare.clone()))
+            .map(|(k, v)| (k.to_string(), v.apply.clone(), v.prepare.clone()))
             .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    /// Calibrate request counts per device, sorted by device id.
-    pub fn device_stats(&self) -> Vec<(String, u64)> {
-        let state = self.state.lock().expect("serve metrics lock");
-        let mut out: Vec<_> = state.per_device.iter().map(|(k, v)| (k.to_string(), *v)).collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out
     }
@@ -575,43 +525,6 @@ impl ServeMetrics {
     pub fn flight_stats(&self) -> (usize, usize) {
         let state = self.state.lock().expect("serve metrics lock");
         (state.flight.len(), state.flight.capacity())
-    }
-
-    /// Publishes the totals into the global telemetry collector (a no-op
-    /// while it is off): the `serve.*` counters, the acceptor's
-    /// `serve.queue_depth` gauge and its `.peak`, and the
-    /// `serve.request_secs` / `serve.apply_secs.<method>` histograms. Call
-    /// it once, when serving is over — [`crate::Server::join`] does.
-    pub fn publish(&self) {
-        if !qufem_telemetry::enabled() {
-            return;
-        }
-        let (malformed, oversized, unknown_method, slow) = self.counters();
-        for (name, value) in [
-            ("serve.requests", self.requests()),
-            ("serve.rejected", self.rejected()),
-            ("serve.malformed", malformed),
-            ("serve.oversized", oversized),
-            ("serve.unknown_method", unknown_method),
-            ("serve.unknown_device", self.unknown_device_count()),
-            ("serve.swaps", self.swaps()),
-            ("serve.slow_requests", slow),
-        ] {
-            qufem_telemetry::counter_add(name, value);
-        }
-        qufem_telemetry::gauge_set(
-            "serve.queue_depth",
-            self.live_conns.load(Ordering::Relaxed) as f64,
-        );
-        qufem_telemetry::gauge_max(
-            "serve.queue_depth.peak",
-            self.live_conns_peak.load(Ordering::Relaxed) as f64,
-        );
-        let state = self.state.lock().expect("serve metrics lock");
-        qufem_telemetry::histogram_merge("serve.request_secs", &state.request);
-        for (method, stats) in &state.per_method {
-            qufem_telemetry::histogram_merge(&format!("serve.apply_secs.{method}"), &stats.apply);
-        }
     }
 }
 
@@ -662,10 +575,9 @@ mod tests {
         }
         let methods = metrics.method_stats();
         assert_eq!(methods.len(), 1);
-        let (name, requests, apply, prepare) = &methods[0];
+        let (name, apply, prepare) = &methods[0];
         assert_eq!(name, "qufem");
-        assert_eq!(*requests, 4);
-        assert_eq!(apply.count, 4);
+        assert_eq!(apply.count, 4, "one apply per calibrate");
         assert_eq!(prepare.count, 1, "prepare recorded only on misses");
         assert_eq!(metrics.request_histogram().count, 4);
         assert_eq!(metrics.flight_stats(), (4, 8));
@@ -682,31 +594,27 @@ mod tests {
         r.outcome = RequestOutcome::UnknownMethod;
         metrics.finish(r);
         assert_eq!(metrics.method_stats().len(), 1);
-        assert_eq!(metrics.counters().2, 1, "unknown_method counted");
+        assert_eq!(metrics.outcomes(RequestOutcome::UnknownMethod), 1);
     }
 
     #[test]
     fn device_attribution_and_catalog_counters() {
         let metrics = ServeMetrics::new(4, None, false);
-        let dev = metrics.device_key("ibmq-7");
-        assert!(Arc::ptr_eq(&dev, &metrics.device_key("ibmq-7")));
+        let dev: Arc<str> = Arc::from("ibmq-7");
         for i in 0..3u64 {
             let mut r = record(metrics.begin(), 100 + i);
             r.device = Some(Arc::clone(&dev));
             r.version = 1;
             metrics.finish(r);
         }
-        assert_eq!(metrics.device_stats(), vec![("ibmq-7".to_string(), 3)]);
         // Trace carries the attribution.
         let trace = metrics.flight_dump()[0].to_trace();
         assert_eq!(trace.device.as_deref(), Some("ibmq-7"));
         assert_eq!(trace.version, 1);
-        // Unknown-device outcomes count without touching per-device stats.
         let mut r = record(metrics.begin(), 10);
         r.outcome = RequestOutcome::UnknownDevice;
         metrics.finish(r);
-        assert_eq!(metrics.unknown_device_count(), 1);
-        assert_eq!(metrics.device_stats(), vec![("ibmq-7".to_string(), 3)]);
+        assert_eq!(metrics.outcomes(RequestOutcome::UnknownDevice), 1);
         // Swap accounting.
         metrics.record_swap();
         metrics.record_swap();
@@ -719,7 +627,7 @@ mod tests {
         metrics.finish(record(1, 999));
         metrics.finish(record(2, 1_000));
         metrics.finish(record(3, 50_000));
-        assert_eq!(metrics.counters().3, 2, "requests at/over threshold are slow");
+        assert_eq!(metrics.slow(), 2, "requests at/over threshold are slow");
     }
 
     #[test]
@@ -733,7 +641,7 @@ mod tests {
         r.serialize_us = 9;
         metrics.finish(r);
         assert_eq!(metrics.uptime_us(), 0, "frozen uptime is 0");
-        assert_eq!(metrics.counters().3, 0, "frozen requests are never slow");
+        assert_eq!(metrics.slow(), 0, "frozen requests are never slow");
         let dump = metrics.flight_dump();
         assert_eq!(dump[0].total_us, 0);
         assert_eq!(dump[0].queue_us, 0);
@@ -756,8 +664,7 @@ mod tests {
         metrics.record_accept(1);
         metrics.record_reject();
         assert_eq!((metrics.accepted(), metrics.rejected()), (3, 1));
-        assert_eq!(metrics.live_conns.load(Ordering::Relaxed), 1, "latest accept");
-        assert_eq!(metrics.live_conns_peak.load(Ordering::Relaxed), 5, "high-water mark");
+        assert_eq!(metrics.connections_peak(), 5, "high-water mark");
     }
 
     #[test]

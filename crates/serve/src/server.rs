@@ -56,11 +56,12 @@
 use crate::catalog::{Catalog, VersionEntry};
 use crate::observability::{CacheOutcome, RequestCmd, RequestOutcome, RequestRecord, ServeMetrics};
 use crate::protocol::{
-    DeviceStatusInfo, HistogramSummary, MethodMetrics, MetricsInfo, Request, Response, StatusInfo,
-    CMD_ADMIT, CMD_CALIBRATE, CMD_METRICS, CMD_SHUTDOWN, CMD_STATUS, CMD_TRACE,
+    HistogramSummary, MethodMetrics, MetricsInfo, Request, Response, StatusInfo, CMD_ADMIT,
+    CMD_CALIBRATE, CMD_METRICS, CMD_SHUTDOWN, CMD_STATUS, CMD_TRACE,
 };
 use crate::wire;
 use qufem_core::{EngineStats, MethodRegistry, QuFem, DEFAULT_DEVICE_ID};
+use qufem_telemetry::QuantileHistogram;
 use qufem_types::{Error, QubitSet};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -157,7 +158,8 @@ struct Inner {
     /// cache. The startup [`QuFem`] is version 0 of
     /// [`ServeConfig::device_id`]; `admit` publishes new versions.
     catalog: Catalog,
-    /// The server's only recorder: every serve count lives here.
+    /// Request counts and histograms (per-device request counts live in
+    /// the catalog, the live-connection count in [`LoopShared`]).
     metrics: ServeMetrics,
     config: ServeConfig,
     local_addr: SocketAddr,
@@ -185,27 +187,6 @@ impl Inner {
         let mut ids: BTreeSet<String> = self.config.registry.ids().into_iter().collect();
         ids.insert("qufem".to_string());
         ids.into_iter().collect()
-    }
-
-    /// Per-device catalog summaries decorated with per-device request
-    /// counts, for `status` and `metrics`.
-    fn device_infos(&self) -> Vec<DeviceStatusInfo> {
-        let requests: HashMap<String, u64> = self.metrics.device_stats().into_iter().collect();
-        self.catalog
-            .summaries()
-            .into_iter()
-            .map(|s| {
-                let served = requests.get(&s.device).copied().unwrap_or(0);
-                DeviceStatusInfo {
-                    device: s.device,
-                    head_version: s.head_version,
-                    versions: s.versions,
-                    plan_cache_len: s.plan_cache_len,
-                    method_cache_len: s.method_cache_len,
-                    requests: served,
-                }
-            })
-            .collect()
     }
 }
 
@@ -410,10 +391,11 @@ impl Server {
     }
 
     /// Blocks until the server has fully stopped (acceptor, event loop, and
-    /// workers exited), then publishes its final metric totals into the
-    /// global telemetry collector when that is enabled
-    /// ([`ServeMetrics::publish`]) — so a run manifest written afterwards
-    /// carries every `serve.*` count exactly once. Call
+    /// workers exited), then exports its final totals into the global
+    /// telemetry collector when that is enabled: every count and histogram
+    /// the `metrics` text format renders, under the same names with a
+    /// `serve.` prefix — so a run manifest written afterwards carries every
+    /// `serve.*` count exactly once. Call
     /// [`ServeHandle::shutdown`] — or send the `shutdown` command — to make
     /// that happen.
     pub fn join(self) {
@@ -423,7 +405,18 @@ impl Server {
         for w in self.workers {
             let _ = w.join();
         }
-        self.inner.metrics.publish();
+        if qufem_telemetry::enabled() {
+            for (name, kind, value) in serve_counts(&self.inner) {
+                let name = format!("serve.{name}");
+                match kind {
+                    Kind::Counter => qufem_telemetry::counter_add(&name, value),
+                    Kind::Gauge => qufem_telemetry::gauge_set(&name, value as f64),
+                }
+            }
+            for (name, histogram) in serve_histograms(&self.inner.metrics) {
+                qufem_telemetry::histogram_merge(&name, &histogram);
+            }
+        }
     }
 
     /// Convenience: begin a graceful shutdown and wait for it to finish.
@@ -837,9 +830,12 @@ fn completes_frame(conn: &Conn, fresh: usize) -> bool {
     if !binary {
         return buf[buf.len() - fresh..].contains(&b'\n');
     }
-    buf.len() >= wire::HEADER_LEN
-        && buf.len() - wire::HEADER_LEN
-            >= u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize
+    match wire::parse_header(buf) {
+        Ok(Some(header)) => buf.len() - wire::HEADER_LEN >= header.len,
+        Ok(None) => false,
+        // Framing is lost: stop reading, extraction answers it.
+        Err(_) => true,
+    }
 }
 
 /// Negotiates the dialect on the first byte, then slices the read buffer
@@ -1095,7 +1091,7 @@ fn dispatch_request(inner: &Inner, request: Request, rec: &mut RequestRecord) ->
                 workers: inner.config.workers.max(1),
                 methods: inner.method_ids(),
                 default_method: inner.config.default_method.clone(),
-                devices: inner.device_infos(),
+                devices: inner.catalog.summaries(),
                 default_device: inner.catalog.default_device().to_string(),
             };
             (Response::with_status(status), false)
@@ -1128,8 +1124,6 @@ fn dispatch_request(inner: &Inner, request: Request, rec: &mut RequestRecord) ->
 /// Resolves a request's `(device, version)` coordinate against the
 /// catalog, doing the shared bookkeeping for a failure
 /// ([`RequestOutcome::UnknownDevice`]).
-/// The unresolved id is deliberately not interned into the metrics table
-/// (clients could flood it with garbage names).
 fn resolve_entry(
     inner: &Inner,
     request: &Request,
@@ -1152,7 +1146,8 @@ fn calibrate(inner: &Inner, request: Request, rec: &mut RequestRecord) -> Respon
         Ok(entry) => entry,
         Err(response) => return *response,
     };
-    rec.device = Some(inner.metrics.device_key(entry.device_id()));
+    entry.count_request();
+    rec.device = Some(entry.snapshot().device_id_arc());
     rec.version = entry.version();
     let Some(dist) = request.dist else {
         return Response::err("calibrate requires a `dist` field");
@@ -1238,7 +1233,7 @@ fn admit(inner: &Inner, request: Request, rec: &mut RequestRecord) -> Response {
     match inner.catalog.admit(qufem, &versioned, request.device.as_deref()) {
         Ok(entry) => {
             inner.metrics.record_swap();
-            rec.device = Some(inner.metrics.device_key(entry.device_id()));
+            rec.device = Some(entry.snapshot().device_id_arc());
             rec.version = entry.version();
             rec.outcome = RequestOutcome::Ok;
             Response::admitted(entry.device_id().to_string(), entry.version())
@@ -1249,16 +1244,15 @@ fn admit(inner: &Inner, request: Request, rec: &mut RequestRecord) -> Response {
 
 /// Composes the live metrics snapshot for the `metrics` command.
 fn metrics_info(inner: &Inner) -> MetricsInfo {
-    let (malformed, oversized, unknown_method, slow) = inner.metrics.counters();
     let (plan_cache_len, cache_hits, cache_misses) = inner.catalog.plan_cache_totals();
     let (flight_len, flight_capacity) = inner.metrics.flight_stats();
     let methods = inner
         .metrics
         .method_stats()
         .into_iter()
-        .map(|(method, requests, apply, prepare)| MethodMetrics {
+        .map(|(method, apply, prepare)| MethodMetrics {
             method,
-            requests,
+            requests: apply.count,
             apply: HistogramSummary::from(&apply),
             prepare: HistogramSummary::from(&prepare),
         })
@@ -1268,10 +1262,10 @@ fn metrics_info(inner: &Inner) -> MetricsInfo {
         requests: inner.metrics.requests(),
         accepted: inner.metrics.accepted(),
         rejected: inner.metrics.rejected(),
-        malformed,
-        oversized,
-        unknown_method,
-        slow,
+        malformed: inner.metrics.outcomes(RequestOutcome::Malformed),
+        oversized: inner.metrics.outcomes(RequestOutcome::Oversized),
+        unknown_method: inner.metrics.outcomes(RequestOutcome::UnknownMethod),
+        slow: inner.metrics.slow(),
         binary_requests: inner.metrics.binary_requests(),
         queue_depth: inner.metrics.backlog(),
         plan_cache_len,
@@ -1283,45 +1277,83 @@ fn metrics_info(inner: &Inner) -> MetricsInfo {
         request: HistogramSummary::from(&inner.metrics.request_histogram()),
         methods,
         swaps: inner.metrics.swaps(),
-        unknown_device: inner.metrics.unknown_device_count(),
-        devices: inner.device_infos(),
+        unknown_device: inner.metrics.outcomes(RequestOutcome::UnknownDevice),
+        devices: inner.catalog.summaries(),
     }
 }
 
+/// How one entry of [`serve_counts`] reaches the telemetry collector.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// A running total (`counter_add`).
+    Counter,
+    /// A level at the time of export (`gauge_set`).
+    Gauge,
+}
+
+/// Every serve counter and gauge, in text-format order: the totals the
+/// `metrics` command composes, the live-connection high-water mark, and
+/// each device's catalog state. Names omit the `serve.` prefix: the text
+/// format prints each as `qufem_serve_<name> <value>`, and
+/// [`Server::join`] exports each as `serve.<name>`.
+fn serve_counts(inner: &Inner) -> Vec<(String, Kind, u64)> {
+    use Kind::{Counter, Gauge};
+    let info = metrics_info(inner);
+    let mut counts: Vec<(String, Kind, u64)> = [
+        ("uptime_us", Gauge, info.uptime_us),
+        ("requests", Counter, info.requests),
+        ("accepted", Counter, info.accepted),
+        ("rejected", Counter, info.rejected),
+        ("malformed", Counter, info.malformed),
+        ("oversized", Counter, info.oversized),
+        ("unknown_method", Counter, info.unknown_method),
+        ("slow_requests", Counter, info.slow),
+        ("binary_requests", Counter, info.binary_requests),
+        ("queue_depth", Gauge, info.queue_depth),
+        ("connections.peak", Gauge, inner.metrics.connections_peak()),
+        ("plan_cache_len", Gauge, info.plan_cache_len as u64),
+        ("plan_cache_hits", Counter, info.plan_cache_hits),
+        ("plan_cache_misses", Counter, info.plan_cache_misses),
+        ("swaps", Counter, info.swaps),
+        ("unknown_device", Counter, info.unknown_device),
+        ("devices", Gauge, info.devices.len() as u64),
+    ]
+    .into_iter()
+    .map(|(name, kind, value)| (name.to_string(), kind, value))
+    .collect();
+    for d in &info.devices {
+        let id = &d.device;
+        counts.push((format!("device_head_version.{id}"), Gauge, d.head_version));
+        counts.push((format!("device_versions.{id}"), Gauge, d.versions.len() as u64));
+        counts.push((format!("device_plan_cache_len.{id}"), Gauge, d.plan_cache_len as u64));
+        counts.push((format!("device_requests.{id}"), Counter, d.requests));
+    }
+    counts
+}
+
+/// Every serve histogram under its text and export name: end-to-end
+/// latency, then each method's apply and prepare latency.
+fn serve_histograms(metrics: &ServeMetrics) -> Vec<(String, QuantileHistogram)> {
+    let mut out = vec![("serve.request_secs".to_string(), metrics.request_histogram())];
+    for (method, apply, prepare) in metrics.method_stats() {
+        out.push((format!("serve.apply_secs.{method}"), apply));
+        out.push((format!("serve.prepare_secs.{method}"), prepare));
+    }
+    out
+}
+
 /// Renders the live metrics in the stable Prometheus-like text format:
-/// counters and gauges as single `name value` lines, histograms as quantile
-/// summaries (see `qufem_telemetry::QuantileHistogram::render_text`).
+/// [`serve_counts`] as single `name value` lines, then
+/// [`serve_histograms`] as quantile summaries (see
+/// `qufem_telemetry::QuantileHistogram::render_text`).
 fn metrics_text(inner: &Inner) -> String {
     use std::fmt::Write as _;
-    let info = metrics_info(inner);
     let mut out = String::new();
-    let _ = writeln!(out, "qufem_serve_uptime_us {}", info.uptime_us);
-    let _ = writeln!(out, "qufem_serve_requests {}", info.requests);
-    let _ = writeln!(out, "qufem_serve_accepted {}", info.accepted);
-    let _ = writeln!(out, "qufem_serve_rejected {}", info.rejected);
-    let _ = writeln!(out, "qufem_serve_malformed {}", info.malformed);
-    let _ = writeln!(out, "qufem_serve_oversized {}", info.oversized);
-    let _ = writeln!(out, "qufem_serve_unknown_method {}", info.unknown_method);
-    let _ = writeln!(out, "qufem_serve_slow_requests {}", info.slow);
-    let _ = writeln!(out, "qufem_serve_binary_requests {}", info.binary_requests);
-    let _ = writeln!(out, "qufem_serve_queue_depth {}", info.queue_depth);
-    let _ = writeln!(out, "qufem_serve_plan_cache_len {}", info.plan_cache_len);
-    let _ = writeln!(out, "qufem_serve_plan_cache_hits {}", info.plan_cache_hits);
-    let _ = writeln!(out, "qufem_serve_plan_cache_misses {}", info.plan_cache_misses);
-    let _ = writeln!(out, "qufem_serve_swaps {}", info.swaps);
-    let _ = writeln!(out, "qufem_serve_unknown_device {}", info.unknown_device);
-    let _ = writeln!(out, "qufem_serve_devices {}", info.devices.len());
-    for d in &info.devices {
-        let _ = writeln!(out, "qufem_serve_device_head_version.{} {}", d.device, d.head_version);
-        let _ = writeln!(out, "qufem_serve_device_versions.{} {}", d.device, d.versions.len());
-        let _ =
-            writeln!(out, "qufem_serve_device_plan_cache_len.{} {}", d.device, d.plan_cache_len);
-        let _ = writeln!(out, "qufem_serve_device_requests.{} {}", d.device, d.requests);
+    for (name, _, value) in serve_counts(inner) {
+        let _ = writeln!(out, "qufem_serve_{name} {value}");
     }
-    out.push_str(&inner.metrics.request_histogram().render_text("serve.request_secs"));
-    for (method, _, apply, prepare) in inner.metrics.method_stats() {
-        out.push_str(&apply.render_text(&format!("serve.apply_secs.{method}")));
-        out.push_str(&prepare.render_text(&format!("serve.prepare_secs.{method}")));
+    for (name, histogram) in serve_histograms(&inner.metrics) {
+        out.push_str(&histogram.render_text(&name));
     }
     out
 }
@@ -1523,18 +1555,12 @@ impl Client {
                 e
             });
         }
-        // Parse just the header: payload length is known afterwards.
-        match wire::try_parse_frame(&header, usize::MAX) {
-            Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
-            Ok(_) => {
-                let len = u32::from_le_bytes([header[4], header[5], header[6], header[7]]) as usize;
-                let id = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-                let code = header[16];
-                let mut payload = vec![0u8; len];
-                self.reader.read_exact(&mut payload)?;
-                Ok(wire::Frame { id, code, payload })
-            }
-        }
+        let header = wire::parse_header(&header)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
+            .expect("a whole header was read");
+        let mut payload = vec![0u8; header.len];
+        self.reader.read_exact(&mut payload)?;
+        Ok(wire::Frame { id: header.id, code: header.code, payload })
     }
 }
 

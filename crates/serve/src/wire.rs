@@ -125,6 +125,42 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
+/// The fixed fields of a frame header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// Declared payload length in bytes.
+    pub len: usize,
+    /// Request id.
+    pub id: u64,
+    /// Command code (requests) or response kind (responses).
+    pub code: u8,
+}
+
+/// Reads the header at the front of `buf`: `Ok(None)` until all
+/// [`HEADER_LEN`] bytes are there. The one place the header layout is
+/// decoded.
+///
+/// # Errors
+///
+/// [`WireError::Desync`] as soon as the bytes present differ from the
+/// magic (a prefix is checked too).
+pub fn parse_header(buf: &[u8]) -> Result<Option<Header>, WireError> {
+    let probe = buf.len().min(MAGIC.len());
+    if buf[..probe] != MAGIC[..probe] {
+        return Err(WireError::Desync("bad frame magic (stream desynchronized)".to_string()));
+    }
+    if buf.len() < HEADER_LEN {
+        return Ok(None);
+    }
+    Ok(Some(Header {
+        len: u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize,
+        id: u64::from_le_bytes([
+            buf[8], buf[9], buf[10], buf[11], buf[12], buf[13], buf[14], buf[15],
+        ]),
+        code: buf[16],
+    }))
+}
+
 /// Tries to extract one frame from the front of `buf`.
 ///
 /// Returns `Ok(None)` when the buffer does not yet hold a complete frame,
@@ -141,24 +177,13 @@ pub fn try_parse_frame(
     buf: &[u8],
     max_payload: usize,
 ) -> Result<Option<(Frame, usize)>, WireError> {
-    if buf.is_empty() {
+    let Some(Header { len, id, code }) = parse_header(buf)? else {
         return Ok(None);
+    };
+    if len > max_payload {
+        return Err(WireError::Oversized { id, len });
     }
-    let probe = buf.len().min(MAGIC.len());
-    if buf[..probe] != MAGIC[..probe] {
-        return Err(WireError::Desync("bad frame magic (stream desynchronized)".to_string()));
-    }
-    if buf.len() < HEADER_LEN {
-        return Ok(None);
-    }
-    let payload_len = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]) as usize;
-    let id =
-        u64::from_le_bytes([buf[8], buf[9], buf[10], buf[11], buf[12], buf[13], buf[14], buf[15]]);
-    let code = buf[16];
-    if payload_len > max_payload {
-        return Err(WireError::Oversized { id, len: payload_len });
-    }
-    let total = HEADER_LEN + payload_len;
+    let total = HEADER_LEN + len;
     if buf.len() < total {
         return Ok(None);
     }
@@ -270,8 +295,10 @@ pub fn encode_dist_into(out: &mut Vec<u8>, dist: &ProbDist) {
 /// Decodes a distribution written by [`encode_dist_into`], advancing the
 /// reader past it. Validates width, word masks (via
 /// [`BitString::check_words`]), finiteness, and that the declared entry
-/// count fits the remaining bytes before allocating. Keys are interned as
-/// raw words into the distribution's flat storage; duplicates accumulate.
+/// count fits the remaining bytes before allocating. Entries are added as
+/// [`ProbDist::add`] would, in payload order, through
+/// [`SupportIndex::add_in_order`]: the ascending keys the encoder writes
+/// build no probe table, and duplicates accumulate.
 fn decode_dist(r: &mut Reader<'_>) -> Result<ProbDist, String> {
     let width = r.u32("distribution width")?;
     if width > MAX_DIST_WIDTH {
@@ -284,7 +311,8 @@ fn decode_dist(r: &mut Reader<'_>) -> Result<ProbDist, String> {
     if n.checked_mul(entry_bytes).is_none_or(|need| need > r.remaining()) {
         return Err(format!("distribution claims {n} entries but the payload is shorter"));
     }
-    let mut index = SupportIndex::with_capacity(width, n);
+    let mut index = SupportIndex::new(width);
+    index.reserve(n);
     let mut key = vec![0u64; words];
     for _ in 0..n {
         for word in &mut key {
@@ -295,9 +323,7 @@ fn decode_dist(r: &mut Reader<'_>) -> Result<ProbDist, String> {
         if !value.is_finite() {
             return Err("non-finite probability in distribution".to_string());
         }
-        // `intern` starts a new entry at 0.0, so this is `ProbDist::add`.
-        let id = index.intern(&key);
-        index.accumulate_id(id, value);
+        index.add_in_order(&key, value);
     }
     Ok(index.into_dist())
 }
@@ -609,6 +635,31 @@ mod tests {
         for (bits, value) in dist.sorted_pairs() {
             assert_eq!(back.prob(&bits).to_bits(), value.to_bits());
         }
+    }
+
+    #[test]
+    fn decoded_ascending_dists_hold_no_probe_table() {
+        let mut dist = ProbDist::new(67);
+        for i in 0..200u64 {
+            let bits = BitString::from_words(67, vec![i * 7919, i % 3]).unwrap();
+            dist.add(bits, 1.0 / (i + 1) as f64);
+        }
+        let mut buf = Vec::new();
+        encode_dist_into(&mut buf, &dist);
+        let back = decode_dist(&mut Reader::new(&buf)).unwrap();
+        let entries = dist.support_len();
+        assert_eq!(back.heap_bytes(), entries * (2 + 1) * 8, "flat keys and values only");
+        assert_eq!(back, dist);
+    }
+
+    #[test]
+    fn frame_headers_decode_in_one_place() {
+        let frame = encode_frame(0x0102_0304_0506_0708, CODE_TRACE, &[9; 300]);
+        let header = parse_header(&frame).unwrap().unwrap();
+        assert_eq!(header, Header { len: 300, id: 0x0102_0304_0506_0708, code: CODE_TRACE });
+        assert_eq!(parse_header(&frame[..HEADER_LEN]).unwrap(), Some(header));
+        assert_eq!(parse_header(&frame[..HEADER_LEN - 1]).unwrap(), None);
+        assert!(matches!(parse_header(b"QFX"), Err(WireError::Desync(_))));
     }
 
     #[test]

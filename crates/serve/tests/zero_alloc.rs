@@ -1,7 +1,8 @@
 //! Pins the "observability adds no per-request heap allocations" contract:
-//! with the method key already interned, a steady-state `begin` → fill
-//! record → `finish` cycle must not allocate — the histograms fold in place
-//! and the flight-recorder ring reuses its preallocated slots — whether the
+//! with the method key already interned, a steady-state calibrate's
+//! accounting — the catalog entry's request count, then `begin` → fill
+//! record → `finish` — must not allocate: the histograms fold in place and
+//! the flight-recorder ring reuses its preallocated slots, whether the
 //! global telemetry collector is off or on (serve metrics reach the
 //! collector once, at `Server::join`, never per request).
 //!
@@ -11,19 +12,23 @@
 //! calling thread, which keeps concurrent test-harness allocations from
 //! polluting the measured window.
 
-use qufem_serve::{CacheOutcome, RequestCmd, RequestOutcome, RequestRecord, ServeMetrics};
+use qufem_core::{MethodRegistry, QuFem, QuFemConfig};
+use qufem_serve::{
+    CacheOutcome, Catalog, RequestCmd, RequestOutcome, RequestRecord, ServeMetrics, VersionEntry,
+};
 use qufem_testsupport::{counting_allocator_installed, thread_allocations, CountingAlloc};
 use std::sync::{Arc, Mutex, PoisonError};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-fn steady_state_request(metrics: &ServeMetrics, key: &Arc<str>, device: &Arc<str>, i: u64) {
+fn steady_state_request(metrics: &ServeMetrics, key: &Arc<str>, entry: &VersionEntry, i: u64) {
+    entry.count_request();
     let mut rec = RequestRecord::new(metrics.begin());
     rec.cmd = RequestCmd::Calibrate;
     rec.method = Some(Arc::clone(key));
-    rec.device = Some(Arc::clone(device));
-    rec.version = 1 + (i % 3);
+    rec.device = Some(entry.snapshot().device_id_arc());
+    rec.version = entry.version();
     rec.measured = 7;
     rec.cache = CacheOutcome::Hit;
     rec.queue_us = 3;
@@ -42,20 +47,23 @@ static COLLECTOR: Mutex<()> = Mutex::new(());
 
 fn assert_steady_state_does_not_allocate() {
     assert!(counting_allocator_installed(), "counting allocator is live");
+    let config = QuFemConfig::builder().shots(300).seed(1).build().unwrap();
+    let qufem = QuFem::characterize(&qufem_device::presets::ibmq_7(1), config).unwrap();
+    let catalog = Catalog::new(qufem, "ibmq-7", Arc::new(MethodRegistry::new()), 4);
+    let entry = catalog.resolve(None, None).unwrap();
     let metrics = ServeMetrics::new(64, Some(1_000_000_000), false);
-    // First sight of a method or device interns its key (one-time
-    // allocations); the per-request path below reuses the interned
-    // `Arc<str>`s — device attribution included.
+    // First sight of a method interns its key (a one-time allocation); the
+    // per-request path below reuses it, and the device id is the lineage's
+    // shared `Arc<str>`.
     let key = metrics.method_key("qufem");
-    let device = metrics.device_key("ibmq-7");
     // Warm the ring so the measured iterations only overwrite full slots.
     for i in 0..128u64 {
-        steady_state_request(&metrics, &key, &device, i);
+        steady_state_request(&metrics, &key, &entry, i);
     }
 
     let before = thread_allocations();
     for i in 0..10_000u64 {
-        steady_state_request(&metrics, &key, &device, i);
+        steady_state_request(&metrics, &key, &entry, i);
     }
     let after = thread_allocations();
     assert_eq!(after - before, 0, "request accounting must not touch the heap");
@@ -65,8 +73,8 @@ fn assert_steady_state_does_not_allocate() {
     assert_eq!(metrics.request_histogram().count, 10_128);
     let methods = metrics.method_stats();
     assert_eq!(methods.len(), 1);
-    assert_eq!(methods[0].1, 10_128);
-    assert_eq!(metrics.device_stats(), vec![("ibmq-7".to_string(), 10_128)]);
+    assert_eq!(methods[0].1.count, 10_128);
+    assert_eq!(catalog.summaries()[0].requests, 10_128);
     assert_eq!(metrics.flight_stats(), (64, 64));
 }
 

@@ -520,10 +520,7 @@ impl Deserialize for ProbDist {
             }
             BitString::check_words(width, &words)
                 .map_err(|e| serde::Error::custom(format!("bad bit string: {e}")))?;
-            // A new entry stores `0.0 + value`, as `add_words` does.
-            if !dist.index.push_sorted(&words, 0.0 + value) {
-                dist.add_words(&words, value);
-            }
+            dist.index.add_in_order(&words, value);
         }
         Ok(dist)
     }

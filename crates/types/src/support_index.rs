@@ -388,25 +388,34 @@ impl SupportIndex {
         self.table.clear();
     }
 
-    /// Appends `words` at amplitude `value` and returns `true` when the
-    /// index is canonical and `words` sorts after every key, so it stays
-    /// canonical with no table; otherwise changes nothing and returns
-    /// `false`.
+    /// Adds `value` to the entry for `words` as [`ProbDist::add`] does (a
+    /// new entry stores `0.0 + value`). While the index is canonical and
+    /// each key sorts after every stored one, the key is appended and the
+    /// index stays canonical with no table; the first key out of order or
+    /// repeated builds the table and the rest are interned.
     ///
     /// # Panics
     ///
     /// Panics if `words.len()` differs from [`SupportIndex::words_per_key`]
     /// or the support would exceed `u32` ids.
-    pub(crate) fn push_sorted(&mut self, words: &[u64], value: f64) -> bool {
+    pub fn add_in_order(&mut self, words: &[u64], value: f64) {
         assert_eq!(words.len(), self.words_per_key, "key word count mismatch");
         let ascends = || self.is_empty() || &self.keys[self.keys.len() - words.len()..] < words;
         if !self.table.is_empty() || !ascends() {
-            return false;
+            let id = self.intern(words);
+            self.accumulate_id(id, value);
+            return;
         }
         assert!(self.values.len() + 1 < EMPTY_SLOT as usize, "support exceeds u32 ids");
         self.keys.extend_from_slice(words);
-        self.values.push(value);
-        true
+        self.values.push(0.0 + value);
+    }
+
+    /// Reserves flat key and value storage for `additional` more entries
+    /// (the probe table, if any, is sized on demand).
+    pub fn reserve(&mut self, additional: usize) {
+        self.keys.reserve(additional * self.words_per_key);
+        self.values.reserve(additional);
     }
 
     /// Mutable amplitudes, indexed by id.

@@ -3,6 +3,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> non-test lines (scripts/loc.sh, information only)"
+scripts/loc.sh | tail -n 1
+
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 

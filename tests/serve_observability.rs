@@ -401,9 +401,127 @@ fn joined_server_exports_exactly_its_metrics_command_totals() {
         assert_eq!(apply.count, m.apply.count, "{}", m.method);
         assert_eq!(apply.count, 2, "{}", m.method);
     }
-    let peak = snapshot.gauge("serve.queue_depth.peak").expect("peak gauge");
+    let peak = snapshot.gauge("serve.connections.peak").expect("peak gauge");
     assert!(peak >= 2.0, "two connections were live at once: {peak}");
     assert!(snapshot.gauge("serve.queue_depth").is_some());
+}
+
+/// Every view of the serve counts reads the same numbers: `status`, the
+/// `metrics` JSON, the text format and the joined manifest agree on each
+/// device's requests and on every count they share, and the text format
+/// and the manifest carry exactly the same names.
+#[test]
+fn status_metrics_text_and_manifest_agree_on_every_count() {
+    let (device, qufem) = characterized();
+    let recalibrated = recalibrated_params(&device, 1);
+    let second = recalibrated_params(&device, 2);
+    let _guard = collector_lock();
+    qufem_telemetry::reset();
+    qufem_telemetry::enable();
+    let server = Server::start(qufem, "127.0.0.1:0", test_config()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let measured = vec![0, 1];
+    let calibrate =
+        |seed| Request::calibrate(noisy_input(&device, &measured, seed), Some(measured.clone()));
+    let mut ok = |request: Request| assert!(client.request(&request).unwrap().ok);
+    // Default device: one request on version 0, two on the admitted
+    // version 1, one pinned back to version 0; the second device: three.
+    ok(calibrate(0));
+    ok(Request::admit(recalibrated));
+    ok(Request::admit(second).with_device("second"));
+    ok(calibrate(1));
+    ok(calibrate(2));
+    ok(calibrate(3).with_version(0));
+    for seed in 4..7 {
+        ok(calibrate(seed).with_device("second"));
+    }
+    let text = client.request(&Request::metrics_text()).unwrap().metrics_text.unwrap();
+    let metrics = client.request(&Request::metrics()).unwrap().metrics.unwrap();
+    let status = client.request(&Request::status()).unwrap().status.unwrap();
+    server.shutdown_and_join();
+    qufem_telemetry::disable();
+    let snapshot = qufem_telemetry::snapshot();
+
+    let requests: Vec<(&str, u64)> =
+        metrics.devices.iter().map(|d| (d.device.as_str(), d.requests)).collect();
+    assert_eq!(requests, [(status.default_device.as_str(), 4), ("second", 3)]);
+    assert_eq!(status.devices, metrics.devices);
+
+    let text_counts: std::collections::BTreeMap<&str, u64> = text
+        .lines()
+        .filter_map(|line| line.strip_prefix("qufem_serve_"))
+        .map(|line| {
+            let (name, value) = line.split_once(' ').expect("name value");
+            (name, value.parse().expect("integer count"))
+        })
+        .collect();
+    let exported: std::collections::BTreeMap<&str, u64> = snapshot
+        .counters
+        .iter()
+        .map(|(name, &value)| (name.as_str(), value))
+        .chain(snapshot.gauges.iter().map(|(name, &value)| (name.as_str(), value as u64)))
+        .filter_map(|(name, value)| Some((name.strip_prefix("serve.")?, value)))
+        .collect();
+    // The collector keeps no zero counter, so a name missing from the
+    // manifest reads 0, as `Snapshot::counter` does.
+    assert!(exported.keys().all(|name| text_counts.contains_key(name)), "{exported:?}");
+    for (&name, &value) in &text_counts {
+        let export = exported.get(name).copied().unwrap_or(0);
+        match name {
+            "uptime_us" => {}
+            // The text request counts itself; the join also counts the
+            // metrics and status requests after it.
+            "requests" => assert_eq!(export, value + 2),
+            // Nothing is queued once the server has stopped.
+            "queue_depth" => assert_eq!(export, 0),
+            _ => assert_eq!(export, value, "{name}"),
+        }
+    }
+
+    assert_eq!(metrics.requests, text_counts["requests"] + 1);
+    assert_eq!(status.requests, text_counts["requests"] + 2);
+    assert_eq!(status.rejected, text_counts["rejected"]);
+    assert_eq!(status.plan_cache_len as u64, text_counts["plan_cache_len"]);
+    for (name, field) in [
+        ("accepted", metrics.accepted),
+        ("rejected", metrics.rejected),
+        ("malformed", metrics.malformed),
+        ("oversized", metrics.oversized),
+        ("unknown_method", metrics.unknown_method),
+        ("slow_requests", metrics.slow),
+        ("binary_requests", metrics.binary_requests),
+        ("plan_cache_len", metrics.plan_cache_len as u64),
+        ("plan_cache_hits", metrics.plan_cache_hits),
+        ("plan_cache_misses", metrics.plan_cache_misses),
+        ("swaps", metrics.swaps),
+        ("unknown_device", metrics.unknown_device),
+        ("devices", metrics.devices.len() as u64),
+        ("connections.peak", 1),
+    ] {
+        assert_eq!(text_counts[name], field, "{name}");
+    }
+    for d in &metrics.devices {
+        let id = &d.device;
+        assert_eq!(text_counts[format!("device_requests.{id}").as_str()], d.requests);
+        assert_eq!(text_counts[format!("device_head_version.{id}").as_str()], d.head_version);
+        assert_eq!(text_counts[format!("device_versions.{id}").as_str()], d.versions.len() as u64);
+        assert_eq!(
+            text_counts[format!("device_plan_cache_len.{id}").as_str()],
+            d.plan_cache_len as u64
+        );
+    }
+    let histograms: Vec<&str> = snapshot
+        .histograms
+        .keys()
+        .map(String::as_str)
+        .filter(|k| k.starts_with("serve."))
+        .collect();
+    assert_eq!(
+        histograms,
+        ["serve.apply_secs.qufem", "serve.prepare_secs.qufem", "serve.request_secs"]
+    );
+    assert_eq!(snapshot.histograms["serve.apply_secs.qufem"].count, 7);
+    assert_eq!(metrics.methods[0].requests, 7);
 }
 
 #[test]
