@@ -553,17 +553,6 @@ fn phase_micros(start: Option<Instant>) -> u64 {
     start.map_or(0, |s| s.elapsed().as_micros() as u64)
 }
 
-/// Convenience wrapper: characterize and calibrate in one call for
-/// full-register measurements.
-///
-/// # Errors
-///
-/// Propagates characterization and calibration failures.
-pub fn calibrate_once(device: &Device, config: QuFemConfig, dist: &ProbDist) -> Result<ProbDist> {
-    let qufem = QuFem::characterize(device, config)?;
-    qufem.calibrate(dist, &QubitSet::full(device.n_qubits()))
-}
-
 /// Per-iteration execution plans pre-resolved for one measured qubit set
 /// (see [`QuFem::prepare`]): group matrices, bit extraction masks, and
 /// pruning thresholds, shared read-only across every distribution

@@ -67,8 +67,7 @@ pub use config::{QuFemConfig, QuFemConfigBuilder};
 pub use digest::{digest_bytes, digest_hex, digest_prob_dist, digest_str, Digest64};
 pub use engine::{configured_threads, EngineStats, IterationPlan};
 pub use flows::{
-    build_group_matrices, build_group_matrices_with, calibrate_once, IterationParams,
-    PreparedCalibration, QuFem,
+    build_group_matrices, build_group_matrices_with, IterationParams, PreparedCalibration, QuFem,
 };
 pub use interaction::{HotInteraction, InteractionTable};
 pub use mitigate::{MethodOptions, MethodRegistry, Mitigator, PreparedMitigator};

@@ -295,9 +295,43 @@ pub fn for_qubits(n: usize, seed: u64) -> Device {
     }
 }
 
+/// A named preset: its name, register width and constructor.
+type Named = (&'static str, usize, fn(u64) -> Device);
+
+/// The Table 2 presets by name, in qubit-count order.
+const NAMED: [Named; 5] = [
+    ("ibmq-7", 7, ibmq_7),
+    ("quafu-18", 18, quafu_18),
+    ("custom-36", 36, custom_36),
+    ("rigetti-79", 79, rigetti_79),
+    ("quafu-136", 136, quafu_136),
+];
+
+/// Register width of a preset name: `ibmq-7`, `quafu-18`, `custom-36`,
+/// `rigetti-79`, `quafu-136`, or `grid-N` ([`scale_grid`], 2 ≤ N ≤ 1000).
+/// `None` for any other name.
+pub fn width_by_name(name: &str) -> Option<usize> {
+    match NAMED.iter().find(|(named, ..)| *named == name) {
+        Some(&(_, width, _)) => Some(width),
+        None => name
+            .strip_prefix("grid-")
+            .and_then(|n| n.parse::<usize>().ok())
+            .filter(|&n| (2..=1000).contains(&n)),
+    }
+}
+
+/// The preset device a name selects (the names [`width_by_name`] accepts),
+/// or `None` for an unknown name.
+pub fn by_name(name: &str, seed: u64) -> Option<Device> {
+    match NAMED.iter().find(|(named, ..)| *named == name) {
+        Some((_, _, build)) => Some(build(seed)),
+        None => width_by_name(name).map(|n| scale_grid(n, seed)),
+    }
+}
+
 /// All Table 2 presets, in qubit-count order.
 pub fn table2_devices(seed: u64) -> Vec<Device> {
-    vec![ibmq_7(seed), quafu_18(seed), custom_36(seed), rigetti_79(seed), quafu_136(seed)]
+    NAMED.iter().map(|(_, _, build)| build(seed)).collect()
 }
 
 #[cfg(test)]
@@ -312,6 +346,19 @@ mod tests {
         assert_eq!(custom_36(1).n_qubits(), 36);
         assert_eq!(rigetti_79(1).n_qubits(), 79);
         assert_eq!(quafu_136(1).n_qubits(), 136);
+    }
+
+    #[test]
+    fn preset_widths_match_the_cli_names() {
+        for name in ["ibmq-7", "quafu-18", "custom-36", "rigetti-79", "quafu-136", "grid-12"] {
+            let width = width_by_name(name).unwrap_or_else(|| panic!("{name} is a preset"));
+            assert_eq!(by_name(name, 1).unwrap().n_qubits(), width, "{name}");
+        }
+        assert_eq!(width_by_name("grid-12"), Some(12));
+        for unknown in ["grid-1", "grid-1001", "grid-x", "warp"] {
+            assert_eq!(width_by_name(unknown), None, "{unknown}");
+            assert!(by_name(unknown, 1).is_none(), "{unknown}");
+        }
     }
 
     #[test]

@@ -15,14 +15,12 @@
 //!    function of `(scenario, seed)`;
 //! 3. the **runner** ([`run_scenario`]) replays the trace against a live
 //!    in-process [`qufem_serve::Server`] in barrier-separated rounds and
-//!    assembles a [`Report`] whose JSON is byte-identical across runs —
-//!    and across `QUFEM_THREADS` settings — except for one stamped
-//!    `wall_secs` field. The report's `determinism_digest` covers
-//!    everything but that field, so two runs agree iff their digests do.
+//!    assembles a [`Report`] whose JSON is byte-identical across runs and
+//!    across `QUFEM_THREADS` settings. The report's `determinism_digest`
+//!    folds every other field, so two runs agree iff their digests do.
 //!
-//! Measured wall-clock behaviour (latency quantiles, throughput) is real
-//! but nondeterministic, so it stays out of the report: it goes to stderr
-//! and to `loadgen.*` telemetry gauges for the bench harness.
+//! Loadgen checks serving; it does not time it. Latency and throughput
+//! are measured by the perfbench harness (`perfbench/` at the repo root).
 //!
 //! See DESIGN §4.16 for the scenario and report schemas, and `scenarios/`
 //! at the repo root for the checked-in mixes CI replays.

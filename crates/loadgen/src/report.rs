@@ -1,17 +1,15 @@
 //! The scenario report: a deterministic, byte-comparable JSON document.
 //!
-//! Everything in the report except the single `wall_secs` field is a pure
-//! function of `(scenario, seed)`: digests of the trace and the responses,
-//! per-tenant request/error accounting, the device version table, the
-//! modeled plan-cache hit table, and response-size percentiles (responses
-//! are bit-identical across runs, so their sizes are too). Measured
-//! wall-clock latencies are deliberately *not* in the report — they go to
-//! stderr and to the opt-in telemetry gauges (`loadgen.*`), where
-//! nondeterminism is expected.
+//! Every field of the report is a pure function of `(scenario, seed)`:
+//! digests of the trace and the responses, per-tenant request/error
+//! accounting, the device version table, the modeled plan-cache hit table,
+//! and response-size percentiles (responses are bit-identical across runs,
+//! so their sizes are too). Nothing is timed, so two replays write
+//! byte-identical JSON.
 //!
-//! [`Report::determinism_digest`] folds the deterministic JSON into one
-//! 16-hex value; two runs agree iff their digests agree, which is what the
-//! CI `loadgen-scenarios` leg diffs.
+//! [`Report::determinism_digest`] folds the report into one 16-hex value;
+//! two runs agree iff their digests agree, which is what the root
+//! package's loadgen tests pin for the checked-in scenarios.
 
 use qufem_core::digest;
 use serde::Value;
@@ -146,15 +144,13 @@ pub struct Report {
     pub cache_model: CacheModel,
     /// Response size percentiles.
     pub response_bytes: BytePercentiles,
-    /// Wall-clock duration of the traffic phase, seconds — the **only**
-    /// nondeterministic field.
-    pub wall_secs: f64,
 }
 
 impl Report {
-    /// The deterministic portion of the report as an ordered document
-    /// (everything except `wall_secs` and the digest of this very value).
-    pub fn deterministic_value(&self) -> Value {
+    /// The complete report as an ordered document: every field, then
+    /// `determinism_digest`, the FNV-1a 64 digest of the compact JSON of
+    /// the fields before it.
+    pub fn to_document(&self) -> Value {
         let tenants = self
             .tenants
             .iter()
@@ -209,7 +205,7 @@ impl Report {
                 Value::Map(fields)
             })
             .collect();
-        Value::Map(vec![
+        let mut document = Value::Map(vec![
             ("scenario".to_string(), Value::Str(self.scenario.clone())),
             ("seed".to_string(), Value::UInt(self.seed)),
             ("rounds".to_string(), Value::UInt(self.rounds as u64)),
@@ -244,31 +240,21 @@ impl Report {
                     ("max".to_string(), Value::UInt(self.response_bytes.max)),
                 ]),
             ),
-        ])
+        ]);
+        let body = serde_json::to_string(&document).expect("value serializes");
+        let digest = digest::digest_hex(digest::digest_str(&body));
+        if let Value::Map(fields) = &mut document {
+            fields.push(("determinism_digest".to_string(), Value::Str(digest)));
+        }
+        document
     }
 
-    /// The deterministic portion serialized to compact JSON (what the
-    /// determinism digest folds, and what byte-comparison tests compare).
-    pub fn canonical_json(&self) -> String {
-        serde_json::to_string(&self.deterministic_value()).expect("value serializes")
-    }
-
-    /// FNV-1a 64 digest of [`Report::canonical_json`], hex. Two runs of a
-    /// scenario replayed deterministically iff their digests match.
+    /// The report's `determinism_digest`, hex. Two runs of a scenario
+    /// replayed deterministically iff their digests match.
     pub fn determinism_digest(&self) -> String {
-        digest::digest_hex(digest::digest_str(&self.canonical_json()))
-    }
-
-    /// The complete report document: the deterministic fields, then
-    /// `determinism_digest`, then `wall_secs` (last, so stripping the one
-    /// nondeterministic field is a one-line diff).
-    pub fn to_document(&self) -> Value {
-        let Value::Map(mut fields) = self.deterministic_value() else {
-            unreachable!("deterministic_value returns a map")
-        };
-        fields.push(("determinism_digest".to_string(), Value::Str(self.determinism_digest())));
-        fields.push(("wall_secs".to_string(), Value::Float(self.wall_secs)));
-        Value::Map(fields)
+        let document = self.to_document();
+        let digest = document.get("determinism_digest").and_then(Value::as_str);
+        digest.expect("to_document stamps the digest").to_string()
     }
 
     /// Pretty JSON of the complete report (the `bench_summary.json`-style
@@ -321,18 +307,18 @@ mod tests {
             }],
             cache_model: CacheModel { capacity: 8, hits: 3, misses: 1 },
             response_bytes: BytePercentiles { p50: 10, p90: 12, p99: 12, max: 12 },
-            wall_secs: 0.5,
         }
     }
 
     #[test]
-    fn wall_secs_does_not_affect_the_determinism_digest() {
-        let a = sample();
-        let mut b = sample();
-        b.wall_secs = 99.0;
-        assert_eq!(a.determinism_digest(), b.determinism_digest());
-        assert_eq!(a.canonical_json(), b.canonical_json());
-        assert_ne!(a.to_json_pretty(), b.to_json_pretty());
+    fn the_digest_is_the_last_field_and_folds_the_fields_before_it() {
+        let Value::Map(mut fields) = sample().to_document() else { panic!("a report is a map") };
+        let (key, stamped) = fields.pop().unwrap();
+        assert_eq!(key, "determinism_digest");
+        let body = serde_json::to_string(&Value::Map(fields)).unwrap();
+        let expected = digest::digest_hex(digest::digest_str(&body));
+        assert_eq!(stamped.as_str(), Some(expected.as_str()));
+        assert_eq!(sample().determinism_digest(), expected);
     }
 
     #[test]
@@ -341,14 +327,6 @@ mod tests {
         let mut b = sample();
         b.response_digest = "ee".into();
         assert_ne!(a.determinism_digest(), b.determinism_digest());
-    }
-
-    #[test]
-    fn wall_secs_is_the_last_line_of_the_pretty_json() {
-        let json = sample().to_json_pretty();
-        let lines: Vec<&str> = json.lines().collect();
-        assert!(lines[lines.len() - 2].contains("wall_secs"), "{json}");
-        assert!(json.contains("\"determinism_digest\""));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! ## Determinism model
 //!
 //! The runner makes every run of `(scenario, seed)` produce a byte-identical
-//! [`Report`] (modulo the single `wall_secs` field) by construction:
+//! [`Report`] by construction:
 //!
 //! - the whole request trace is materialized up front ([`crate::trace`]),
 //! - traffic advances in **rounds** separated by barriers: every client
@@ -12,15 +12,13 @@
 //! - mid-run events (drift admits, reconnects) fire only *between* rounds,
 //!   so the catalog head every round-`r` request resolves is a pure function
 //!   of the scenario — version echoes are exactly predictable,
-//! - the server runs with [`qufem_serve::ServeConfig::frozen_clock`], so its
-//!   metrics/trace views depend only on the request sequence,
 //! - calibration responses are bit-identical regardless of worker
 //!   interleaving or `QUFEM_THREADS` (the serve crate's core guarantee), so
-//!   digests over response distributions and sizes are stable.
+//!   digests over response distributions and sizes are stable,
+//! - the only server views the report reads (the final device table and
+//!   the swap count) hold no duration.
 //!
-//! Wall-clock measurements (latency percentiles, throughput) are real but
-//! nondeterministic; they are printed to stderr and exported as `loadgen.*`
-//! telemetry gauges, never written into the report.
+//! Nothing is timed: perfbench measures serving, loadgen checks it.
 //!
 //! ## Sizing
 //!
@@ -36,11 +34,10 @@ use crate::{Error, Result};
 use qufem_core::digest::{digest_prob_dist, Digest64};
 use qufem_core::{QuFem, QuFemConfig, QuFemData, SnapshotLineage};
 use qufem_serve::{Client, Request, Response, ServeConfig, Server};
-use qufem_telemetry::QuantileHistogram;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Everything recorded about one request/response exchange.
 #[derive(Debug, Clone)]
@@ -64,8 +61,6 @@ struct ClientResult {
     outcomes: Vec<Outcome>,
     /// Per-connection-segment, per-device version echoes never decreased.
     monotone: bool,
-    /// Measured per-exchange wall latencies, microseconds.
-    latencies_us: Vec<u64>,
 }
 
 /// Runs a scenario end-to-end and assembles its report.
@@ -76,7 +71,6 @@ struct ClientResult {
 /// *frames* (a response with `ok: false`) are not an `Err` — they are
 /// accounted in the report so the regression gate can assert on them.
 pub fn run_scenario(scenario: &Scenario) -> Result<Report> {
-    let setup_started = Instant::now();
     // Build and characterize every device up front (including the drifted
     // recalibrations events will admit), so mid-run event cost is one admit
     // request, not a characterization.
@@ -129,7 +123,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<Report> {
         prewarm: scenario.prewarm,
         registry: Arc::new(qufem_baselines::standard_registry(startup.config().clone())),
         device_id: scenario.devices[0].id.clone(),
-        frozen_clock: true,
         ..ServeConfig::default()
     };
     let server = Server::start(startup, "127.0.0.1:0", config)
@@ -159,7 +152,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<Report> {
     let reconnect_flags: Vec<AtomicBool> =
         (0..scenario.clients).map(|_| AtomicBool::new(false)).collect();
 
-    let traffic_started = Instant::now();
     let client_results: Vec<Result<ClientResult>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..scenario.clients)
             .map(|c| {
@@ -223,7 +215,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<Report> {
         }
         handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
     });
-    let wall_secs = traffic_started.elapsed().as_secs_f64();
 
     let mut clients_results = Vec::with_capacity(client_results.len());
     for result in client_results {
@@ -246,30 +237,15 @@ pub fn run_scenario(scenario: &Scenario) -> Result<Report> {
     server.handle().shutdown();
     server.join();
 
-    let report = assemble_report(
+    print_error_frames(&clients_results);
+    Ok(assemble_report(
         scenario,
         &trace,
         &clients_results,
         events_report,
         &status.devices,
         metrics.swaps,
-        wall_secs,
-    );
-    let p99_ms =
-        emit_measured(scenario, &report, &clients_results, setup_started.elapsed().as_secs_f64());
-    // Latency-budget assertion mode: the replay itself fails on a
-    // regression, after the measured numbers have been reported.
-    if let Some(budget) = &scenario.budget {
-        if p99_ms > budget.p99_ms {
-            return Err(Error::new(format!(
-                "latency budget exceeded: scenario {:?} measured exchange p99 {p99_ms:.3}ms \
-                 over its {:.3}ms budget",
-                scenario.name, budget.p99_ms
-            )));
-        }
-        eprintln!("loadgen: budget ok: exchange p99 {p99_ms:.3}ms within {:.3}ms", budget.p99_ms);
-    }
-    Ok(report)
+    ))
 }
 
 /// Connects one client in the scenario's wire dialect.
@@ -296,7 +272,6 @@ fn client_loop(
         connect(addr, scenario.protocol).map_err(|e| Error::new(format!("client connect: {e}")))?,
     );
     let mut outcomes = Vec::with_capacity(requests.len());
-    let mut latencies_us = Vec::new();
     let mut monotone = true;
     // Last echoed version per device, reset on reconnect (a fresh
     // connection makes no ordering promise relative to the old one).
@@ -312,7 +287,7 @@ fn client_loop(
             last_versions.clear();
         }
         let batch = &requests[(round - 1) * per_round..round * per_round];
-        let responses = exchange(client.as_mut(), scenario, batch, &mut latencies_us);
+        let responses = exchange(client.as_mut(), scenario, batch);
         for (req, response) in batch.iter().zip(responses) {
             let outcome = match response {
                 Ok(response) => {
@@ -341,7 +316,7 @@ fn client_loop(
         }
         barrier.wait();
     }
-    Ok(ClientResult { outcomes, monotone, latencies_us })
+    Ok(ClientResult { outcomes, monotone })
 }
 
 /// Sends one round's batch: request/response lockstep in closed mode,
@@ -351,7 +326,6 @@ fn exchange(
     client: Option<&mut Client>,
     scenario: &Scenario,
     batch: &[TraceRequest],
-    latencies_us: &mut Vec<u64>,
 ) -> Vec<std::result::Result<Response, String>> {
     let Some(client) = client else {
         return batch.iter().map(|_| Err("connection lost".to_string())).collect();
@@ -363,25 +337,15 @@ fn exchange(
             .with_device(scenario.devices[spec.device].id.clone())
     };
     match scenario.arrival {
-        crate::scenario::Arrival::Closed => batch
-            .iter()
-            .map(|req| {
-                let started = Instant::now();
-                let result = client.request(&wire(req)).map_err(|e| e.to_string());
-                latencies_us.push(started.elapsed().as_micros() as u64);
-                result
-            })
-            .collect(),
+        crate::scenario::Arrival::Closed => {
+            batch.iter().map(|req| client.request(&wire(req)).map_err(|e| e.to_string())).collect()
+        }
         crate::scenario::Arrival::Open { .. } => {
             // Pipeline the whole burst. On the binary dialect responses may
             // complete out of order; the client pairs them by request id, so
             // the report stays a pure function of the trace.
-            let started = Instant::now();
             let requests: Vec<Request> = batch.iter().map(wire).collect();
-            let out = client.pipeline(&requests);
-            // Open mode measures the pipelined burst as one exchange.
-            latencies_us.push(started.elapsed().as_micros() as u64);
-            out
+            client.pipeline(&requests)
         }
     }
 }
@@ -428,7 +392,6 @@ fn assemble_report(
     events: Vec<EventReport>,
     devices: &[qufem_serve::DeviceStatusInfo],
     swaps: u64,
-    wall_secs: f64,
 ) -> Report {
     let mut tenant_digests: Vec<Digest64> =
         scenario.tenants.iter().map(|_| Digest64::new()).collect();
@@ -505,7 +468,6 @@ fn assemble_report(
         events,
         cache_model: model_cache(scenario, trace),
         response_bytes: BytePercentiles::from_samples(sizes),
-        wall_secs,
     }
 }
 
@@ -556,56 +518,15 @@ fn model_cache(scenario: &Scenario, trace: &Trace) -> CacheModel {
     CacheModel { capacity, hits, misses }
 }
 
-/// Prints the measured (nondeterministic) side of the run to stderr and
-/// exports it as `loadgen.*` telemetry gauges for the bench harness.
-/// Returns the measured p99 exchange latency in milliseconds, for the
-/// budget gate.
-fn emit_measured(
-    scenario: &Scenario,
-    report: &Report,
-    clients: &[ClientResult],
-    total_secs: f64,
-) -> f64 {
-    let mut latency = QuantileHistogram::default();
-    for result in clients {
-        for &us in &result.latencies_us {
-            latency.record(us as f64 / 1e6);
-        }
-    }
-    let throughput =
-        if report.wall_secs > 0.0 { report.requests as f64 / report.wall_secs } else { 0.0 };
-    eprintln!(
-        "loadgen: scenario {:?} replayed {} requests in {:.3}s ({:.1} req/s, total {:.3}s \
-         with setup), {} errors, {} swaps, exchange p50 {:.1}us p99 {:.1}us",
-        scenario.name,
-        report.requests,
-        report.wall_secs,
-        throughput,
-        total_secs,
-        report.errors,
-        report.swaps,
-        latency.quantile(0.5) * 1e6,
-        latency.quantile(0.99) * 1e6,
-    );
-    qufem_telemetry::gauge_set("loadgen.requests", report.requests as f64);
-    qufem_telemetry::gauge_set("loadgen.errors", report.errors as f64);
-    qufem_telemetry::gauge_set("loadgen.swaps", report.swaps as f64);
-    qufem_telemetry::gauge_set("loadgen.throughput_rps", throughput);
-    qufem_telemetry::gauge_set("loadgen.wall_secs", report.wall_secs);
-    qufem_telemetry::gauge_set("loadgen.exchange_p50_secs", latency.quantile(0.5));
-    qufem_telemetry::gauge_set("loadgen.exchange_p99_secs", latency.quantile(0.99));
-    // Surface a few distinct error messages for debugging; the report only
-    // carries counts (messages could embed nondeterministic socket detail).
+/// Prints up to 5 distinct error-frame messages to stderr for debugging;
+/// the report only carries counts (messages could embed nondeterministic
+/// socket detail).
+fn print_error_frames(clients: &[ClientResult]) {
     let mut seen: Vec<&str> = Vec::new();
-    for result in clients {
-        for outcome in &result.outcomes {
-            if let Some(error) = outcome.error.as_deref() {
-                if !seen.contains(&error) && seen.len() < 5 {
-                    eprintln!("loadgen: error frame: {error}");
-                    seen.push(error);
-                }
-            }
+    for error in clients.iter().flat_map(|c| &c.outcomes).filter_map(|o| o.error.as_deref()) {
+        if !seen.contains(&error) && seen.len() < 5 {
+            eprintln!("loadgen: error frame: {error}");
+            seen.push(error);
         }
     }
-    latency.quantile(0.99) * 1e3
 }

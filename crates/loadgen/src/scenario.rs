@@ -68,16 +68,6 @@ impl Protocol {
     }
 }
 
-/// A latency budget the replay asserts after the run: exceeding it fails
-/// the replay (regression-gate mode). Budgets compare *measured* wall
-/// time, so they belong in dedicated budget scenarios with generous
-/// margins, not in digest-comparison scenarios.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BudgetSpec {
-    /// Maximum allowed 99th-percentile exchange latency, milliseconds.
-    pub p99_ms: f64,
-}
-
 /// Which qubits of a tenant's device each request measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MeasuredMode {
@@ -187,8 +177,6 @@ pub struct Scenario {
     /// Start with the default method's full-register plan prewarmed
     /// (`false` = cold-cache start).
     pub prewarm: bool,
-    /// Optional latency budget asserted after the replay.
-    pub budget: Option<BudgetSpec>,
     /// Server tuning.
     pub server: ServerSpec,
     /// Hosted devices; index 0 is the server's startup/default device,
@@ -213,9 +201,7 @@ impl Scenario {
     /// exceeding the register, …).
     pub fn parse(text: &str) -> Result<Scenario> {
         let doc = toml::parse(text).map_err(Error::new)?;
-        if let Some((name, _)) =
-            doc.tables.iter().find(|(n, _)| !["budget", "server"].contains(&n.as_str()))
-        {
+        if let Some((name, _)) = doc.tables.iter().find(|(n, _)| n != "server") {
             return Err(Error::new(format!("unknown table [{name}]")));
         }
         if let Some((name, _)) =
@@ -266,22 +252,6 @@ impl Scenario {
         let prewarm = opt_bool(root, "scenario", "prewarm", true)?;
 
         let empty = TomlTable::default();
-        let budget = match doc.table("budget") {
-            None => None,
-            Some(t) => {
-                let p99_ms = match t.get("p99_ms") {
-                    Some(TomlValue::Float(f)) => *f,
-                    Some(TomlValue::Int(n)) => *n as f64,
-                    Some(other) => return Err(type_err("budget", "p99_ms", "number", other)),
-                    None => return Err(Error::new("budget: missing required key \"p99_ms\"")),
-                };
-                if p99_ms <= 0.0 || p99_ms.is_nan() {
-                    return Err(Error::new(format!("budget: p99_ms must be > 0, got {p99_ms}")));
-                }
-                reject_unknown(t, "budget", &["p99_ms"])?;
-                Some(BudgetSpec { p99_ms })
-            }
-        };
         let server_table = doc.table("server").unwrap_or(&empty);
         let server = ServerSpec {
             workers: opt_usize(server_table, "server", "workers", 2)?,
@@ -301,7 +271,7 @@ impl Scenario {
         for (i, t) in doc.array("devices").iter().enumerate() {
             let ctx = format!("devices[{i}]");
             let preset = need_str(t, &ctx, "preset")?;
-            preset_width(&preset)
+            presets::width_by_name(&preset)
                 .ok_or_else(|| Error::new(format!("{ctx}: unknown preset {preset:?}")))?;
             let spec = DeviceSpec {
                 id: opt_str(t, &ctx, "id", &preset)?,
@@ -332,7 +302,7 @@ impl Scenario {
             let ctx = format!("tenants[{i}]");
             let device_id = opt_str(t, &ctx, "device", &devices[0].id)?;
             let device = device_index(&ctx, &device_id)?;
-            let width = preset_width(&devices[device].preset).expect("validated above");
+            let width = presets::width_by_name(&devices[device].preset).expect("validated above");
             let measured = match opt_str(t, &ctx, "measured", "full")?.as_str() {
                 "full" => MeasuredMode::Full,
                 "evens" => MeasuredMode::Evens,
@@ -430,7 +400,6 @@ impl Scenario {
             arrival,
             protocol,
             prewarm,
-            budget,
             server,
             devices,
             tenants,
@@ -462,22 +431,7 @@ impl Scenario {
 
     /// The measured qubit count of device `idx`'s preset.
     pub fn device_width(&self, idx: usize) -> usize {
-        preset_width(&self.devices[idx].preset).expect("presets validated at parse")
-    }
-}
-
-/// Register width of a preset name, `None` for unknown names.
-pub fn preset_width(preset: &str) -> Option<usize> {
-    match preset {
-        "ibmq-7" => Some(7),
-        "quafu-18" => Some(18),
-        "custom-36" => Some(36),
-        "rigetti-79" => Some(79),
-        "quafu-136" => Some(136),
-        other => other
-            .strip_prefix("grid-")
-            .and_then(|n| n.parse::<usize>().ok())
-            .filter(|&n| (2..=1000).contains(&n)),
+        presets::width_by_name(&self.devices[idx].preset).expect("presets validated at parse")
     }
 }
 
@@ -488,19 +442,8 @@ pub fn preset_width(preset: &str) -> Option<usize> {
 /// Unknown preset names (already rejected at parse, so only reachable with a
 /// hand-built spec).
 pub fn build_device(spec: &DeviceSpec) -> Result<Device> {
-    let device = match spec.preset.as_str() {
-        "ibmq-7" => presets::ibmq_7(spec.seed),
-        "quafu-18" => presets::quafu_18(spec.seed),
-        "custom-36" => presets::custom_36(spec.seed),
-        "rigetti-79" => presets::rigetti_79(spec.seed),
-        "quafu-136" => presets::quafu_136(spec.seed),
-        other => {
-            let n = preset_width(other)
-                .ok_or_else(|| Error::new(format!("unknown preset {other:?}")))?;
-            presets::scale_grid(n, spec.seed)
-        }
-    };
-    Ok(device)
+    presets::by_name(&spec.preset, spec.seed)
+        .ok_or_else(|| Error::new(format!("unknown preset {:?}", spec.preset)))
 }
 
 // ---------------------------------------------------------------------------
@@ -603,7 +546,6 @@ mod tests {
         assert_eq!(s.seed, 3);
         assert_eq!(s.arrival, Arrival::Closed);
         assert_eq!(s.protocol, Protocol::Json, "NDJSON is the default dialect");
-        assert_eq!(s.budget, None, "no budget unless asked for");
         assert!(s.prewarm);
         assert_eq!(s.server.queue_depth, 10, "clients + 8");
         assert_eq!(s.devices[0].id, "grid-3", "id defaults to the preset name");
@@ -625,9 +567,6 @@ mod tests {
             burst = 2
             protocol = "binary"
             prewarm = false
-
-            [budget]
-            p99_ms = 250.5
 
             [server]
             workers = 4
@@ -667,7 +606,6 @@ mod tests {
         .unwrap();
         assert_eq!(s.arrival, Arrival::Open { burst: 2 });
         assert_eq!(s.protocol, Protocol::Binary);
-        assert_eq!(s.budget, Some(BudgetSpec { p99_ms: 250.5 }));
         assert_eq!(s.per_client_per_round(), 2);
         assert_eq!(s.total_requests(), 30);
         assert_eq!(s.tenants[0].device, 1);
@@ -696,10 +634,6 @@ mod tests {
             ("arrival = \"poisson\"", "", "closed"),
             ("arrival = \"open\"\nburst = 0", "", "burst must be"),
             ("protocol = \"grpc\"", "", "json"),
-            ("", "[budget]\np99_ms = 0", "p99_ms must be"),
-            ("", "[budget]\np99_ms = -3.5", "p99_ms must be"),
-            ("", "[budget]\nceiling = 9", "missing required key"),
-            ("", "[budget]\np99_ms = \"fast\"", "expected number"),
             ("", "[[events]]\nround = 9\nkind = \"reconnect\"", "round must be in"),
             ("", "[[events]]\nround = 1\nkind = \"reconnect\"\nclients = [5]", "out of range"),
             (
@@ -717,7 +651,6 @@ mod tests {
             // Keys and sections the parser does not read are errors that
             // name the table and the key.
             ("seeed = 3", "", "scenario: unknown key \"seeed\""),
-            ("", "[budget]\np99_ms = 5\np90_ms = 3", "budget: unknown key \"p90_ms\""),
             ("", "[server]\nplan_cahce = 2", "server: unknown key \"plan_cahce\""),
             ("", "[server]\nmemo_cap = 2", "server: unknown key \"memo_cap\""),
             (
@@ -732,22 +665,12 @@ mod tests {
                 "events[0]: unknown key \"client\"",
             ),
             ("", "[sever]\nworkers = 2", "unknown table [sever]"),
+            ("", "[budget]\nlimit_ms = 5.0", "unknown table [budget]"),
             ("", "[[tenant]]\nname = \"x\"", "unknown table array [[tenant]]"),
         ] {
             let text = case(root, tail);
             let err = Scenario::parse(&text).unwrap_err();
             assert!(err.to_string().contains(needle), "{root:?}/{tail:?} -> {err}");
         }
-    }
-
-    #[test]
-    fn preset_widths_match_the_cli_names() {
-        assert_eq!(preset_width("ibmq-7"), Some(7));
-        assert_eq!(preset_width("quafu-136"), Some(136));
-        assert_eq!(preset_width("grid-12"), Some(12));
-        assert_eq!(preset_width("grid-1"), None);
-        assert_eq!(preset_width("warp"), None);
-        let dev = build_device(&Scenario::parse(MINIMAL).unwrap().devices[0]).unwrap();
-        assert_eq!(dev.n_qubits(), 3);
     }
 }

@@ -310,9 +310,6 @@ pub struct ServeMetrics {
     slow_threshold_us: u64,
     /// Emit slow requests as JSON lines on stderr.
     access_log: bool,
-    /// Deterministic-clock mode (see [`crate::ServeConfig::frozen_clock`]):
-    /// durations fold as 0, timestamps are the request id, uptime is 0.
-    frozen_clock: bool,
     state: Mutex<MetricsState>,
 }
 
@@ -335,25 +332,12 @@ impl ServeMetrics {
             slow: AtomicU64::new(0),
             slow_threshold_us: slow_threshold_us.unwrap_or(u64::MAX),
             access_log,
-            frozen_clock: false,
             state: Mutex::new(MetricsState {
                 request: QuantileHistogram::default(),
                 per_method: HashMap::new(),
                 flight: FlightRecorder::new(flight_capacity),
             }),
         }
-    }
-
-    /// Switches deterministic-clock mode on or off (builder form, applied
-    /// once at server construction). When frozen, [`ServeMetrics::finish`]
-    /// folds every duration as 0 and stamps [`RequestRecord::ts_us`] with
-    /// the request id instead of wall time, and
-    /// [`ServeMetrics::uptime_us`] reports 0 — making every metrics/trace
-    /// view a pure function of the request sequence.
-    #[must_use]
-    pub fn with_frozen_clock(mut self, frozen: bool) -> Self {
-        self.frozen_clock = frozen;
-        self
     }
 
     /// Allocates the next monotonic request id. Runs exactly once per
@@ -404,12 +388,8 @@ impl ServeMetrics {
         self.backlog.load(Ordering::Relaxed)
     }
 
-    /// Microseconds since the server started (0 in deterministic-clock
-    /// mode).
+    /// Microseconds since the server started.
     pub fn uptime_us(&self) -> u64 {
-        if self.frozen_clock {
-            return 0;
-        }
         self.started.elapsed().as_micros() as u64
     }
 
@@ -460,16 +440,7 @@ impl ServeMetrics {
     /// recorder, and emits the access-log line if the request was slow.
     /// Stamps [`RequestRecord::ts_us`]. Allocation-free in steady state.
     pub fn finish(&self, mut record: RequestRecord) {
-        if self.frozen_clock {
-            record.queue_us = 0;
-            record.prepare_us = 0;
-            record.apply_us = 0;
-            record.serialize_us = 0;
-            record.total_us = 0;
-            record.ts_us = record.id;
-        } else {
-            record.ts_us = self.uptime_us();
-        }
+        record.ts_us = self.uptime_us();
         self.outcomes[record.outcome as usize].fetch_add(1, Ordering::Relaxed);
         let slow = record.total_us >= self.slow_threshold_us;
         if slow {
@@ -628,27 +599,6 @@ mod tests {
         metrics.finish(record(2, 1_000));
         metrics.finish(record(3, 50_000));
         assert_eq!(metrics.slow(), 2, "requests at/over threshold are slow");
-    }
-
-    #[test]
-    fn frozen_clock_zeroes_durations_and_stamps_ids() {
-        let metrics = ServeMetrics::new(4, Some(1), false).with_frozen_clock(true);
-        let id = metrics.begin();
-        let mut r = record(id, 50_000);
-        r.queue_us = 7;
-        r.prepare_us = 456;
-        r.apply_us = 123;
-        r.serialize_us = 9;
-        metrics.finish(r);
-        assert_eq!(metrics.uptime_us(), 0, "frozen uptime is 0");
-        assert_eq!(metrics.slow(), 0, "frozen requests are never slow");
-        let dump = metrics.flight_dump();
-        assert_eq!(dump[0].total_us, 0);
-        assert_eq!(dump[0].queue_us, 0);
-        assert_eq!(dump[0].prepare_us, 0);
-        assert_eq!(dump[0].apply_us, 0);
-        assert_eq!(dump[0].serialize_us, 0);
-        assert_eq!(dump[0].ts_us, id, "timestamp is the request id");
     }
 
     #[test]

@@ -120,14 +120,6 @@ pub struct ServeConfig {
     /// 0 of this device; empty ⇒ `"default"`). Requests that name no
     /// device resolve here.
     pub device_id: String,
-    /// Deterministic-clock mode for replay harnesses (`qufem-loadgen`):
-    /// every recorded duration (`queue_us`, `prepare_us`, `apply_us`,
-    /// `serialize_us`, `total_us`) is reported as 0, completion timestamps
-    /// are the monotonic request id, and `uptime_us` is 0 — so the
-    /// `metrics` and `trace` commands become pure functions of the request
-    /// sequence instead of wall time. Calibration results are unaffected
-    /// (they are deterministic already). Off for real serving.
-    pub frozen_clock: bool,
 }
 
 impl Default for ServeConfig {
@@ -145,7 +137,6 @@ impl Default for ServeConfig {
             slow_threshold: None,
             access_log: false,
             device_id: DEFAULT_DEVICE_ID.to_string(),
-            frozen_clock: false,
         }
     }
 }
@@ -305,8 +296,7 @@ impl Server {
                 config.flight_recorder,
                 config.slow_threshold.map(|d| d.as_micros() as u64),
                 config.access_log,
-            )
-            .with_frozen_clock(config.frozen_clock),
+            ),
             local_addr,
             shutdown: AtomicBool::new(false),
             prewarmed: AtomicBool::new(false),

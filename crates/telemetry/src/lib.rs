@@ -318,10 +318,11 @@ pub fn set_meta(key: &str, value: serde::Value) {
     });
 }
 
-/// Adds `delta` to a named monotone counter.
+/// Adds `delta` to a named monotone counter. A zero `delta` still
+/// registers the name, so a counter that stayed at 0 is in the manifest.
 #[inline]
 pub fn counter_add(name: &str, delta: u64) {
-    if !enabled() || delta == 0 {
+    if !enabled() {
         return;
     }
     with_state(|s| match s.counters.get_mut(name) {
@@ -974,8 +975,10 @@ mod tests {
         gauge_max("g", 9.0);
         histogram_record("h", 1.0);
         histogram_record("h", 3.0);
+        counter_add("zero", 0);
         let snap = snapshot();
         assert_eq!(snap.counter("c"), 5);
+        assert_eq!(snap.counters.get("zero"), Some(&0), "a zero delta registers the counter");
         assert_eq!(snap.gauge("g"), Some(9.0));
         let h = snap.histograms.get("h").unwrap();
         assert_eq!(h.count, 2);

@@ -9,11 +9,11 @@ scripts/loc.sh | tail -n 1
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy --workspace --all-targets -- -D warnings"
-cargo clippy --workspace --all-targets -- -D warnings
+echo "==> cargo clippy --locked --workspace --all-targets -- -D warnings"
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
-echo "==> cargo build --release --workspace"
-cargo build --release --workspace
+echo "==> cargo build --locked --release --workspace"
+cargo build --locked --release --workspace
 
 echo "==> cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml"
 cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml

@@ -19,15 +19,13 @@
 //! qufem client       --addr HOST:PORT --status | --shutdown
 //! qufem client       --addr HOST:PORT --metrics [--text] | --trace
 //! qufem loadgen      <scenario.toml> [--out report.json] [--telemetry run.json]
-//!        [--binary] [--depth N]
 //! ```
 //!
-//! `client`/`loadgen` speak NDJSON by default; `--binary` switches to the
+//! `client` speaks NDJSON by default; `--binary` switches to the
 //! length-prefixed binary frame dialect (same answers, packed encoding).
-//! `client --depth N` pipelines N copies of a calibrate request on one
-//! connection and reports the measured frame rate; `loadgen --depth N`
-//! overrides the scenario to open-loop arrival with burst N. A flag the
-//! subcommand does not read is an error (exit 2), not silently ignored.
+//! A `loadgen` scenario names its own dialect, arrival process and seed.
+//! A flag the subcommand does not read is an error (exit 2), not silently
+//! ignored.
 //!
 //! `calibrate --device` without `--params` runs the full pipeline —
 //! characterize, synthesize a noisy input (unless `--input` is given),
@@ -53,7 +51,7 @@
 //! encoding of [`qufem::ProbDist`].
 
 use qufem::circuits::Algorithm;
-use qufem::device::{presets, Device};
+use qufem::device::presets;
 use qufem::{ProbDist, QuFem, QuFemConfig, QuFemData, QubitSet};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -78,12 +76,10 @@ fn usage() -> ! {
          [--device-id ID] [--telemetry <run.json>]\n  \
          qufem admit --addr <host:port> --params <recal.json> [--device ID]\n  \
          qufem client --addr <host:port> --input <dist.json> --out <out.json> \
-         [--measured 0,1,2] [--method M] [--device ID] [--version V] \
-         [--binary] [--depth N]\n  \
+         [--measured 0,1,2] [--method M] [--device ID] [--version V] [--binary]\n  \
          qufem client --addr <host:port> [--binary] --status | --shutdown\n  \
          qufem client --addr <host:port> [--binary] --metrics [--text] | --trace\n  \
          qufem loadgen <scenario.toml> [--out <report.json>] [--telemetry <run.json>] \
-         [--binary] [--depth N] \
          (deterministic traffic replay; scenarios/ has checked-in mixes)\n\n\
          presets: ibmq-7, quafu-18, custom-36, rigetti-79, quafu-136, grid-<N>\n\
          methods: qufem, ibu, m3, ctmp, qbeep"
@@ -134,29 +130,14 @@ fn accepted_flags(command: &str) -> Option<Vec<&'static str>> {
         "admit" => ("addr params device", ""),
         "client" => (
             "addr binary shutdown status metrics text trace input out measured method device \
-             version depth",
+             version",
             "",
         ),
-        "loadgen" => ("scenario out binary depth seed telemetry", ""),
+        "loadgen" => ("scenario out telemetry", ""),
         "inspect" => ("params", ""),
         _ => return None,
     };
     Some(own.split_whitespace().chain(config.split_whitespace()).collect())
-}
-
-fn device_by_name(name: &str, seed: u64) -> Option<Device> {
-    match name {
-        "ibmq-7" => Some(presets::ibmq_7(seed)),
-        "quafu-18" => Some(presets::quafu_18(seed)),
-        "custom-36" => Some(presets::custom_36(seed)),
-        "rigetti-79" => Some(presets::rigetti_79(seed)),
-        "quafu-136" => Some(presets::quafu_136(seed)),
-        other => other
-            .strip_prefix("grid-")
-            .and_then(|n| n.parse::<usize>().ok())
-            .filter(|&n| (2..=1000).contains(&n))
-            .map(|n| presets::scale_grid(n, seed)),
-    }
 }
 
 fn algorithm_by_name(name: &str) -> Option<Algorithm> {
@@ -265,7 +246,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         "characterize" => {
             let device_name = require("device");
             let out = require("out");
-            let device = device_by_name(&device_name, seed)
+            let device = presets::by_name(&device_name, seed)
                 .ok_or_else(|| format!("unknown device preset {device_name:?}"))?;
             let config = config_from_flags(&flags, seed)?;
             let telemetry = telemetry_setup(&flags, "characterize", seed);
@@ -289,7 +270,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             let algorithm = algorithm_by_name(&require("algorithm"))
                 .ok_or("unknown algorithm (use ghz|bv|dj|simon|vqc|qsvm|hs)")?;
             let shots: u64 = require("shots").parse()?;
-            let device = device_by_name(&device_name, seed)
+            let device = presets::by_name(&device_name, seed)
                 .ok_or_else(|| format!("unknown device preset {device_name:?}"))?;
             let n = device.n_qubits();
             let measured = QubitSet::full(n);
@@ -309,7 +290,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             let out = require("out");
             let device = match get("device") {
                 Some(name) => Some(
-                    device_by_name(&name, seed)
+                    presets::by_name(&name, seed)
                         .ok_or_else(|| format!("unknown device preset {name:?}"))?,
                 ),
                 None => None,
@@ -440,7 +421,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 }
                 None => {
                     let device_name = get("device").ok_or("serve needs --params or --device")?;
-                    let device = device_by_name(&device_name, seed)
+                    let device = presets::by_name(&device_name, seed)
                         .ok_or_else(|| format!("unknown device preset {device_name:?}"))?;
                     let config = config_from_flags(&flags, seed)?;
                     eprintln!("characterizing {} …", device.name());
@@ -559,26 +540,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 if let Some(version) = get("version") {
                     request = request.with_version(version.parse()?);
                 }
-                // --depth N pipelines N copies of the request on one
-                // connection (responses pair by id on the binary dialect),
-                // checks they agree, and reports the measured frame rate —
-                // a quick serving smoke-benchmark from the shell.
-                let depth: usize = match get("depth") {
-                    Some(v) => v.parse()?,
-                    None => 1,
-                };
-                if depth == 0 {
-                    return Err("--depth must be >= 1".into());
-                }
-                let mut client = if binary {
-                    qufem::serve::Client::connect_binary(addr.as_str())?
-                } else {
-                    qufem::serve::Client::connect(addr.as_str())?
-                };
-                let started = std::time::Instant::now();
-                let mut responses = client.pipeline(&vec![request; depth]).into_iter();
-                let elapsed = started.elapsed();
-                let response = responses.next().expect("depth >= 1")?;
+                let response = request_via(addr.as_str(), binary, &request)?;
                 if !response.ok {
                     return Err(response
                         .error
@@ -586,19 +548,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                         .into());
                 }
                 let result = response.dist.ok_or("server response carried no distribution")?;
-                for echo in responses {
-                    if echo?.dist.as_ref() != Some(&result) {
-                        return Err("pipelined responses diverged for identical requests".into());
-                    }
-                }
-                if depth > 1 {
-                    eprintln!(
-                        "pipelined {depth} {} frames in {:.3}s ({:.1} frames/s)",
-                        if binary { "binary" } else { "json" },
-                        elapsed.as_secs_f64(),
-                        depth as f64 / elapsed.as_secs_f64().max(1e-9),
-                    );
-                }
                 std::fs::write(&out, serde_json::to_string(&result)?)?;
                 let products = response.stats.as_ref().map(|s| s.products).unwrap_or_default();
                 let identity = match (&response.device, response.version) {
@@ -614,25 +563,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             }
         }
         "loadgen" => {
-            let telemetry = telemetry_setup(&flags, "loadgen", seed);
             let scenario_path = positional.or_else(|| get("scenario")).unwrap_or_else(|| {
                 eprintln!("loadgen needs a scenario file (positional or --scenario)");
                 usage();
             });
-            let mut scenario =
-                qufem::loadgen::Scenario::load(std::path::Path::new(&scenario_path))?;
-            // Command-line overrides for quick protocol / pipelining
-            // experiments without editing the scenario file.
-            if switches.contains(&"binary".to_string()) {
-                scenario.protocol = qufem::loadgen::scenario::Protocol::Binary;
-            }
-            if let Some(depth) = get("depth") {
-                let depth: usize = depth.parse()?;
-                if depth == 0 {
-                    return Err("--depth must be >= 1".into());
-                }
-                scenario.arrival = qufem::loadgen::scenario::Arrival::Open { burst: depth };
-            }
+            let scenario = qufem::loadgen::Scenario::load(std::path::Path::new(&scenario_path))?;
+            let telemetry = telemetry_setup(&flags, "loadgen", scenario.seed);
             eprintln!(
                 "replaying scenario {:?}: {} requests ({} rounds x {} clients), \
                  {} tenant(s), {} device(s)",

@@ -51,12 +51,11 @@
 #![forbid(unsafe_code)]
 
 pub use qufem_core::{
-    benchgen, build_group_matrices, calibrate_once, configured_threads, engine, partition,
-    BenchmarkRecord, BenchmarkSnapshot, EngineStats, GroupMatrix, Grouping, HotInteraction,
-    IdealCondition, InteractionTable, IterationData, IterationParams, IterationPlan, MethodOptions,
-    MethodRegistry, Mitigator, PreparedCalibration, PreparedMitigator, QuFem, QuFemConfig,
-    QuFemConfigBuilder, QuFemData, RecordData, SnapshotLineage, VersionedSnapshot,
-    DEFAULT_DEVICE_ID,
+    benchgen, build_group_matrices, configured_threads, engine, partition, BenchmarkRecord,
+    BenchmarkSnapshot, EngineStats, GroupMatrix, Grouping, HotInteraction, IdealCondition,
+    InteractionTable, IterationData, IterationParams, IterationPlan, MethodOptions, MethodRegistry,
+    Mitigator, PreparedCalibration, PreparedMitigator, QuFem, QuFemConfig, QuFemConfigBuilder,
+    QuFemData, RecordData, SnapshotLineage, VersionedSnapshot, DEFAULT_DEVICE_ID,
 };
 pub use qufem_types::{BitString, Error, ProbDist, QubitSet, Result, SupportIndex};
 

@@ -695,4 +695,46 @@ fn flags_a_subcommand_does_not_read_are_rejected() {
     assert_eq!(output.status.code(), Some(2));
     let err = String::from_utf8_lossy(&output.stderr);
     assert!(err.contains("inspect does not take --project"), "stderr: {err}");
+
+    // The replay reads its dialect, arrival and seed from the scenario
+    // file, and `client` sends one request per run.
+    for (args, flag) in [
+        (&["client", "--addr", "127.0.0.1:1", "--depth", "3"][..], "client does not take --depth"),
+        (
+            &["loadgen", "scenarios/steady-mix.toml", "--binary"][..],
+            "loadgen does not take --binary",
+        ),
+        (
+            &["loadgen", "scenarios/steady-mix.toml", "--depth", "4"][..],
+            "loadgen does not take --depth",
+        ),
+        (
+            &["loadgen", "scenarios/steady-mix.toml", "--seed", "5"][..],
+            "loadgen does not take --seed",
+        ),
+    ] {
+        let output = qufem().args(args).output().expect("spawn");
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert!(err.contains(flag), "{args:?} stderr: {err}");
+    }
+}
+
+#[test]
+fn loadgen_replays_write_byte_identical_reports() {
+    let scenario = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/binary-pipelined.toml");
+    let reports: Vec<Vec<u8>> = ["loadgen_a.json", "loadgen_b.json"]
+        .into_iter()
+        .map(|name| {
+            let out = tmpfile(name);
+            let status = qufem()
+                .args(["loadgen", scenario, "--out", out.to_str().unwrap()])
+                .status()
+                .expect("spawn qufem loadgen");
+            assert!(status.success(), "loadgen exited with {status}");
+            std::fs::read(&out).expect("read report")
+        })
+        .collect();
+    assert!(!reports[0].is_empty());
+    assert!(reports[0] == reports[1], "two replays wrote different reports");
 }

@@ -3,7 +3,7 @@
 //! These run the checked-in scenarios in-process against a live server and
 //! pin the acceptance properties: zero error frames, monotone version
 //! echoes across drift swaps, and byte-identical report JSON across
-//! replays modulo the single stamped `wall_secs` field.
+//! replays.
 
 use qufem::loadgen::{run_scenario, Report, Scenario};
 use std::path::Path;
@@ -51,24 +51,8 @@ fn replaying_a_scenario_is_deterministic() {
     let scenario = load("steady-mix.toml");
     let a = run_scenario(&scenario).unwrap();
     let b = run_scenario(&scenario).unwrap();
-    // Everything except wall_secs is byte-identical.
-    assert_eq!(a.canonical_json(), b.canonical_json());
+    assert_eq!(a.to_json_pretty(), b.to_json_pretty());
     assert_eq!(a.determinism_digest(), STEADY_MIX_DIGEST);
-    assert_eq!(b.determinism_digest(), STEADY_MIX_DIGEST);
-    assert_eq!(a.trace_digest, b.trace_digest);
-    assert_eq!(a.response_digest, b.response_digest);
-    // The full pretty JSON differs in at most the wall_secs line.
-    let (pretty_a, pretty_b) = (a.to_json_pretty(), b.to_json_pretty());
-    let differing: Vec<(&str, &str)> = pretty_a
-        .lines()
-        .zip(pretty_b.lines())
-        .filter(|(x, y)| x != y)
-        .map(|(x, y)| (x.trim(), y.trim()))
-        .collect();
-    assert!(
-        differing.iter().all(|(x, _)| x.starts_with("\"wall_secs\"")),
-        "only wall_secs may differ, got {differing:?}"
-    );
 }
 
 #[test]
@@ -188,14 +172,4 @@ fn binary_and_json_replays_serve_identical_distributions() {
         a.response_bytes.p50,
         b.response_bytes.p50
     );
-}
-
-#[test]
-fn an_impossible_latency_budget_fails_the_replay() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("scenarios/binary-pipelined.toml");
-    let text = std::fs::read_to_string(&path).unwrap();
-    let strangled =
-        Scenario::parse(&text.replace("p99_ms = 30000.0", "p99_ms = 0.000001")).unwrap();
-    let err = run_scenario(&strangled).unwrap_err();
-    assert!(err.to_string().contains("latency budget exceeded"), "{err}");
 }

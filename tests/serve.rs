@@ -568,8 +568,8 @@ fn a_pipelined_ndjson_burst_is_queued_128_frames_at_a_time() {
 
 /// A pipelined burst whose requests and answers each outgrow the write
 /// high-water mark and the loopback socket buffers together still
-/// completes: `Client::pipeline`, which `qufem client --depth` and loadgen's
-/// open arrival use, reads while it sends. A client that wrote the whole
+/// completes: `Client::pipeline`, which loadgen's open arrival uses, reads
+/// while it sends. A client that wrote the whole
 /// burst first would block in its write once the server stopped reading,
 /// while the server waited for it to read its answers.
 #[test]

@@ -462,11 +462,11 @@ fn status_metrics_text_and_manifest_agree_on_every_count() {
         .chain(snapshot.gauges.iter().map(|(name, &value)| (name.as_str(), value as u64)))
         .filter_map(|(name, value)| Some((name.strip_prefix("serve.")?, value)))
         .collect();
-    // The collector keeps no zero counter, so a name missing from the
-    // manifest reads 0, as `Snapshot::counter` does.
+    // Both views hold the same names; a counter that stayed 0 is exported
+    // as 0, not left out.
     assert!(exported.keys().all(|name| text_counts.contains_key(name)), "{exported:?}");
     for (&name, &value) in &text_counts {
-        let export = exported.get(name).copied().unwrap_or(0);
+        let export = *exported.get(name).unwrap_or_else(|| panic!("serve.{name} not exported"));
         match name {
             "uptime_us" => {}
             // The text request counts itself; the join also counts the
