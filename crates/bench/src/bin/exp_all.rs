@@ -93,9 +93,11 @@ fn main() {
         let mut fields = vec![
             ("wall_secs".to_string(), Value::Float(wall_secs)),
             ("peak_bytes".to_string(), Value::Float(peak_bytes as f64)),
-            // Time inside the calibration engine proper ("engine" phase
-            // spans) and in plan construction, separated from benchmark
-            // generation and partitioning.
+            // Wall time of the characterization engine stage ("engine"
+            // spans, each around one round's whole record fan-out) and
+            // the summed plan construction ("plan-build" spans, recorded
+            // by whichever thread builds), apart from benchmark generation
+            // and partitioning.
             ("engine_secs".to_string(), Value::Float(snapshot.span_total_secs("engine"))),
             ("plan_build_secs".to_string(), Value::Float(snapshot.span_total_secs("plan-build"))),
             // End-to-end characterization and prepare time (outer spans);

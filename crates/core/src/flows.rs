@@ -24,7 +24,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Pruning floor applied while self-calibrating the benchmarking
 /// distributions inside the characterization flow (see
@@ -225,12 +224,11 @@ impl QuFem {
 
         for i in 0..config.iterations {
             let _iteration_span = qufem_telemetry::span!("iteration", i);
-            let mut phases = qufem_telemetry::PhaseSet::new();
             let mut iter_stats = EngineStats::default();
 
             // Line 3: partition a weighted qubit graph based on BP_i.
             let grouping = {
-                let _phase = phases.enter("partition");
+                let _span = qufem_telemetry::span!("partition");
                 if config.random_grouping {
                     partition::partition_random(n, config.max_group_size, &mut rng)
                 } else {
@@ -275,25 +273,15 @@ impl QuFem {
                     })
                 })
                 .collect();
-            let built: Vec<(IterationPlan, u64)> =
+            let plans: Vec<Arc<IterationPlan>> = {
+                let _span = qufem_telemetry::span!("matrix-gen");
                 parallel::try_map_in_order(&sets, threads, |_, measured| {
-                    let start = phase_clock();
                     let groups = params.group_matrices(measured)?;
                     let positions: Vec<usize> = measured.iter().collect();
-                    let plan = IterationPlan::build(&positions, &groups, char_beta);
-                    Ok((plan, phase_micros(start)))
-                })?;
-            qufem_telemetry::counter_add("characterize.plan_builds", built.len() as u64);
-            let plans: Vec<Arc<IterationPlan>> = {
-                let mut plans = Vec::with_capacity(built.len());
-                let mut matrix_gen_us = 0u64;
-                for (plan, us) in built {
-                    matrix_gen_us += us;
-                    plans.push(Arc::new(plan));
-                }
-                phases.add_micros("matrix-gen", matrix_gen_us, plans.len() as u64);
-                plans
+                    Ok(Arc::new(IterationPlan::build(&positions, &groups, char_beta)))
+                })?
             };
+            qufem_telemetry::counter_add("characterize.plan_builds", plans.len() as u64);
 
             // One arena per contiguous chunk of records, reused record over
             // record: a worker keeps one emission stream and one fold run,
@@ -302,43 +290,39 @@ impl QuFem {
             let records = current.records();
             let chunk = records.len().div_ceil(threads).max(1);
             let chunks: Vec<_> = records.chunks(chunk).collect();
-            let record_results: Vec<Vec<(BenchmarkRecord, EngineStats, u64)>> =
-                parallel::map_in_order(&chunks, threads, |c, chunk_records| {
-                    let mut arena = ExecArena::with_shards(1);
-                    let mut results = Vec::with_capacity(chunk_records.len());
-                    for (k, record) in chunk_records.iter().enumerate() {
-                        let start = phase_clock();
-                        let plan = std::slice::from_ref(&plans[record_set[c * chunk + k]]);
-                        arena.run_chain(plan, &SupportIndex::from_dist(record.dist()), 1);
-                        let local = arena.local_stats().clone();
-                        // `to_dist` copies into exactly sized buffers: the
-                        // next snapshot keeps every record's output, so
-                        // growth slack would stay resident.
-                        let updated = arena.out().to_dist();
-                        let us = phase_micros(start);
-                        results.push((
-                            BenchmarkRecord::new(record.circuit().clone(), updated),
-                            local,
-                            us,
-                        ));
-                    }
-                    results
-                });
+            let next = {
+                let _span = qufem_telemetry::span!("engine");
+                let record_results: Vec<Vec<(BenchmarkRecord, EngineStats)>> =
+                    parallel::map_in_order(&chunks, threads, |c, chunk_records| {
+                        let mut arena = ExecArena::with_shards(1);
+                        let mut results = Vec::with_capacity(chunk_records.len());
+                        for (k, record) in chunk_records.iter().enumerate() {
+                            let plan = std::slice::from_ref(&plans[record_set[c * chunk + k]]);
+                            arena.run_chain(plan, &SupportIndex::from_dist(record.dist()), 1);
+                            // `to_dist` copies into exactly sized buffers: the
+                            // next snapshot keeps every record's output, so
+                            // growth slack would stay resident.
+                            let updated = arena.out().to_dist();
+                            results.push((
+                                BenchmarkRecord::new(record.circuit().clone(), updated),
+                                arena.local_stats().clone(),
+                            ));
+                        }
+                        results
+                    });
+                let mut next = BenchmarkSnapshot::new(n);
+                for (updated, local) in record_results.into_iter().flatten() {
+                    // Record-order merge: EngineStats::merge sums integer
+                    // counters, so this equals the sequential accumulation.
+                    iter_stats.merge(&local);
+                    next.push(updated);
+                }
+                next
+            };
             qufem_telemetry::counter_add("characterize.records", records.len() as u64);
-            let mut next = BenchmarkSnapshot::new(n);
-            let mut engine_us = 0u64;
-            for (updated, local, us) in record_results.into_iter().flatten() {
-                // Record-order merge: EngineStats::merge sums integer
-                // counters, so this equals the sequential accumulation.
-                iter_stats.merge(&local);
-                engine_us += us;
-                next.push(updated);
-            }
-            phases.add_micros("engine", engine_us, next.len() as u64);
 
             iter_stats.publish();
             stats.merge(&iter_stats);
-            phases.emit();
             iterations.push(params);
             current = Arc::new(next);
         }
@@ -540,17 +524,6 @@ pub fn build_group_matrices_with(
         groups.extend(group_noise_matrix_with(snapshot, group, measured, joint)?);
     }
     Ok(groups)
-}
-
-/// Starts a phase stopwatch on a parallel worker — `None` (free) when the
-/// telemetry collector is disabled.
-fn phase_clock() -> Option<Instant> {
-    qufem_telemetry::enabled().then(Instant::now)
-}
-
-/// Elapsed microseconds of a [`phase_clock`] stopwatch.
-fn phase_micros(start: Option<Instant>) -> u64 {
-    start.map_or(0, |s| s.elapsed().as_micros() as u64)
 }
 
 /// Per-iteration execution plans pre-resolved for one measured qubit set

@@ -77,18 +77,17 @@ where
     }
     let workers = threads.min(n);
     let chunk = n.div_ceil(workers);
-    let chunks: Vec<Result<Vec<R>, E>> = crossbeam::thread::scope(|scope| {
+    let chunks: Vec<Result<Vec<R>, E>> = std::thread::scope(|scope| {
         let f = &f;
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 let lo = (w * chunk).min(n);
                 let hi = ((w + 1) * chunk).min(n);
-                scope.spawn(move |_| map_chunk(&items[lo..hi], lo, f))
+                scope.spawn(move || map_chunk(&items[lo..hi], lo, f))
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("parallel worker panicked")).collect()
-    })
-    .expect("parallel scope never panics");
+    });
     let mut out = Vec::with_capacity(n);
     for c in chunks {
         out.extend(c?);
@@ -114,10 +113,10 @@ fn map_chunk<T, R, E>(
 /// A bounded multi-producer/multi-consumer job queue for long-lived worker
 /// threads (the persistent shard pool in [`crate::arena`]).
 ///
-/// Plain `Mutex<VecDeque>` + two condvars — the vendored `crossbeam` shim
-/// carries no channels and the workspace forbids unsafe code, so a lock-free
-/// ring is off the table; at shard-pool job granularity (one job per shard
-/// per iteration) the lock is nowhere near contention. Neither `push` nor
+/// Plain `Mutex<VecDeque>` + two condvars — std's channels have a single
+/// consumer and the workspace forbids unsafe code, so a lock-free ring is
+/// off the table; at shard-pool job granularity (one job per shard per
+/// iteration) the lock is nowhere near contention. Neither `push` nor
 /// `pop` allocates once the deque has reached its working capacity, and
 /// poisoned locks are recovered rather than propagated so a panicking job
 /// can never wedge the queue.

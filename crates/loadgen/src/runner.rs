@@ -22,10 +22,11 @@
 //!
 //! ## Sizing
 //!
-//! The server's connection budget is `workers + queue_depth`, so the runner
-//! raises both to at least `clients + 2` (persistent clients + the control
-//! connection + reconnect slack) — a smaller value would shed lockstep
-//! connects nondeterministically.
+//! The server runs the scenario's `workers` and `queue_depth` as written.
+//! Its connection budget is their sum, which [`Scenario::parse`] requires
+//! to cover `clients + 2` (persistent clients + the control connection +
+//! reconnect slack) — a smaller budget would shed lockstep connects
+//! nondeterministically.
 
 use crate::report::{BytePercentiles, CacheModel, DeviceReport, EventReport, Report, TenantReport};
 use crate::scenario::{build_device, EventKind, Protocol, Scenario};
@@ -115,16 +116,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<Report> {
         })
         .collect();
 
-    let config = ServeConfig {
-        workers: scenario.server.workers.max(scenario.clients + 2),
-        queue_depth: scenario.server.queue_depth.max(scenario.clients + 2),
-        read_timeout: Some(Duration::from_secs(30)),
-        plan_cache_capacity: scenario.server.plan_cache,
-        prewarm: scenario.prewarm,
-        registry: Arc::new(qufem_baselines::standard_registry(startup.config().clone())),
-        device_id: scenario.devices[0].id.clone(),
-        ..ServeConfig::default()
-    };
+    let config = serve_config(scenario, startup.config());
     let server = Server::start(startup, "127.0.0.1:0", config)
         .map_err(|e| Error::new(format!("server start: {e}")))?;
     if scenario.prewarm {
@@ -369,6 +361,21 @@ fn outcome_of(req: &TraceRequest, response: &Response, protocol: Protocol) -> Ou
     }
 }
 
+/// The server configuration for `scenario`, whose startup calibrator was
+/// characterized with `startup`.
+fn serve_config(scenario: &Scenario, startup: &QuFemConfig) -> ServeConfig {
+    ServeConfig {
+        workers: scenario.server.workers,
+        queue_depth: scenario.server.queue_depth,
+        read_timeout: Some(Duration::from_secs(30)),
+        plan_cache_capacity: scenario.server.plan_cache,
+        prewarm: scenario.prewarm,
+        registry: Arc::new(qufem_baselines::standard_registry(startup.clone())),
+        device_id: scenario.devices[0].id.clone(),
+        ..ServeConfig::default()
+    }
+}
+
 /// The characterization config for device `idx` of the scenario.
 fn spec_config(scenario: &Scenario, idx: usize) -> Result<QuFemConfig> {
     let spec = &scenario.devices[idx];
@@ -528,5 +535,24 @@ fn print_error_frames(clients: &[ClientResult]) {
             eprintln!("loadgen: error frame: {error}");
             seen.push(error);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn server_runs_the_scenario_sizing_as_written() {
+        let scenario = Scenario::parse(
+            "name = \"sizing\"\nclients = 3\n\
+             [server]\nworkers = 1\nqueue_depth = 4\n\
+             [[devices]]\npreset = \"grid-3\"\n\
+             [[tenants]]\nname = \"t0\"\n",
+        )
+        .unwrap();
+        let config = serve_config(&scenario, &QuFemConfig::default());
+        assert_eq!(config.workers, scenario.server.workers);
+        assert_eq!(config.queue_depth, scenario.server.queue_depth);
     }
 }

@@ -259,11 +259,14 @@ impl Scenario {
             plan_cache: opt_usize(server_table, "server", "plan_cache", 8)?,
         };
         reject_unknown(server_table, "server", &["workers", "queue_depth", "plan_cache"])?;
-        if server.queue_depth < clients {
+        if server.workers + server.queue_depth < clients + 2 {
             return Err(Error::new(format!(
-                "server.queue_depth ({}) must be >= clients ({}): lockstep connects would \
-                 shed load nondeterministically",
-                server.queue_depth, clients
+                "server.workers + server.queue_depth ({} + {}) must be >= clients + 2 ({}): \
+                 the connection budget holds the clients, the control connection and \
+                 reconnect slack, and connects beyond it shed load nondeterministically",
+                server.workers,
+                server.queue_depth,
+                clients + 2
             )));
         }
 
@@ -648,6 +651,7 @@ mod tests {
             ("", "[[devices]]\npreset = \"grid-3\"", "duplicate device id"),
             ("", "[[devices]]\npreset = \"warp-9\"", "unknown preset"),
             ("", "[server]\nqueue_depth = 1", "queue_depth"),
+            ("", "[server]\nworkers = 1\nqueue_depth = 2", "server.workers + server.queue_depth"),
             // Keys and sections the parser does not read are errors that
             // name the table and the key.
             ("seeed = 3", "", "scenario: unknown key \"seeed\""),

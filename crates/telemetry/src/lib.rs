@@ -28,12 +28,6 @@
 //! # qufem_telemetry::reset();
 //! ```
 //!
-//! Tight per-record loops use a [`PhaseSet`] instead of thousands of tiny
-//! spans: each named phase accumulates elapsed time across loop passes and
-//! [`PhaseSet::emit`] records one span per phase. Phase spans carry exact
-//! *durations*; their start offsets are packed back-to-back from the set's
-//! creation time so trace viewers render them nested cleanly.
-//!
 //! # Manifests
 //!
 //! [`write_manifest`] serializes everything to one JSON file that is
@@ -48,13 +42,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// Global on/off switch, checked (relaxed) before any recording work.
@@ -236,7 +230,7 @@ impl Default for QuantileHistogram {
 
 /// Maps a dotted metric name onto the Prometheus charset: ASCII alphanumerics
 /// pass through, everything else becomes `_`.
-pub fn sanitize_metric_name(name: &str) -> String {
+fn sanitize_metric_name(name: &str) -> String {
     name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect()
 }
 
@@ -272,8 +266,14 @@ impl State {
     }
 }
 
+/// Locks `mutex`, recovering the guard if a panicking holder poisoned it,
+/// so one panicking thread cannot switch telemetry off for the process.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn with_state<T>(f: impl FnOnce(&mut State) -> T) -> T {
-    let mut guard = STATE.lock();
+    let mut guard = lock(&STATE);
     f(guard.get_or_insert_with(State::new))
 }
 
@@ -299,7 +299,7 @@ pub fn disable() {
 /// Clears all recorded data and restarts the epoch. The enabled flag is
 /// left as-is, so experiment drivers can `reset()` between experiments.
 pub fn reset() {
-    let mut guard = STATE.lock();
+    let mut guard = lock(&STATE);
     *guard = Some(State::new());
 }
 
@@ -462,108 +462,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Accumulated timing phases for tight per-record loops.
-///
-/// Entering the same phase many times adds up; [`PhaseSet::emit`] records
-/// one span per phase under the currently open span. See the module docs
-/// for the start-offset packing convention.
-pub struct PhaseSet {
-    /// `None` when the collector was disabled at construction.
-    inner: Option<PhaseInner>,
-}
-
-struct PhaseInner {
-    created: Instant,
-    /// Phase name → accumulated duration (µs) and enter count.
-    phases: Vec<(&'static str, u64, u64)>,
-}
-
-impl PhaseSet {
-    /// Creates an empty phase set (inert when the collector is disabled).
-    pub fn new() -> Self {
-        let inner = enabled().then(|| PhaseInner { created: Instant::now(), phases: Vec::new() });
-        PhaseSet { inner }
-    }
-
-    /// Starts timing `name`; the elapsed time is added when the returned
-    /// guard drops.
-    pub fn enter<'a>(&'a mut self, name: &'static str) -> PhaseGuard<'a> {
-        let start = self.inner.as_ref().map(|_| Instant::now());
-        PhaseGuard { set: self, name, start }
-    }
-
-    /// Adds an externally measured duration to phase `name` (`count` enter
-    /// equivalents). Parallel fan-outs use this to attribute per-worker
-    /// wall time measured off-thread, so a phase's accumulated total still
-    /// sums to what the sequential loop would have recorded. Inert when the
-    /// collector was disabled at construction.
-    pub fn add_micros(&mut self, name: &'static str, dur_us: u64, count: u64) {
-        let Some(inner) = self.inner.as_mut() else { return };
-        match inner.phases.iter_mut().find(|(n, _, _)| *n == name) {
-            Some(slot) => {
-                slot.1 += dur_us;
-                slot.2 += count;
-            }
-            None => inner.phases.push((name, dur_us, count)),
-        }
-    }
-
-    /// Records one span per accumulated phase and clears the set.
-    pub fn emit(&mut self) {
-        let Some(inner) = self.inner.as_mut() else { return };
-        if inner.phases.is_empty() {
-            return;
-        }
-        let parent = SPAN_STACK.with(|stack| stack.borrow().last().copied());
-        let tid = THREAD_ID.with(|&t| t);
-        with_state(|s| {
-            let mut cursor = inner.created.saturating_duration_since(s.epoch).as_micros() as u64;
-            for &(name, dur_us, count) in &inner.phases {
-                let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-                s.spans.push(SpanRecord {
-                    id,
-                    parent,
-                    name,
-                    label: (count > 1).then(|| format!("{count} passes")),
-                    start_us: cursor,
-                    dur_us,
-                    tid,
-                });
-                cursor += dur_us;
-            }
-        });
-        inner.phases.clear();
-        inner.created = Instant::now();
-    }
-}
-
-impl Default for PhaseSet {
-    fn default() -> Self {
-        PhaseSet::new()
-    }
-}
-
-impl Drop for PhaseSet {
-    fn drop(&mut self) {
-        self.emit();
-    }
-}
-
-/// Guard returned by [`PhaseSet::enter`].
-pub struct PhaseGuard<'a> {
-    set: &'a mut PhaseSet,
-    name: &'static str,
-    start: Option<Instant>,
-}
-
-impl Drop for PhaseGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            self.set.add_micros(self.name, start.elapsed().as_micros() as u64, 1);
-        }
-    }
-}
-
 /// Point-in-time copy of everything recorded so far.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
@@ -612,7 +510,7 @@ impl Snapshot {
 /// Copies the current collector contents (works even when disabled, so
 /// post-run reporting can read what an enabled phase recorded).
 pub fn snapshot() -> Snapshot {
-    let guard = STATE.lock();
+    let guard = lock(&STATE);
     let Some(s) = guard.as_ref() else { return Snapshot::default() };
     Snapshot {
         spans: s.spans.clone(),
@@ -624,7 +522,7 @@ pub fn snapshot() -> Snapshot {
 
 /// Watermark for [`span_secs_since`]: the number of spans completed so far.
 pub fn mark() -> usize {
-    STATE.lock().as_ref().map_or(0, |s| s.spans.len())
+    lock(&STATE).as_ref().map_or(0, |s| s.spans.len())
 }
 
 /// Total seconds of spans named `name` completed after `mark` was taken
@@ -632,7 +530,7 @@ pub fn mark() -> usize {
 /// This is how the experiment harness derives method timings from the
 /// collector instead of stopwatching around calls.
 pub fn span_secs_since(mark: usize, name: &str) -> f64 {
-    let guard = STATE.lock();
+    let guard = lock(&STATE);
     let Some(s) = guard.as_ref() else { return 0.0 };
     sum_secs(s.spans.iter().skip(mark).filter(|r| r.name == name))
 }
@@ -789,7 +687,7 @@ pub fn manifest(extra_meta: &[(String, serde::Value)]) -> serde::Value {
         *seen <= MANIFEST_SPAN_CAP
     });
     let spans_dropped = spans_total - snap.spans.len();
-    let guard = STATE.lock();
+    let guard = lock(&STATE);
     let mut meta: Vec<(String, Value)> = guard.as_ref().map(|s| s.meta.clone()).unwrap_or_default();
     drop(guard);
     for (k, v) in extra_meta {
@@ -919,8 +817,8 @@ mod tests {
     /// them from interleaving.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-    fn fresh() -> parking_lot::MutexGuard<'static, ()> {
-        let guard = TEST_LOCK.lock();
+    fn fresh() -> MutexGuard<'static, ()> {
+        let guard = lock(&TEST_LOCK);
         reset();
         enable();
         guard
@@ -985,63 +883,6 @@ mod tests {
         assert_eq!(h.mean(), 2.0);
         assert_eq!(h.min, 1.0);
         assert_eq!(h.max, 3.0);
-    }
-
-    #[test]
-    fn phase_set_accumulates_and_packs() {
-        let _guard = fresh();
-        let parent_id;
-        {
-            let parent = span!("loop");
-            parent_id = parent.id().unwrap();
-            let mut phases = PhaseSet::new();
-            for _ in 0..3 {
-                let _a = phases.enter("alpha");
-            }
-            {
-                let _b = phases.enter("beta");
-            }
-            phases.emit();
-        }
-        let snap = snapshot();
-        let alpha = snap.spans.iter().find(|s| s.name == "alpha").unwrap();
-        let beta = snap.spans.iter().find(|s| s.name == "beta").unwrap();
-        assert_eq!(alpha.parent, Some(parent_id));
-        assert_eq!(beta.parent, Some(parent_id));
-        assert_eq!(alpha.label.as_deref(), Some("3 passes"));
-        // Packed placement: beta starts where alpha ends.
-        assert_eq!(beta.start_us, alpha.start_us + alpha.dur_us);
-    }
-
-    #[test]
-    fn phase_set_add_micros_merges_external_durations() {
-        let _guard = fresh();
-        {
-            let _parent = span!("loop");
-            let mut phases = PhaseSet::new();
-            // Worker-measured time folds into the same slot `enter` uses.
-            phases.add_micros("engine", 40, 2);
-            phases.add_micros("engine", 60, 3);
-            phases.add_micros("matrix-gen", 10, 1);
-            phases.emit();
-        }
-        let snap = snapshot();
-        let engine = snap.spans.iter().find(|s| s.name == "engine").unwrap();
-        assert_eq!(engine.dur_us, 100);
-        assert_eq!(engine.label.as_deref(), Some("5 passes"));
-        let matrix = snap.spans.iter().find(|s| s.name == "matrix-gen").unwrap();
-        assert_eq!(matrix.dur_us, 10);
-    }
-
-    #[test]
-    fn phase_set_add_micros_is_inert_when_disabled() {
-        let _guard = fresh();
-        disable();
-        reset();
-        let mut phases = PhaseSet::new();
-        phases.add_micros("engine", 40, 1);
-        phases.emit();
-        assert!(snapshot().spans.is_empty());
     }
 
     #[test]

@@ -6,6 +6,12 @@ cd "$(dirname "$0")/.."
 echo "==> non-test lines (scripts/loc.sh, information only)"
 scripts/loc.sh | tail -n 1
 
+echo "==> std-only code (no .rs file names crossbeam or parking_lot)"
+if grep -rnE 'crossbeam|parking_lot' --include='*.rs' crates src tests examples; then
+  echo "Rust sources name crossbeam or parking_lot; use std::thread::scope / std::sync" >&2
+  exit 1
+fi
+
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
